@@ -27,12 +27,8 @@ from .errors import (
     UnsupportedEnsembleError,
 )
 from .free import free_forward_green, free_forward_green_boundary
-from .linalg import (
-    SpectralPoint,
-    is_herglotz,
-    min_imag_eigenvalue,
-    sym_part,
-)
+from .linalg import HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue, resolvent
+from .linearization import upper_slots
 from .model import BetheStripModel, PointMass
 
 #: Default residual tolerance (max-norm of G - map(G)) for a converged solve.
@@ -97,26 +93,17 @@ class FixedPointProblem:
 
     def forward_map(self, G: np.ndarray) -> np.ndarray:
         """Apply G -> [A + lam*V0 - z - (K/4) G]^{-1} once."""
-        M = self._shifted_onsite - 0.25 * self.model.K * G
-        if M.shape == (1, 1):
-            d = M[0, 0]
-            out = 1.0 / d if d != 0.0 else complex(np.inf)
-            if not np.isfinite(out):
-                raise SingularMatrixError(
-                    f"forward map hit a singular matrix at z={self.z}"
-                )
-            return np.array([[out]])
-        try:
-            out = np.linalg.inv(M)
-        except np.linalg.LinAlgError as exc:
+        if len(G) > 1:
+            return resolvent(self._shifted_onsite, self.model.K * G)
+        # Scalar path: continuation makes tens of thousands of 1x1 calls, and
+        # any numpy call costs about twice this whole step there.
+        d = (self._shifted_onsite - 0.25 * self.model.K * G)[0, 0]
+        out = 1.0 / d if d != 0.0 else complex(np.inf)
+        if not np.isfinite(out):
             raise SingularMatrixError(
                 f"forward map hit a singular matrix at z={self.z}"
-            ) from exc
-        if not np.isfinite(out).all():
-            raise SingularMatrixError(
-                f"forward map produced non-finite entries at z={self.z}"
             )
-        return sym_part(out)
+        return np.array([[out]])
 
     def residual_matrix(self, G: np.ndarray) -> np.ndarray:
         return G - self.forward_map(G)
@@ -139,9 +126,8 @@ class SolveReport:
 
     ``residual`` is an independent re-evaluation of max|G - map(G)| at
     the returned solution, so ``converged`` certifies the solution
-    rather than trusting loop bookkeeping.  ``herglotz`` records whether
-    min eig(Im G) clears :data:`BOUNDARY_IMAG_FLOOR` (strict
-    dissipativity; real boundary solutions report False).
+    rather than trusting loop bookkeeping.  ``min_imag_eig`` is
+    min eig(Im G) at the solution, computed once per solve.
     """
 
     solution: np.ndarray
@@ -150,8 +136,13 @@ class SolveReport:
     method: str
     converged: bool
     z: complex
-    herglotz: bool
+    min_imag_eig: float
     residual_history: tuple = field(default=())
+
+    @property
+    def herglotz(self) -> bool:
+        """min eig(Im G) clears BOUNDARY_IMAG_FLOOR; real boundary solutions fail."""
+        return self.min_imag_eig > BOUNDARY_IMAG_FLOOR
 
 
 def _report(problem: FixedPointProblem, G: np.ndarray, iterations: int,
@@ -164,7 +155,7 @@ def _report(problem: FixedPointProblem, G: np.ndarray, iterations: int,
         method=method,
         converged=bool(residual <= tol),
         z=problem.z,
-        herglotz=bool(min_imag_eigenvalue(G) > BOUNDARY_IMAG_FLOOR),
+        min_imag_eig=min_imag_eigenvalue(G),
         residual_history=tuple(history),
     )
 
@@ -211,10 +202,6 @@ def picard_solve(problem: FixedPointProblem, damping: float = DAMPING,
     return _report(problem, G, it, "picard", tol, history)
 
 
-def _upper_slots(m: int):
-    return [(j, k) for j in range(m) for k in range(j, m)]
-
-
 def _vec_upper(M: np.ndarray, slots) -> np.ndarray:
     return np.array([M[j, k] for j, k in slots])
 
@@ -250,7 +237,7 @@ def _newton_loop(problem: FixedPointProblem, G: np.ndarray, tol: float,
                  max_iter: int):
     """Newton iteration; raises SingularJacobianError on a failed step."""
     m = problem.model.m
-    slots = _upper_slots(m)
+    slots = upper_slots(m)
     history = []
     for it in range(max_iter + 1):
         Phi = problem.forward_map(G)
@@ -367,10 +354,10 @@ def continuation_to_boundary(model: BetheStripModel, E: float,
             raise ContinuationBreakdownError(
                 f"continuation failed at eta={eta}: {exc}", eta=eta
             ) from exc
-        if eta > 0.0 and not is_herglotz(report.solution):
+        if eta > 0.0 and report.min_imag_eig < -HERGLOTZ_SLACK:
             raise ContinuationBreakdownError(
                 f"lost the dissipative branch at eta={eta}: "
-                f"min eig(Im G) = {min_imag_eigenvalue(report.solution):.3e}",
+                f"min eig(Im G) = {report.min_imag_eig:.3e}",
                 eta=eta,
             )
         reports.append(report)

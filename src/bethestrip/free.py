@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutOfBandError
-from .linalg import SpectralPoint, sqrt_upper
+from .linalg import SpectralPoint, require_psd, sqrt_upper
 from .model import band_intersection
 
 
@@ -115,18 +115,6 @@ def free_dos(sp_or_E, model):
     return float(np.trace(full).imag / (model.m * np.pi))
 
 
-def _check_psd(M, name):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
-    if not np.allclose(M, M.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    if np.linalg.eigvalsh(M)[0] < -1e-10 * scale:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return 0.5 * (M + M.T)
-
-
 def free_char_weight(sp: SpectralPoint, model, M):
     """exp((i/4) Tr(G0 M)) for PSD symmetric M: the free characteristic weight.
 
@@ -134,7 +122,7 @@ def free_char_weight(sp: SpectralPoint, model, M):
     characteristic function of the forward Green's matrix; at lam = 0 the
     average is the deterministic free value.
     """
-    M = _check_psd(M, "M")
+    M = require_psd(M, "M")
     g = np.diagonal(free_forward_green(sp, model))
     return complex(np.exp(0.25j * np.sum(g * np.diagonal(M))))
 
@@ -146,8 +134,8 @@ def free_pair_char_weight(sp: SpectralPoint, model, Mp, Mm):
     free factor; its boundary behavior is what separates point spectrum from
     absolutely continuous spectrum.
     """
-    Mp = _check_psd(Mp, "Mp")
-    Mm = _check_psd(Mm, "Mm")
+    Mp = require_psd(Mp, "Mp")
+    Mm = require_psd(Mm, "Mm")
     g = np.diagonal(free_forward_green(sp, model))
     t = np.sum(g * np.diagonal(Mp)) - np.sum(np.conj(g) * np.diagonal(Mm))
     return complex(np.exp(0.25j * t))

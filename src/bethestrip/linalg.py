@@ -1,23 +1,20 @@
-"""Complex-symmetric linear algebra kernel.
+"""Complex-symmetric linear algebra around the one resolvent kernel.
 
-Green's matrices on the strip are complex *symmetric* (not Hermitian), so the
-workhorse operations here are an LU-based inverse that enforces symmetry of
-the result, the upper-half-plane square root branch, and the minimum
-eigenvalue of the matrix imaginary part (the Herglotz indicator).
+Green's matrices on the strip are complex *symmetric* (not Hermitian).  Every
+recursion path inverts through :func:`resolvent`, batched over ``(..., m, m)``
+stacks with one error policy.  Beside it: the upper-half-plane square root
+branch, the Herglotz indicator min eig Im M, and the PSD check for test
+matrices.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularMatrixError
 
-# Relative pivot floor below which an LU factorization is declared singular.
-PIVOT_RTOL = 1e-14
-# Relative residual allowed for an accepted inverse, ||M N - I|| <= RTOL ||M||.
-INVERSE_RESIDUAL_RTOL = 1e-10
+# Slack below zero allowed for min eig Im G on the dissipative branch.
+HERGLOTZ_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,50 +57,25 @@ def symmetry_defect(M) -> float:
     return float(np.max(np.abs(M - np.swapaxes(M, -1, -2)), initial=0.0))
 
 
-def sym_inverse(M):
-    """Invert a complex symmetric matrix, returning a symmetric inverse.
+def resolvent(shifted, neighbor_sum):
+    """sym_part(inv(shifted - neighbor_sum / 4)) over (..., m, m) stacks.
 
-    LU with partial pivoting; a pivot below ``PIVOT_RTOL * max|M|`` raises
-    :class:`SingularMatrixError`, as does a verification residual
-    ``||M N - I||_max`` above ``INVERSE_RESIDUAL_RTOL * max|M|``.  The raw
-    inverse is symmetrized before the residual check, which removes the
-    O(eps) asymmetry the factorization introduces.
+    ``shifted`` is A + lam V - z; ``neighbor_sum`` sums the K (forward) or
+    K + 1 (root) neighbor Green's matrices.  A singular member or a non-finite
+    entry raises :class:`SingularMatrixError`, a non-square stack ValueError.
+    For eta > 0 and Herglotz neighbors Im(-M) >= eta, so ||M^-1|| <= 1/eta
+    and no pivot floor is needed.
     """
-    M = np.asarray(M)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("sym_inverse expects a square matrix")
-    n = M.shape[0]
-    scale = float(np.max(np.abs(M)))
-    if scale == 0.0:
-        raise SingularMatrixError("zero matrix")
-    with warnings.catch_warnings():
-        # exact singularity surfaces through the pivot check below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    pivots = np.abs(np.diagonal(lu))
-    if pivots.min() < PIVOT_RTOL * scale:
-        raise SingularMatrixError(
-            f"pivot {pivots.min():.3e} below floor {PIVOT_RTOL * scale:.3e}"
-        )
-    inv = scipy.linalg.lu_solve((lu, piv), np.eye(n, dtype=complex),
-                                check_finite=False)
-    inv = sym_part(inv)
-    residual = float(np.max(np.abs(M @ inv - np.eye(n))))
-    if residual > INVERSE_RESIDUAL_RTOL * max(scale, 1.0):
-        raise SingularMatrixError(
-            f"inverse residual {residual:.3e} exceeds tolerance; "
-            "matrix is numerically singular"
-        )
-    return inv
-
-
-def inv_batch(M):
-    """Symmetrized inverse of a stack of matrices (..., m, m).
-
-    Hot-path variant of :func:`sym_inverse` without the pivot/residual
-    bookkeeping; numpy raises LinAlgError on exactly singular members.
-    """
-    return sym_part(np.linalg.inv(M))
+    M = shifted - 0.25 * neighbor_sum
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"resolvent expects (..., m, m) stacks, got {M.shape}")
+    try:
+        G = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"singular matrix in the recursion: {exc}") from exc
+    if not np.isfinite(G).all():
+        raise SingularMatrixError("the recursion produced non-finite entries")
+    return sym_part(G)
 
 
 def sqrt_upper(w):
@@ -117,22 +89,20 @@ def sqrt_upper(w):
     return np.where(r.imag < 0.0, -r, r)[()]
 
 
-def imag_sym_part(M):
-    """Imaginary part (M - conj M)/(2i) of a complex symmetric matrix.
-
-    For symmetric M this is a real symmetric matrix.
-    """
-    M = np.asarray(M, dtype=complex)
-    return np.ascontiguousarray(M.imag)
-
-
 def min_imag_eigenvalue(M) -> float:
     """Smallest eigenvalue of Im M; >= 0 characterizes the Herglotz class."""
-    im = imag_sym_part(M)
-    im = 0.5 * (im + im.T)
-    return float(np.linalg.eigvalsh(im)[0])
+    im = np.asarray(M, dtype=complex).imag
+    return float(np.linalg.eigvalsh(0.5 * (im + im.T))[0])
 
 
-def is_herglotz(M, slack=1e-10) -> bool:
-    """True when Im M is positive semidefinite up to the given slack."""
-    return min_imag_eigenvalue(M) >= -slack
+def require_psd(M, name="test matrix"):
+    """Check that M is a real symmetric PSD square matrix; return its symmetric part."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be a square matrix")
+    if not np.allclose(M, M.T, atol=1e-12):
+        raise ValueError(f"{name} must be symmetric")
+    scale = max(float(np.max(np.abs(M))), 1.0)
+    if np.linalg.eigvalsh(M)[0] < -1e-10 * scale:
+        raise ValueError(f"{name} must be positive semidefinite")
+    return 0.5 * (M + M.T)

@@ -272,9 +272,6 @@ class BetheStripModel:
     def sqrt_k(self) -> float:
         return float(np.sqrt(self.K))
 
-    def sample_potential(self, rng):
-        return self.ensemble.sample(self.m, rng)
-
     def config_dict(self):
         return {
             "K": self.K,
@@ -282,16 +279,6 @@ class BetheStripModel:
             "lambda": self.lam,
             "ensemble": self.ensemble.spec_string(),
         }
-
-
-def sample_potential(ensemble, m, rng):
-    """One potential draw from the ensemble (module-level convenience)."""
-    return ensemble.sample(m, rng)
-
-
-def characteristic_fn(ensemble, M):
-    """E exp(-i Tr(M V)) under the ensemble."""
-    return ensemble.char_fn(M)
 
 
 def band_intersection(model) -> RealInterval:

@@ -5,9 +5,11 @@ The forward Green's matrix at a site with K forward neighbors satisfies
     G = [A + lam V - z - (1/4) sum_children G_child]^{-1},
 
 and a full-lattice (root) sample is assembled the same way from K+1
-neighbors.  The distributional fixed point of the forward map is simulated
-by a resampling population: hold N samples, and each sweep rebuilds every
-sample from K uniformly drawn predecessors plus a fresh potential.
+neighbors.  Every path inverts through :func:`bethestrip.linalg.resolvent`,
+batched: a truncated tree one depth at a time, leaves first, and the
+resampling population that simulates the distributional fixed point a sweep
+at a time, each sweep rebuilding all N samples from K uniformly drawn
+predecessors plus a fresh potential.
 
 All randomness is keyed (seed, purpose, sweep/realization, chunk), so pools
 and tree samples are reproducible bit-for-bit for any worker count.
@@ -19,19 +21,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import ed
-from .errors import SingularMatrixError
 from .free import free_forward_green
-from .linalg import SpectralPoint, inv_batch, min_imag_eigenvalue, sym_inverse
+from .linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
+                     require_psd, resolvent)
 from .rng import TAG_MEASURE, TAG_SWEEP, keyed_rng
 
-HERGLOTZ_SLACK = 1e-10
 DEFAULT_BATCHES = 20
 
 
-def _shifted_inverse(sp, model, V, neighbor_sum):
-    M = (model.a_matrix + model.lam * np.asarray(V)
-         - sp.z * np.eye(model.m) - 0.25 * neighbor_sum)
-    return sym_inverse(M)
+def _shifted(model, V, z):
+    """A + lam V - z for one potential or a stack of them."""
+    return model.a_matrix + model.lam * np.asarray(V) - z * np.eye(model.m)
 
 
 def forward_step(sp: SpectralPoint, model, V, children):
@@ -39,7 +39,7 @@ def forward_step(sp: SpectralPoint, model, V, children):
     children = list(children)
     if len(children) != model.K:
         raise ValueError(f"forward_step needs K={model.K} children")
-    return _shifted_inverse(sp, model, V, sum(children))
+    return resolvent(_shifted(model, V, sp.z), sum(children))
 
 
 def root_assemble(sp: SpectralPoint, model, V, neighbors):
@@ -47,7 +47,7 @@ def root_assemble(sp: SpectralPoint, model, V, neighbors):
     neighbors = list(neighbors)
     if len(neighbors) != model.K + 1:
         raise ValueError(f"root_assemble needs K+1={model.K + 1} neighbors")
-    return _shifted_inverse(sp, model, V, sum(neighbors))
+    return resolvent(_shifted(model, V, sp.z), sum(neighbors))
 
 
 def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
@@ -65,16 +65,18 @@ def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
 
 
 def sample_tree_given(sp: SpectralPoint, model, tree, potentials):
-    """Leaf-to-root elimination with explicit per-site potentials."""
-    children = tree.children()
-    z_eye = sp.z * np.eye(model.m)
-    base = model.a_matrix - z_eye
-    G = [None] * tree.n_sites
-    for i in reversed(range(tree.n_sites)):
-        M = base + model.lam * potentials[i]
-        for c in children[i]:
-            M = M - 0.25 * G[c]
-        G[i] = sym_inverse(M)
+    """Leaf-to-root elimination with explicit per-site potentials, one depth a call."""
+    # Layout from ed.build_tree: sites are ordered by depth, and the children
+    # of each site are contiguous, in site order, in the next depth, the same
+    # number per site (K + 1 at the root, K below).  So the neighbor sums of
+    # one depth are the Green's matrices of the next, grouped and summed.
+    shifted = _shifted(model, potentials, sp.z)
+    edges = np.searchsorted(tree.depth_of, np.arange(tree.depth + 2))
+    G = np.zeros((0, model.m, model.m))
+    for d in range(tree.depth, -1, -1):
+        lo, hi = edges[d], edges[d + 1]
+        neighbor_sum = G.reshape(hi - lo, -1, model.m, model.m).sum(axis=1)
+        G = resolvent(shifted[lo:hi], neighbor_sum)
     return G[0]
 
 
@@ -129,16 +131,13 @@ def _chunk_slices(n, chunks):
     return [slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
 
-def _sweep_chunk(samples, model, z, rng, count):
-    idx = rng.integers(0, len(samples), size=(count, model.K))
+def _pool_draws(pool, model, rng, count, neighbors):
+    """count fresh samples, each from `neighbors` pool picks plus a fresh potential."""
+    # pick indices before potentials: the draw order is the streams' contract
+    idx = rng.integers(0, pool.size, size=(count, neighbors))
     V = model.ensemble.sample_batch(model.m, rng, count)
-    neighbor_sum = samples[idx].sum(axis=1)
-    M = ((model.a_matrix + model.lam * V)
-         - z * np.eye(model.m) - 0.25 * neighbor_sum)
-    try:
-        return inv_batch(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular sample during sweep: {exc}") from exc
+    return resolvent(_shifted(model, V, pool.point.z),
+                     pool.samples[idx].sum(axis=1))
 
 
 def population_sweep(pool: PopulationPool, model, workers=1) -> PopulationPool:
@@ -149,8 +148,7 @@ def population_sweep(pool: PopulationPool, model, workers=1) -> PopulationPool:
     def work(c_sl):
         c, sl = c_sl
         rng = keyed_rng(pool.seed, TAG_SWEEP, pool.sweeps_done, c)
-        out[sl] = _sweep_chunk(pool.samples, model, pool.point.z, rng,
-                               sl.stop - sl.start)
+        out[sl] = _pool_draws(pool, model, rng, sl.stop - sl.start, model.K)
 
     if workers > 1 and len(slices) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -169,12 +167,7 @@ def population_run(pool, model, sweeps, workers=1) -> PopulationPool:
 
 def root_draws(pool: PopulationPool, model, rng, count):
     """count independent root samples: K+1 pool picks plus a fresh potential."""
-    idx = rng.integers(0, pool.size, size=(count, model.K + 1))
-    V = model.ensemble.sample_batch(model.m, rng, count)
-    neighbor_sum = pool.samples[idx].sum(axis=1)
-    M = ((model.a_matrix + model.lam * V)
-         - pool.point.z * np.eye(model.m) - 0.25 * neighbor_sum)
-    return inv_batch(M)
+    return _pool_draws(pool, model, rng, count, model.K + 1)
 
 
 @dataclass(frozen=True)
@@ -208,13 +201,6 @@ def batch_stats(values, batches=DEFAULT_BATCHES) -> MomentEstimate:
     return MomentEstimate(mean=grand, std_error=se, count=batches * size)
 
 
-def estimate_green_moments(pool, model, rng, count):
-    """(E G, E |G|^2) at the pool's z from fresh root draws; |G|^2 = conj(G) G."""
-    G = root_draws(pool, model, rng, count)
-    G2 = np.conj(G) @ G
-    return batch_stats(G), batch_stats(G2)
-
-
 def dos_density(pool, model, rng, count) -> MomentEstimate:
     """Density of states per orbital, (1/(m pi)) Im E Tr G, from root draws."""
     G = root_draws(pool, model, rng, count)
@@ -229,26 +215,17 @@ def _char_values(samples, M):
 
 def pool_char_weight(pool: PopulationPool, M) -> MomentEstimate:
     """Pool estimate of E exp((i/4) Tr(G M)) for PSD symmetric M."""
-    _require_psd(M)
+    require_psd(M)
     return batch_stats(_char_values(pool.samples, M))
 
 
 def pool_pair_char_weight(pool: PopulationPool, Mp, Mm) -> MomentEstimate:
     """Pool estimate of E exp((i/4)(Tr(G Mp) - Tr(conj G Mm)))."""
-    _require_psd(Mp)
-    _require_psd(Mm)
+    require_psd(Mp)
+    require_psd(Mm)
     t = (np.einsum("nij,ji->n", pool.samples, np.asarray(Mp, dtype=complex))
          - np.einsum("nij,ji->n", np.conj(pool.samples), np.asarray(Mm, dtype=complex)))
     return batch_stats(np.exp(0.25j * t))
-
-
-def _require_psd(M):
-    M = np.asarray(M)
-    if not np.allclose(M, M.T, atol=1e-12):
-        raise ValueError("test matrix must be symmetric")
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    if np.linalg.eigvalsh(M.astype(float))[0] < -1e-10 * scale:
-        raise ValueError("test matrix must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -263,15 +240,6 @@ class FixedPointResidual:
     @property
     def within_noise(self) -> bool:
         return bool(np.all(self.deltas <= 3.0 * self.errors))
-
-
-def _pushforward_draws(pool, model, rng, count):
-    idx = rng.integers(0, pool.size, size=(count, model.K))
-    V = model.ensemble.sample_batch(model.m, rng, count)
-    neighbor_sum = pool.samples[idx].sum(axis=1)
-    M = ((model.a_matrix + model.lam * V)
-         - pool.point.z * np.eye(model.m) - 0.25 * neighbor_sum)
-    return inv_batch(M)
 
 
 def fixed_point_residual(pool, model, rng, test_matrices, count,
@@ -290,13 +258,13 @@ def fixed_point_residual(pool, model, rng, test_matrices, count,
     offset cancels and the spread across generations gives an honest error.
     """
     for T in test_matrices:
-        _require_psd(T)
+        require_psd(T)
     n_mats = len(test_matrices)
     per_gen = max(count // generations, 1)
     diffs = np.empty((generations, n_mats), dtype=complex)
     within_err = np.empty(n_mats)
     for g in range(generations):
-        pushed = _pushforward_draws(pool, model, rng, per_gen)
+        pushed = _pool_draws(pool, model, rng, per_gen, model.K)
         for t, T in enumerate(test_matrices):
             lhs = batch_stats(_char_values(pool.samples, T))
             rhs = batch_stats(_char_values(pushed, T))
@@ -327,7 +295,7 @@ class StationaryMeasurement:
     dos: MomentEstimate            # (1/(m pi)) Im E Tr G
 
 
-def measure_stationary(pool, model, seed, context, sweeps=20, draws_per_sweep=500,
+def measure_stationary(pool, model, context, sweeps=20, draws_per_sweep=500,
                        workers=1):
     """Advance `sweeps` generations, measuring root draws after each.
 
@@ -379,7 +347,7 @@ def eta_continuation(model, E, eta_schedule, pool_size=10_000, seed=0,
         pool = replace(pool, point=SpectralPoint(E, eta))
         pool = population_run(pool, model, burn_in if j == 0 else relax_sweeps,
                               workers=workers)
-        pool, meas = measure_stationary(pool, model, seed, j, measure_sweeps,
+        pool, meas = measure_stationary(pool, model, j, measure_sweeps,
                                         draws_per_sweep, workers=workers)
         records.append(EtaRecord(eta=eta, measurement=meas))
     return records

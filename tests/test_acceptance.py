@@ -168,7 +168,7 @@ def test_criterion_5_herglotz_and_norm_invariants(capsys):
         model = BetheStripModel(K=K, a=a, lam=lam, ensemble=ensembles[i % 4])
         eta = float(10.0 ** rng.uniform(-3.0, 0.0))
         sp = SpectralPoint(float(rng.uniform(-3.0, 3.0)), eta)
-        V = model.sample_potential(rng)
+        V = model.ensemble.sample(model.m, rng)
         children = [random_herglotz(m, rng, eta=float(rng.uniform(0.0, 0.5)))
                     for _ in range(K)]
         G = forward_step(sp, model, V, children)

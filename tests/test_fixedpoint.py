@@ -20,6 +20,7 @@ from bethestrip.fixedpoint import (
 )
 from bethestrip.free import free_forward_green, free_forward_green_boundary
 from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
+from bethestrip.linearization import upper_slots
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 
 from conftest import random_symmetric
@@ -153,7 +154,7 @@ class TestNewton:
         prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0))
         g = 1j * (np.sqrt(3) - 1)
         Phi = prob.forward_map(np.array([[g]]))
-        J = fp._jacobian(prob, Phi, fp._upper_slots(1))
+        J = fp._jacobian(prob, Phi, upper_slots(1))
         assert J[0, 0] == pytest.approx(3 - np.sqrt(3), abs=1e-10)
 
     def test_jacobian_matches_finite_differences(self, rng):
@@ -163,7 +164,7 @@ class TestNewton:
         prob = FixedPointProblem(mod, SpectralPoint(0.2, 0.5))
         G = random_symmetric(3, rng) + 1j * (random_symmetric(3, rng)
                                              + 2.0 * np.eye(3))
-        slots = fp._upper_slots(3)
+        slots = upper_slots(3)
         J = fp._jacobian(prob, prob.forward_map(G), slots)
         h = 1e-7
         for c, (j, k) in enumerate(slots):
@@ -298,7 +299,7 @@ class TestContinuation:
             sol = np.array([[-1j]])
             return SolveReport(solution=sol, residual=0.0, iterations=1,
                                method="newton", converged=True, z=point.z,
-                               herglotz=False, residual_history=(0.0,))
+                               min_imag_eig=-1.0, residual_history=(0.0,))
 
         monkeypatch.setattr(fp, "solve_forward", wrong_branch)
         with pytest.raises(ContinuationBreakdownError) as ei:

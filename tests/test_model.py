@@ -8,11 +8,9 @@ from bethestrip.model import (
     DiagonalIID,
     PointMass,
     band_intersection,
-    characteristic_fn,
     deterministic_spectrum,
     effective_spectrum_bounds,
     parse_ensemble_spec,
-    sample_potential,
 )
 from bethestrip.rng import keyed_rng
 
@@ -147,7 +145,7 @@ class TestEnsembleSampling:
     def test_scalar_batch_same_law(self):
         ens = DiagonalIID("uniform")
         singles = np.array(
-            [sample_potential(ens, 2, keyed_rng(11, 3, 0, s))[0, 0] for s in range(2000)]
+            [ens.sample(2, keyed_rng(11, 3, 0, s))[0, 0] for s in range(2000)]
         )
         assert abs(singles.mean()) < 0.05
         assert singles.var() == pytest.approx(1 / 3, rel=0.1)
@@ -158,14 +156,14 @@ class TestCharacteristicFn:
         ens = PointMass(np.diag([1.0, 2.0]))
         M = np.array([[0.3, 0.0], [0.0, 0.1]])
         expected = np.exp(-1j * (0.3 * 1.0 + 0.1 * 2.0))
-        assert characteristic_fn(ens, M) == pytest.approx(expected, abs=1e-15)
+        assert ens.char_fn(M) == pytest.approx(expected, abs=1e-15)
 
     def test_goe_against_monte_carlo(self):
         ens = GOE()
         M = np.array([[0.4, 0.2], [0.2, -0.1]])
         V = ens.sample_batch(2, keyed_rng(5, 4, 3), 200000)
         mc = np.exp(-1j * np.trace(M @ V, axis1=1, axis2=2)).mean()
-        assert characteristic_fn(ens, M) == pytest.approx(mc, abs=0.01)
+        assert ens.char_fn(M) == pytest.approx(mc, abs=0.01)
 
     def test_diag_against_monte_carlo(self):
         for kind in ("uniform", "gauss", "bernoulli"):
@@ -173,11 +171,11 @@ class TestCharacteristicFn:
             M = np.diag([0.7, 0.3])
             V = ens.sample_batch(2, keyed_rng(6, 4, 4), 200000)
             mc = np.exp(-1j * np.trace(M @ V, axis1=1, axis2=2)).mean()
-            assert characteristic_fn(ens, M) == pytest.approx(mc, abs=0.01), kind
+            assert ens.char_fn(M) == pytest.approx(mc, abs=0.01), kind
 
     def test_goe_closed_form(self):
         M = np.array([[0.4, 0.2], [0.2, -0.1]])
-        assert characteristic_fn(GOE(), M) == pytest.approx(
+        assert GOE().char_fn(M) == pytest.approx(
             np.exp(-0.5 * np.trace(M @ M)), abs=1e-15
         )
 

@@ -10,7 +10,6 @@ from bethestrip.recursion import (
     ac_indicator,
     batch_stats,
     dos_density,
-    estimate_green_moments,
     eta_continuation,
     fixed_point_residual,
     forward_step,
@@ -66,7 +65,7 @@ class TestForwardStep:
             mod = BetheStripModel(K=K, a=a, lam=0.5, ensemble=GOE())
             sp = SpectralPoint(float(rng.uniform(-2, 2)), eta)
             children = [random_herglotz(m, rng, eta=0.0) for _ in range(K)]
-            V = mod.sample_potential(rng)
+            V = mod.ensemble.sample(mod.m, rng)
             G = forward_step(sp, mod, V, children)
             assert min_imag_eigenvalue(G) >= -1e-10
             assert np.linalg.norm(G, 2) <= 1.0 / eta + 1e-9
@@ -186,7 +185,8 @@ class TestEstimators:
         sp = SpectralPoint(0.3, 0.05)
         pool = population_run(population_init(sp, mod, 200, seed=1), mod, 3)
         r = keyed_rng(0, 2, 99)
-        eg, eg2 = estimate_green_moments(pool, mod, r, 400)
+        G = root_draws(pool, mod, r, 400)
+        eg, eg2 = batch_stats(G), batch_stats(np.conj(G) @ G)
         full = free_full_green(sp, mod)
         np.testing.assert_allclose(eg.mean, full, atol=1e-12)
         np.testing.assert_allclose(eg2.mean, np.conj(full) @ full, atol=1e-12)
@@ -312,7 +312,7 @@ class TestContinuation:
     def test_measure_stationary_advances_pool(self):
         mod = make_model(K=2, a=(0.0,), lam=0.1)
         pool = population_init(SpectralPoint(0.0, 0.1), mod, 60, seed=4)
-        pool2, meas = measure_stationary(pool, mod, seed=4, context=0,
+        pool2, meas = measure_stationary(pool, mod, context=0,
                                          sweeps=5, draws_per_sweep=40)
         assert pool2.sweeps_done == pool.sweeps_done + 5
         assert meas.trace_abs_sq.mean > 0
