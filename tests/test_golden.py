@@ -72,6 +72,7 @@ def compare_csv(sub, got, want):
     assert len(got_rows) == len(want_rows), f"{sub}: row count changed"
     header = want_rows[0]
     for r, (g_row, w_row) in enumerate(zip(got_rows[1:], want_rows[1:]), 1):
+        assert len(g_row) == len(w_row), f"{sub} row {r}: cell count changed"
         for col, g, w in zip(header, g_row, w_row):
             assert close(g, w), f"{sub} row {r} {col}: {g} != {w}"
 
