@@ -35,13 +35,6 @@ class TruncatedTree:
     def n_sites(self) -> int:
         return len(self.parents)
 
-    def children(self):
-        """children[i]: list of child site indices, in BFS order."""
-        out = [[] for _ in range(self.n_sites)]
-        for i in range(1, self.n_sites):
-            out[self.parents[i]].append(i)
-        return out
-
     def edges(self):
         i = np.arange(1, self.n_sites)
         return np.column_stack([self.parents[1:], i])

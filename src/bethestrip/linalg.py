@@ -2,9 +2,9 @@
 
 Green's matrices on the strip are complex *symmetric* (not Hermitian).  Every
 recursion path inverts through :func:`resolvent`, batched over ``(..., m, m)``
-stacks with one error policy.  Beside it: the upper-half-plane square root
-branch, the Herglotz indicator min eig Im M, and the PSD check for test
-matrices.
+stacks with one error policy, in closed form at m = 2 and by LAPACK otherwise.
+Beside it: the upper-half-plane square root branch, the Herglotz indicator
+min eig Im M, and the PSD check for test matrices.
 """
 
 from dataclasses import dataclass
@@ -64,11 +64,25 @@ def resolvent(shifted, neighbor_sum):
     K + 1 (root) neighbor Green's matrices.  A singular member or a non-finite
     entry raises :class:`SingularMatrixError`, a non-square stack ValueError.
     For eta > 0 and Herglotz neighbors Im(-M) >= eta, so ||M^-1|| <= 1/eta
-    and no pivot floor is needed.
+    and no pivot floor is needed.  For m = 2, inv([[a, b], [c, d]]) is
+    [[d, -b], [-c, a]] / (ad - bc), so [[d, -(b+c)/2], [-(b+c)/2, a]] / det
+    is formed directly, without sym_part, on a (-1, 4) view (stacks and single
+    calls agree byte for byte); entries and det are checked before dividing,
+    so no RuntimeWarning precedes the error.
     """
     M = shifted - 0.25 * neighbor_sum
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"resolvent expects (..., m, m) stacks, got {M.shape}")
+    if M.shape[-1] == 2:
+        f = M.reshape(-1, 4)
+        if not np.isfinite(f).all():
+            raise SingularMatrixError("non-finite entries in the recursion")
+        det = f[:, 0] * f[:, 3] - f[:, 1] * f[:, 2]
+        if np.count_nonzero(det) < len(det):
+            raise SingularMatrixError("singular matrix in the recursion")
+        G = f[:, ::-1] / det[:, None]  # d, c, b, a
+        G[:, 1:3] = -0.5 * (G[:, 1] + G[:, 2])[:, None]
+        return G.reshape(M.shape)
     try:
         G = np.linalg.inv(M)
     except np.linalg.LinAlgError as exc:
@@ -90,9 +104,10 @@ def sqrt_upper(w):
 
 
 def min_imag_eigenvalue(M) -> float:
-    """Smallest eigenvalue of Im M; >= 0 characterizes the Herglotz class."""
+    """Smallest eigenvalue of Im M over a (..., m, m) stack; >= 0 is Herglotz."""
     im = np.asarray(M, dtype=complex).imag
-    return float(np.linalg.eigvalsh(0.5 * (im + im.T))[0])
+    w = np.linalg.eigvalsh(0.5 * (im + im.swapaxes(-1, -2)))
+    return float(w[0] if w.ndim == 1 else w[..., 0].min())
 
 
 def require_psd(M, name="test matrix"):

@@ -104,7 +104,7 @@ class PopulationPool:
         defect = np.max(np.abs(self.samples - np.swapaxes(self.samples, 1, 2)))
         if defect > 1e-11:
             raise AssertionError(f"pool symmetry defect {defect:.2e}")
-        worst = min(min_imag_eigenvalue(g) for g in self.samples)
+        worst = min_imag_eigenvalue(self.samples)
         if worst < -slack:
             raise AssertionError(f"pool Herglotz defect {worst:.2e}")
         if self.point.eta > 0:
@@ -136,8 +136,10 @@ def _pool_draws(pool, model, rng, count, neighbors):
     # pick indices before potentials: the draw order is the streams' contract
     idx = rng.integers(0, pool.size, size=(count, neighbors))
     V = model.ensemble.sample_batch(model.m, rng, count)
-    return resolvent(_shifted(model, V, pool.point.z),
-                     pool.samples[idx].sum(axis=1))
+    neighbor_sum = pool.samples.take(idx[:, 0], axis=0)
+    for k in range(1, neighbors):
+        neighbor_sum += pool.samples.take(idx[:, k], axis=0)
+    return resolvent(_shifted(model, V, pool.point.z), neighbor_sum)
 
 
 def population_sweep(pool: PopulationPool, model, workers=1) -> PopulationPool:

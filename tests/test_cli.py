@@ -9,6 +9,10 @@ merging, and the exit-code contract (0/2/3/4).
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -435,3 +439,13 @@ class TestConfigPlumbing:
         assert "free-profile" in capsys.readouterr().out
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
+
+    def test_python_m_entry_point(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "bethestrip", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0
+        assert "free-profile" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr

@@ -29,13 +29,15 @@ class TestTree:
         assert tree_site_count(3, 2) == 17
 
     def test_structure(self):
+        # the layout recursion.sample_tree_given eliminates by depth
         t = build_tree(2, 3)
         assert t.n_sites == 22
-        ch = t.children()
-        assert len(ch[0]) == 3  # root has K+1 branches
-        for i in range(1, t.n_sites):
-            expect = 0 if t.depth_of[i] == t.depth else 2
-            assert len(ch[i]) == expect
+        counts = np.bincount(t.parents[1:], minlength=t.n_sites)
+        assert counts[0] == 3  # root has K+1 branches
+        expect = np.where(t.depth_of[1:] == t.depth, 0, 2)
+        np.testing.assert_array_equal(counts[1:], expect)
+        # each site's children are contiguous, in parent order
+        assert np.all(np.diff(t.parents[1:]) >= 0)
         # BFS: depths are sorted
         assert np.all(np.diff(t.depth_of) >= 0)
         # parent depth is child depth minus one
@@ -44,7 +46,8 @@ class TestTree:
     def test_depth_zero(self):
         t = build_tree(5, 0)
         assert t.n_sites == 1
-        assert t.children() == [[]]
+        assert t.parents.tolist() == [-1]
+        assert np.bincount(t.parents[1:], minlength=t.n_sites).tolist() == [0]
 
     def test_size_cap(self):
         with pytest.raises(SizeOverflowError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,27 @@ class TestResolvent:
             resolvent(M, 0.0)
         with pytest.raises(SingularMatrixError):  # as one member of a stack
             resolvent(np.array([np.eye(2), M]), 0.0)
+
+    def test_closed_form_2x2_matches_lapack(self, rng):
+        # m = 2 takes the closed-form branch; the reference is LAPACK
+        herglotz = np.array([random_herglotz(2, rng) for _ in range(200)])
+        # a real antisymmetric part keeps Im(-M) >= eta, so M stays well conditioned
+        X = rng.standard_normal((200, 2, 2))
+        nonsym = herglotz + (X - np.swapaxes(X, 1, 2))
+        for M in (-herglotz, -nonsym):
+            ref = sym_part(np.linalg.inv(M))
+            got = resolvent(M, 0.0)
+            assert symmetry_defect(got) == 0.0
+            err = np.max(np.abs(got - ref), axis=(1, 2))
+            assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
+
+    def test_2x2_errors_raise_without_warning(self):
+        for bad in ([[1.0, 2.0], [2.0, 4.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+            stack = np.array([np.eye(2), bad], dtype=complex)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularMatrixError):
+                    resolvent(stack, 0.0)
 
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
@@ -104,6 +127,11 @@ class TestMinImagEigenvalue:
         for _ in range(50):
             M = random_herglotz(3, rng, eta=0.1)
             assert min_imag_eigenvalue(M) >= 0.1 - 1e-12
+
+    def test_stack_gives_minimum_over_members(self, rng):
+        stack = np.array([random_herglotz(3, rng, eta=0.1) for _ in range(20)])
+        singles = [min_imag_eigenvalue(g) for g in stack]
+        assert min_imag_eigenvalue(stack) == min(singles)
 
     def test_real_matrix_is_boundary_case(self, rng):
         M = random_symmetric(4, rng).astype(complex)

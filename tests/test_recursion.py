@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from bethestrip import ed
+from bethestrip import ed, recursion
 from bethestrip.free import free_char_weight, free_dos, free_forward_green, free_full_green
 from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
@@ -163,6 +163,27 @@ class TestPopulation:
         sp = SpectralPoint(0.4, 0.01)
         pool = population_run(population_init(sp, mod, 500, seed=9), mod, 30)
         assert pool.validate()
+
+    def test_validate_catches_planted_herglotz_defect(self):
+        mod = make_model(K=2, a=(-0.5, 0.5), lam=0.3)
+        pool = population_run(population_init(SpectralPoint(0.4, 0.05), mod, 200,
+                                               seed=9), mod, 5)
+        assert pool.validate()
+        # Im part diag(0.5, -0.5): symmetric, within 1/eta, not Herglotz
+        pool.samples[137] = np.diag([0.5j, -0.5j])
+        with pytest.raises(AssertionError, match="Herglotz"):
+            pool.validate()
+
+    @pytest.mark.parametrize("neighbors", [2, 3, 4])
+    def test_gather_matches_fancy_index_sum(self, monkeypatch, neighbors):
+        mod = make_model(K=2, a=(-0.5, 0.5), lam=0.3)
+        pool = population_run(population_init(SpectralPoint(0.4, 0.05), mod, 97,
+                                               seed=5), mod, 3)
+        # make _pool_draws hand back the neighbor sum it passes to the kernel
+        monkeypatch.setattr(recursion, "resolvent", lambda shifted, nsum: nsum)
+        got = recursion._pool_draws(pool, mod, keyed_rng(5, 1), 300, neighbors)
+        idx = keyed_rng(5, 1).integers(0, pool.size, size=(300, neighbors))
+        assert got.tobytes() == pool.samples[idx].sum(axis=1).tobytes()
 
 
 class TestEstimators:
