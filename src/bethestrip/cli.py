@@ -511,26 +511,24 @@ def _cmd_gap_scan(cfg: RunConfig) -> CommandResult:
     return CommandResult([(cfg.out, data)], {cfg.out.name: header}, warnings)
 
 
-def _triangularity_residual(op) -> float:
-    degrees = [J.degree for J in op.basis]
-    worst = 0.0
-    for r in range(len(degrees)):
-        for c in range(len(degrees)):
-            if r != c and degrees[r] >= degrees[c]:
-                worst = max(worst, abs(op.entries[r, c]))
-    return float(worst)
+def _triangularity_residual(op) -> list:
+    """Per matrix of the stack, max |entries[r, c]| over r != c, deg r >= deg c."""
+    degrees = np.array([J.degree for J in op.basis])
+    mask = (degrees[:, None] >= degrees[None, :]) & ~np.eye(len(degrees), dtype=bool)
+    return [float(np.abs(entries[mask]).max(initial=0.0)) for entries in op.entries]
 
 
 def _cmd_ce_spectrum(cfg: RunConfig) -> CommandResult:
     header = ["E", "J", "degree", "lambda_re", "lambda_im", "modulus",
               "k_power", "tri_residual"]
+    energies = [float(E) for E in cfg.e_values]
+    op = build_ce_matrix(energies, cfg.model, cfg.degree)
     rows = []
-    for E in cfg.e_values:
-        op = build_ce_matrix(float(E), cfg.model, cfg.degree)
-        residual = _triangularity_residual(op)
+    for E, entries, residual in zip(energies, op.entries,
+                                    _triangularity_residual(op)):
         for i, J in enumerate(op.basis):
-            value = complex(op.entries[i, i])
-            rows.append([float(E), ":".join(str(p) for p in J.powers),
+            value = complex(entries[i, i])
+            rows.append([E, ":".join(str(p) for p in J.powers),
                          J.degree, float(value.real), float(value.imag),
                          float(abs(value)),
                          float(cfg.model.K) ** (-J.degree), residual])

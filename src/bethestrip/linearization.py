@@ -22,6 +22,17 @@ symmetric parameter matrix.  Monomials are extracted from the identity
 by attaching one formal parameter per upper-triangle slot and reading
 off mixed Taylor coefficients (jet arithmetic), which keeps every step
 exact up to floating point and makes the degree filtration manifest.
+
+Each coefficient of W(s, X) is (i/4) times the product of binv =
+diag(B^{-1}) over a walk whose ends are its X slot, which gives the
+walk-product identity
+
+    C_E[J', J] = C_1[J', J] * prod_u binv_u^{(deg_u J + deg_u J') / 2},
+
+with C_1 the expansion at binv = 1 and deg_u J the row sum at u of
+J + J^T (a diagonal slot counts twice).  So :func:`build_ce_matrix` runs the jets once per (m, degree)
+and scales them per energy by exact integer powers of binv, while
+:func:`ce_apply_symbol` keeps the direct per-energy expansion as oracle.
 """
 
 from __future__ import annotations
@@ -244,7 +255,8 @@ class OperatorMatrix:
 
     entries[r, c] is the coefficient of basis[r] in the image of
     basis[c]; the degree filtration makes it block upper-triangular
-    with lambda_J on the diagonal.
+    with lambda_J on the diagonal.  Built for a sequence of energies,
+    entries is the (n_E, n, n) stack of those matrices, one per energy.
     """
 
     basis: tuple
@@ -397,37 +409,75 @@ def ce_apply_symbol(E: float, model: BetheStripModel, symbol: PolyGaussSymbol,
     return PolyGaussSymbol(coeffs=out, gauss=working)
 
 
-def build_ce_matrix(E: float, model: BetheStripModel,
+def build_ce_matrix(E, model: BetheStripModel,
                     max_degree: int) -> OperatorMatrix:
     """Assemble the matrix of C_E on {X^J zeta : |J| <= max_degree}.
 
-    Verifies on the fly that every column respects the degree
-    filtration and that its diagonal entry matches lambda_j to 1e-8;
-    violations raise EigenvalueLawError (they would mean the jet
-    expansion and the eigenvalue law disagree).
+    E is a scalar, giving (n, n) entries, or a 1-D sequence, giving the
+    (n_E, n, n) stack of one matrix per energy; any energy outside the band
+    window raises OutOfBandError before the jets run.  The jets run once,
+    at binv = 1, and each energy is an integer-power scaling of them (see
+    the module docstring).  Verifies on the fly the degree filtration, an
+    even degree sum at every vertex for each nonzero entry, and every
+    diagonal entry against lambda_j to 1e-8; violations raise
+    EigenvalueLawError (they would mean the jet expansion and the
+    eigenvalue law disagree).
     """
+    energies = np.asarray(E, dtype=float)
+    if energies.ndim > 1:
+        raise ValueError(f"E must be a scalar or 1-D, got shape {energies.shape}")
     basis = enumerate_indices(model.m, max_degree)
     if len(basis) > MAX_BASIS:
         raise TruncationOverflowError(
             f"basis of {len(basis)} monomials exceeds MAX_BASIS={MAX_BASIS}; "
             "reduce max_degree or m"
         )
-    diag = _interior_ae_diag(E, model)
+    grid = energies.reshape(-1)
+    diag = np.array([_interior_ae_diag(e, model) for e in grid],
+                    dtype=complex).reshape(len(grid), model.m)
     binv = -4.0 * diag
+
     row = {J: i for i, J in enumerate(basis)}
-    entries = np.zeros((len(basis), len(basis)), dtype=complex)
+    unit = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, J in enumerate(basis):
-        image = _apply_monomial(binv, J)
-        for J2, coeff in image.items():
+        for J2, coeff in _apply_monomial(np.ones(model.m), J).items():
             if J2.degree > J.degree:
                 raise EigenvalueLawError(
-                    f"degree filtration violated: {J} -> {J2} at E={E:g}"
-                )
-            entries[row[J2], col] = coeff
-        want = lambda_j(E, model, J)
-        if abs(entries[col, col] - want) > 1e-8:
-            raise EigenvalueLawError(
-                f"diagonal entry for {J} is {entries[col, col]!r}, "
-                f"eigenvalue law gives {want!r} at E={E:g}"
-            )
+                    f"degree filtration violated: {J} -> {J2}")
+            unit[row[J2], col] = coeff
+
+    # twice[r, c, u] = deg_u J_r + deg_u J_c, with deg_u J = row u of J + J^T
+    deg = np.array([J.entries().sum(axis=0) + J.entries().sum(axis=1)
+                    for J in basis])
+    twice = deg[:, None, :] + deg[None, :, :]
+    odd = (unit != 0) & (twice % 2 == 1).any(axis=-1)
+    if odd.any():
+        r, c = np.argwhere(odd)[0]
+        raise EigenvalueLawError(
+            f"odd vertex degree sum in the image of {basis[c]} at {basis[r]}")
+    half = twice // 2
+    # binv^k by repeated products, never sqrt: exact where binv is a
+    # Gaussian integer, so exact zeros of the law stay exact
+    powers = np.ones((len(grid), model.m, half.max() + 1), dtype=complex)
+    for k in range(1, powers.shape[-1]):
+        powers[..., k] = powers[..., k - 1] * binv
+    # one energy at a time keeps the temporaries at one (n, n) matrix
+    entries = np.empty((len(grid),) + unit.shape, dtype=complex)
+    for e in range(len(grid)):
+        entries[e] = unit
+        for u in range(model.m):
+            entries[e] *= powers[e, u, half[..., u]]
+
+    j, k = np.array(upper_slots(model.m)).T
+    exps = np.array([J.powers for J in basis])
+    want = np.prod((4.0 * diag[:, j] * diag[:, k])[:, None, :] ** exps, axis=-1)
+    bad = np.abs(np.diagonal(entries, axis1=1, axis2=2) - want) > 1e-8
+    if bad.any():
+        e, col = np.argwhere(bad)[0]
+        raise EigenvalueLawError(
+            f"diagonal entry for {basis[col]} is {complex(entries[e, col, col])!r}, "
+            f"eigenvalue law gives {complex(want[e, col])!r} at E={grid[e]:g}"
+        )
+    if energies.ndim == 0:
+        entries = entries[0]
     return OperatorMatrix(basis=tuple(basis), entries=entries)

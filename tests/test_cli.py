@@ -22,6 +22,7 @@ from bethestrip.cli import main
 from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
 from bethestrip.free import free_dos, free_full_green
 from bethestrip.linalg import SpectralPoint
+from bethestrip.linearization import OperatorMatrix, enumerate_indices
 from bethestrip.model import GOE, BetheStripModel
 from bethestrip.recursion import sample_tree
 
@@ -280,6 +281,26 @@ class TestCeSpectrum:
         lam_b = sorted((complex(float(r[3]), -float(r[4])) for r in rows_b),
                        key=key)
         assert np.allclose(lam_a, lam_b, atol=1e-12)
+
+    def test_triangularity_residual_matches_loop(self):
+        def loop(basis, entries):
+            worst = 0.0
+            for r, Jr in enumerate(basis):
+                for c, Jc in enumerate(basis):
+                    if r != c and Jr.degree >= Jc.degree:
+                        worst = max(worst, abs(entries[r, c]))
+            return worst
+
+        basis = tuple(enumerate_indices(2, 2))
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(4, 10, 10)) + 1j * rng.normal(size=(4, 10, 10))
+        stack *= np.triu(np.ones((10, 10)), 1) + np.eye(10)  # above-diagonal ...
+        stack[2, 7, 1] = 3.0 + 4.0j                           # ... plus one planted
+        got = cli._triangularity_residual(OperatorMatrix(basis, stack))
+        assert got == [loop(basis, e) for e in stack]
+        assert got[2] == 5.0
+        zero = OperatorMatrix(tuple(enumerate_indices(2, 0)), np.ones((3, 1, 1)))
+        assert cli._triangularity_residual(zero) == [0.0, 0.0, 0.0]
 
     def test_out_of_band_is_domain_error(self, tmp_path):
         rc = main(["ce-spectrum", "--K", "2", "--E-grid", "2:2:1",

@@ -399,3 +399,92 @@ class TestBuildMatrix:
     def test_index_of(self):
         M = build_ce_matrix(0.0, make_model(), 2)
         assert M.index_of(MonomialIndex(m=1, powers=(2,))) == 2
+
+
+def interior_energies(model, fracs=(-0.5, 0.1, 0.6)):
+    lo = max(model.a) - np.sqrt(model.K)
+    hi = min(model.a) + np.sqrt(model.K)
+    return [float(lo + (hi - lo) * (1 + f) / 2) for f in fracs]
+
+
+class TestWalkProductScaling:
+    """build_ce_matrix scales one binv = 1 expansion per energy."""
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("m, a, degree", [(1, (0.1,), 4),
+                                              (2, (-0.4, 0.3), 3),
+                                              (3, (-0.5, 0.0, 0.4), 2)])
+    def test_columns_match_apply_symbol(self, m, a, degree, K):
+        mod = make_model(K=K, a=a)
+        energies = interior_energies(mod)
+        stack = build_ce_matrix(energies, mod, degree)
+        assert stack.entries.shape == (3, len(stack.basis), len(stack.basis))
+        for E, entries in zip(energies, stack.entries):
+            binv = -4.0 * np.diagonal(a_e_matrix(E, mod))
+            assert np.all(np.abs(binv.imag) > 0.1)  # a genuinely complex scaling
+            for col, J in enumerate(stack.basis):
+                image = ce_apply_symbol(E, mod, PolyGaussSymbol.monomial(
+                    J, working_gauss(E, mod)), degree)
+                want = np.array([image.coefficient(J2) for J2 in stack.basis])
+                scale = np.abs(want).max()
+                assert np.abs(entries[:, col] - want).max() <= 1e-12 * scale
+
+    def test_gaussian_integer_binv_is_exact(self):
+        # K=2, m=1, E=-1: binv = 1 + i, so every power of binv is exact
+        # and lambda_J = (i/2)^|J| comes out with exact zero parts
+        M = build_ce_matrix(-1.0, make_model(), 4)
+        got = np.diagonal(M.entries)
+        assert list(got) == [(0.5j) ** n for n in range(5)]
+        assert all(z.real == 0.0 for z in got[1::2])
+
+    def test_stack_equals_scalar_calls_bytewise(self):
+        mod = make_model(K=3, a=(-0.4, 0.3))
+        energies = interior_energies(mod, (-0.8, -0.2, 0.0, 0.7))
+        stack = build_ce_matrix(np.array(energies), mod, 3)
+        assert stack.entries.shape[0] == len(energies)
+        for E, entries in zip(energies, stack.entries):
+            single = build_ce_matrix(E, mod, 3)
+            assert single.basis == stack.basis
+            assert single.entries.shape == entries.shape
+            assert single.entries.tobytes() == entries.tobytes()
+
+    def test_out_of_band_in_stack_raises_before_expansion(self, monkeypatch):
+        def no_expansion(binv, J):
+            raise AssertionError("expansion ran before the band check")
+
+        monkeypatch.setattr(lin, "_apply_monomial", no_expansion)
+        with pytest.raises(OutOfBandError):
+            build_ce_matrix([0.0, 0.5, 2.0, 0.1], make_model(), 2)
+
+    def test_degree_zero_and_one_energy_list(self):
+        mod = make_model(a=(-0.3, 0.3))
+        assert build_ce_matrix(0.2, mod, 0).entries.tolist() == [[1.0]]
+        assert build_ce_matrix([0.2], mod, 0).entries.tolist() == [[[1.0]]]
+        assert build_ce_matrix([0.2, -0.4], mod, 0).entries.shape == (2, 1, 1)
+        one = build_ce_matrix([0.2], mod, 2)
+        assert one.entries.shape == (1, 10, 10)
+        np.testing.assert_array_equal(one.entries[0],
+                                      build_ce_matrix(0.2, mod, 2).entries)
+
+    @pytest.mark.parametrize("planted, pattern", [
+        ((0, 2, 0), r"degree filtration violated: J\[0,1,0\] -> J\[0,2,0\]"),
+        ((1, 0, 0), r"odd vertex degree sum in the image of J\[0,1,0\]"),
+        ((0, 1, 0), r"diagonal entry for J\[0,1,0\] .* at E=-0\.1"),
+    ], ids=["filtration", "odd_degree", "diagonal"])
+    def test_law_violations_name_the_index(self, monkeypatch, planted,
+                                           pattern):
+        # corrupt the image of X_12: an entry of higher degree, one at an
+        # odd vertex degree sum (X_11), or a wrong diagonal value
+        real = lin._apply_monomial
+        target = MonomialIndex(m=2, powers=(0, 1, 0))
+
+        def corrupted(binv, J):
+            out = real(binv, J)
+            if J == target:
+                bad = MonomialIndex(m=2, powers=planted)
+                out[bad] = out.get(bad, 0.0) + 0.1
+            return out
+
+        monkeypatch.setattr(lin, "_apply_monomial", corrupted)
+        with pytest.raises(EigenvalueLawError, match=pattern):
+            build_ce_matrix([-0.1, 0.2], make_model(a=(-0.3, 0.3)), 2)

@@ -174,6 +174,21 @@ class TestPopulation:
         with pytest.raises(AssertionError, match="Herglotz"):
             pool.validate()
 
+    def test_validate_resolvent_bound_planted(self):
+        mod = make_model(K=2, a=(-0.5, 0.5), lam=0.3)
+        eta = 0.05
+        pool = population_run(population_init(SpectralPoint(0.4, eta), mod, 200,
+                                               seed=9), mod, 5)
+        # symmetric and Herglotz (Im = diag(1, 0.5)), with a non-normal
+        # real part, so only the 1/eta bound can reject it
+        shape = np.array([[1.0j, 0.3], [0.3, 0.2 + 0.5j]])
+        shape /= np.linalg.norm(shape, ord=2)
+        pool.samples[41] = 0.99 / eta * shape
+        assert pool.validate()
+        pool.samples[41] = 1.01 / eta * shape
+        with pytest.raises(AssertionError, match="1/eta"):
+            pool.validate()
+
     @pytest.mark.parametrize("neighbors", [2, 3, 4])
     def test_gather_matches_fancy_index_sum(self, monkeypatch, neighbors):
         mod = make_model(K=2, a=(-0.5, 0.5), lam=0.3)
