@@ -5,6 +5,12 @@ strip operator on a depth-L truncated tree as a sparse matrix, factorize
 (H - z) with a generic sparse LU, and read off Green's function columns.
 Nothing here shares code with the leaf-to-root elimination in
 :mod:`bethestrip.recursion`; agreement between the two is a real check.
+
+The operator is assembled in one broadcast pass over all sites and edges, in
+the site-major layout dof = site * m + orbital.  (H - z) goes straight to CSC
+and its stored zeros (the zero off-diagonals of diagonal or lam = 0 blocks) are
+dropped before LU: SuperLU orders and pivots by the stored pattern, so keeping
+them would move the Green's blocks at rounding level.
 """
 
 from dataclasses import dataclass, field
@@ -87,41 +93,33 @@ def draw_site_potentials(model, tree, seed, realization=0):
     return out
 
 
-def assemble_operator(tree, model, potentials):
-    """Sparse real symmetric strip operator on the truncated tree.
-
-    Diagonal blocks A + lam V(x); hopping blocks I_m / 2 on tree edges.
-    Site-major index layout: dof = site * m + orbital.
-    """
-    m = model.m
-    n = tree.n_sites
+def _coo_operator(tree, blocks):
+    """Strip operator as COO: (n, m, m) site blocks, I_m / 2 on each tree edge."""
+    n, m = tree.n_sites, blocks.shape[-1]
     if m * n > MAX_DOF:
         raise SizeOverflowError(f"{m * n} degrees of freedom exceed {MAX_DOF}")
-    rows, cols, vals = [], [], []
-    diag = model.a_matrix + model.lam * potentials  # (n, m, m)
-    jj, kk = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    for site in range(n):
-        rows.append(site * m + jj.ravel())
-        cols.append(site * m + kk.ravel())
-        vals.append(diag[site].ravel())
     orb = np.arange(m)
-    for p, c in tree.edges():
-        rows.append(p * m + orb)
-        cols.append(c * m + orb)
-        vals.append(np.full(m, 0.5))
-        rows.append(c * m + orb)
-        cols.append(p * m + orb)
-        vals.append(np.full(m, 0.5))
-    H = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n * m, n * m),
-    )
-    return H.tocsr()
+    base = m * np.arange(n)[:, None, None]
+    r, k = np.broadcast_arrays(base + orb[:, None], base + orb)  # (n, m, m)
+    p, c = (m * tree.edges()[:, :, None] + orb).transpose(1, 0, 2)  # (n-1, m)
+    rows = np.concatenate([r.ravel(), p.ravel(), c.ravel()])
+    cols = np.concatenate([k.ravel(), c.ravel(), p.ravel()])
+    vals = np.concatenate([blocks.ravel(), np.full(2 * p.size, 0.5)])
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n * m, n * m))
+
+
+def assemble_operator(tree, model, potentials):
+    """Sparse real symmetric strip operator on the truncated tree, as CSR.
+
+    Diagonal blocks A + lam V(x); hopping blocks I_m / 2 on tree edges.
+    """
+    return _coo_operator(tree, model.a_matrix + model.lam * potentials).tocsr()
 
 
 def _factorize(tree, model, potentials, sp: SpectralPoint):
-    H = assemble_operator(tree, model, potentials).astype(complex)
-    shifted = (H - sp.z * scipy.sparse.identity(H.shape[0], format="csr")).tocsc()
+    blocks = (model.a_matrix + model.lam * potentials) - sp.z * np.eye(model.m)
+    shifted = _coo_operator(tree, blocks).tocsc()
+    shifted.eliminate_zeros()  # a stored zero would change SuperLU's pattern
     return scipy.sparse.linalg.splu(shifted)
 
 

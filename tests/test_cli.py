@@ -461,11 +461,12 @@ class TestConfigPlumbing:
         assert main(["--version"]) == 0
         assert "0.1.0" in capsys.readouterr().out
 
-    def test_python_m_entry_point(self):
+    @pytest.mark.parametrize("module", ["bethestrip", "bethestrip.cli"])
+    def test_python_m_entry_point(self, module):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-        proc = subprocess.run([sys.executable, "-W", "default", "-m", "bethestrip", "--help"],
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", module, "--help"],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0
         assert "free-profile" in proc.stdout

@@ -20,6 +20,24 @@ def make_model(K=2, a=(0.0,), lam=0.0, ensemble=None):
     return BetheStripModel(K=K, a=a, lam=lam, ensemble=ensemble or GOE())
 
 
+A_OF_M = {1: (0.2,), 2: (-0.3, 0.7), 3: (-0.4, 0.1, 0.6)}
+
+
+def dense_operator(tree, model, potentials):
+    """Reference strip operator, filled one site block and one edge at a time."""
+    m = model.m
+    H = np.zeros((tree.n_sites * m, tree.n_sites * m))
+    for site in range(tree.n_sites):
+        H[site * m:(site + 1) * m, site * m:(site + 1) * m] = (
+            model.a_matrix + model.lam * potentials[site])
+    for child in range(1, tree.n_sites):
+        parent = tree.parents[child]
+        for o in range(m):
+            H[parent * m + o, child * m + o] = 0.5
+            H[child * m + o, parent * m + o] = 0.5
+    return H
+
+
 class TestTree:
     def test_site_counts(self):
         assert tree_site_count(2, 0) == 1
@@ -92,6 +110,20 @@ class TestAssembly:
             H[p * m:(p + 1) * m, c * m:(c + 1) * m], 0.5 * np.eye(m)
         )
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_whole_operator_matches_loops(self, m, K, depth):
+        mod = make_model(K=K, a=A_OF_M[m], lam=0.9)
+        t = build_tree(K, depth, m)
+        V = draw_site_potentials(mod, t, seed=5)
+        H = assemble_operator(t, mod, V)
+        np.testing.assert_array_equal(H.toarray(), dense_operator(t, mod, V))
+        # GOE blocks are full, so every block entry and both hopping
+        # directions of every edge are stored
+        n = t.n_sites
+        assert H.nnz == n * m * m + 2 * (n - 1) * m
+
     def test_free_star_eigenvalues(self):
         # lam=0, L=1, K=2, m=1: the operator is half the star-graph adjacency,
         # eigenvalues +- sqrt(3)/2 and a double zero
@@ -127,6 +159,21 @@ class TestGreenSolves:
         assert np.max(np.abs(blk - blk.T)) < 1e-10
         # Herglotz: positive imaginary part at eta > 0
         assert np.linalg.eigvalsh(blk.imag)[0] > 0
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("lam, ensemble", [(0.6, DiagonalIID("uniform")),
+                                               (0.0, GOE())])
+    def test_root_block_matches_dense_inverse(self, m, lam, ensemble):
+        # at lam = 0 the off-diagonal block entries are stored zeros
+        mod = make_model(K=2, a=A_OF_M[m], lam=lam, ensemble=ensemble)
+        t = build_tree(2, 3, m)
+        V = draw_site_potentials(mod, t, seed=6)
+        sp = SpectralPoint(0.3, 0.05)
+        H = dense_operator(t, mod, V)
+        want = np.linalg.inv(H - sp.z * np.eye(len(H)))[:m, :m]
+        got = root_green_block(t, mod, V, sp)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 class TestDosHistogram:
