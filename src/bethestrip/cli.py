@@ -7,7 +7,7 @@ dos-scan       population-dynamics density-of-states scan over an energy grid
 ac-indicator   bounded-second-moment indicator across a decreasing eta schedule
 gap-scan       spectral gaps of the linearized transfer operator over a grid
 ce-spectrum    eigenvalues of the truncated linearized operator, per energy
-crosscheck     forward recursion vs dense resolvent on shared realizations
+crosscheck     forward recursion vs sparse-LU solve on shared realizations
 
 Every run writes a JSON manifest next to its outputs: config echo, column
 schema, sha256 digest per output, wall clock, warnings.  CSV floats use the
@@ -58,7 +58,7 @@ _SUBCOMMANDS = {
     "ac-indicator": "stabilization of E Tr|G|^2 across a decreasing eta schedule",
     "gap-scan": "spectral gaps of the linearized transfer operator over a grid",
     "ce-spectrum": "eigenvalues of the truncated linearized operator, per energy",
-    "crosscheck": "forward recursion vs dense resolvent on shared realizations",
+    "crosscheck": "forward recursion vs sparse-LU solve on shared realizations",
 }
 
 # canonical config key -> argparse dest
@@ -549,8 +549,8 @@ def _cmd_crosscheck(cfg: RunConfig) -> CommandResult:
                                           realization=t)
         sp = SpectralPoint(float(E), eta)
         recursed = sample_tree_given(sp, model, tree, potentials)
-        dense = root_green_block(tree, model, potentials, sp)
-        return float(np.max(np.abs(recursed - dense)))
+        direct = root_green_block(tree, model, potentials, sp)
+        return float(np.max(np.abs(recursed - direct)))
 
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
@@ -563,7 +563,7 @@ def _cmd_crosscheck(cfg: RunConfig) -> CommandResult:
     ok = max_dev <= CROSSCHECK_TOL
     report = {
         "comparison": ("root Green block: depth-limited forward recursion vs "
-                       "dense resolvent of the same truncated tree, shared "
+                       "sparse-LU solve of the same truncated tree, shared "
                        "potential realizations"),
         "depth": cfg.depth,
         "eta": eta,

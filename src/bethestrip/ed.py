@@ -80,17 +80,14 @@ def build_tree(K, depth, m=1) -> TruncatedTree:
 
 
 def draw_site_potentials(model, tree, seed, realization=0):
-    """Disorder realization keyed per (seed, realization, site index).
+    """Disorder realization: one stream keyed (seed, realization), row s is site s.
 
-    The recursion engine draws from the same streams, so both solvers see
-    bit-identical potentials for a given key.
+    Sites are drawn in BFS order, so a shallower tree's potentials are the
+    first rows of any deeper tree's.  The recursion engine draws from the same
+    stream, so both solvers see bit-identical potentials for a given key.
     """
-    n = tree.n_sites
-    out = np.empty((n, model.m, model.m))
-    for site in range(n):
-        r = keyed_rng(seed, TAG_REALIZATION, realization, site)
-        out[site] = model.ensemble.sample(model.m, r)
-    return out
+    rng = keyed_rng(seed, TAG_REALIZATION, realization)
+    return model.ensemble.sample_batch(model.m, rng, tree.n_sites)
 
 
 def _coo_operator(tree, blocks):

@@ -47,11 +47,15 @@ class DisorderEnsemble:
     """Law of the random symmetric potential V."""
 
     def sample(self, m, rng):
-        """One draw, an (m, m) real symmetric array."""
-        raise NotImplementedError
+        """One draw, an (m, m) real symmetric array: the first of a batch of one."""
+        return self.sample_batch(m, rng, 1)[0]
 
     def sample_batch(self, m, rng, n):
-        """n draws stacked as (n, m, m).  Must consume rng deterministically."""
+        """n draws stacked as (n, m, m), consuming rng one draw after another.
+
+        So n sequential ``sample`` calls on one stream equal one batch of n,
+        and a batch of n is a prefix of any longer batch on the same stream.
+        """
         raise NotImplementedError
 
     def char_fn(self, M):
@@ -102,10 +106,6 @@ class PointMass(DisorderEnsemble):
     def m(self):
         return len(self.V0)
 
-    def sample(self, m, rng):
-        self._check_m(m)
-        return self.matrix
-
     def sample_batch(self, m, rng, n):
         self._check_m(m)
         return np.broadcast_to(self.matrix, (n, m, m)).copy()
@@ -152,9 +152,6 @@ class DiagonalIID(DisorderEnsemble):
         if self.kind == "gauss":
             return rng.standard_normal(shape)
         return rng.integers(0, 2, size=shape) * 2.0 - 1.0
-
-    def sample(self, m, rng):
-        return np.diag(self._draw(rng, m))
 
     def sample_batch(self, m, rng, n):
         v = self._draw(rng, (n, m))
@@ -210,9 +207,8 @@ class GOE(DisorderEnsemble):
     exp(-Tr(M^2)/2).
     """
 
-    def sample(self, m, rng):
-        X = rng.standard_normal((m, m))
-        return 0.5 * (X + X.T)
+    # its own class attribute, so bench/tracing.py can wrap GOE draws
+    sample = DisorderEnsemble.sample
 
     def sample_batch(self, m, rng, n):
         X = rng.standard_normal((n, m, m))

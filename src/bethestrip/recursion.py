@@ -53,9 +53,9 @@ def root_assemble(sp: SpectralPoint, model, V, neighbors):
 def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
     """Root Green's matrix on a depth-L truncated tree, by leaf-to-root elimination.
 
-    Consumes exactly one potential per site in BFS site order, keyed
-    (seed, realization, site), matching :func:`bethestrip.ed.draw_site_potentials`;
-    the sparse direct solve on the same keys sees the identical operator.
+    Draws the potentials with :func:`bethestrip.ed.draw_site_potentials`, one
+    stream keyed (seed, realization) read in BFS site order; the sparse direct
+    solve on the same key sees the identical operator.
     """
     if sp.eta <= 0:
         raise ValueError("sample_tree requires eta > 0")

@@ -2,9 +2,9 @@
 
 Every stochastic routine in the package derives its generator from a user
 seed plus a structural key (what the stream is for, which sweep, which chunk,
-which lattice site).  Streams are therefore reproducible bit-for-bit across
-runs and across worker counts: parallelism only changes who computes a chunk,
-never which stream the chunk uses.
+which disorder realization).  Streams are therefore reproducible bit-for-bit
+across runs and across worker counts: parallelism only changes who computes a
+chunk, never which stream the chunk uses.
 """
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 # changing them changes every sampled number.
 TAG_SWEEP = 1        # population resampling sweeps: (TAG, sweep_index, chunk)
 TAG_MEASURE = 2      # observable estimation draws: (TAG, context...)
-TAG_REALIZATION = 3  # per-site disorder realizations: (TAG, realization, site)
+TAG_REALIZATION = 3  # disorder realizations, all sites in BFS order: (TAG, realization)
 TAG_GENERIC = 4      # anything else that just needs a named stream
 
 

@@ -104,7 +104,7 @@ class TestManifest:
         main(["free-profile", "--K", "2", "--m", "1", "--E-grid", "-1:1:3",
               "--eta-schedule", "0", "--seed", "9", "--out", str(out)])
         man = manifest_of(out)
-        assert man["artifact"] == {"name": "bethestrip", "version": "0.1.0"}
+        assert man["artifact"] == {"name": "bethestrip", "version": "0.2.0"}
         assert man["schema_version"] == 1
         assert man["outputs"][out.name]["sha256"] == sha(out)
         assert man["outputs"][out.name]["bytes"] == len(out.read_bytes())
@@ -459,7 +459,7 @@ class TestConfigPlumbing:
         assert main(["--help"]) == 0
         assert "free-profile" in capsys.readouterr().out
         assert main(["--version"]) == 0
-        assert "0.1.0" in capsys.readouterr().out
+        assert "0.2.0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("module", ["bethestrip", "bethestrip.cli"])
     def test_python_m_entry_point(self, module):

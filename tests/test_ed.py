@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bethestrip import ed
 from bethestrip.ed import (
     MAX_DOF,
     assemble_operator,
@@ -13,7 +14,8 @@ from bethestrip.ed import (
 )
 from bethestrip.errors import SizeOverflowError
 from bethestrip.linalg import SpectralPoint
-from bethestrip.model import GOE, BetheStripModel, DiagonalIID
+from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
+from bethestrip.rng import TAG_REALIZATION, keyed_rng
 
 
 def make_model(K=2, a=(0.0,), lam=0.0, ensemble=None):
@@ -21,6 +23,14 @@ def make_model(K=2, a=(0.0,), lam=0.0, ensemble=None):
 
 
 A_OF_M = {1: (0.2,), 2: (-0.3, 0.7), 3: (-0.4, 0.1, 0.6)}
+# every ensemble, built for a strip of width m
+ENSEMBLES = {
+    "goe": lambda m: GOE(),
+    "diag:uniform": lambda m: DiagonalIID("uniform"),
+    "diag:gauss": lambda m: DiagonalIID("gauss"),
+    "diag:bernoulli": lambda m: DiagonalIID("bernoulli"),
+    "point": lambda m: PointMass(np.eye(m) + 0.25),
+}
 
 
 def dense_operator(tree, model, potentials):
@@ -85,12 +95,40 @@ class TestPotentials:
 
     def test_prefix_property_on_deeper_tree(self):
         # BFS indexing makes a shallower tree's draws a prefix of a deeper one's
-        mod = make_model()
-        shallow = build_tree(2, 2)
-        deep = build_tree(2, 3)
-        Vs = draw_site_potentials(mod, shallow, seed=4, realization=7)
-        Vd = draw_site_potentials(mod, deep, seed=4, realization=7)
-        np.testing.assert_array_equal(Vs, Vd[: shallow.n_sites])
+        for m, kind in ((1, "goe"), (3, "goe"), (3, "diag:bernoulli")):
+            mod = make_model(a=A_OF_M[m], lam=0.7, ensemble=ENSEMBLES[kind](m))
+            shallow = build_tree(2, 2, m)
+            deep = build_tree(2, 3, m)
+            Vs = draw_site_potentials(mod, shallow, seed=4, realization=7)
+            Vd = draw_site_potentials(mod, deep, seed=4, realization=7)
+            np.testing.assert_array_equal(Vs, Vd[: shallow.n_sites], err_msg=kind)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("kind", list(ENSEMBLES))
+    def test_one_stream_per_realization(self, kind, m):
+        # row s of the draw is site s of one batch on the (seed, realization) stream
+        mod = make_model(a=A_OF_M[m], lam=0.7, ensemble=ENSEMBLES[kind](m))
+        t = build_tree(2, 3, m)
+        got = draw_site_potentials(mod, t, seed=8, realization=5)
+        want = mod.ensemble.sample_batch(m, keyed_rng(8, TAG_REALIZATION, 5),
+                                         t.n_sites)
+        assert got.shape == want.shape == (t.n_sites, m, m)
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_keyed_rng_call_whatever_the_depth(self, monkeypatch):
+        keys = []
+
+        def counting_rng(seed, *key):
+            keys.append((seed, *key))
+            return keyed_rng(seed, *key)
+
+        monkeypatch.setattr(ed, "keyed_rng", counting_rng)
+        mod = make_model(a=A_OF_M[3], lam=0.7)
+        for depth in (0, 2, 5):
+            keys.clear()
+            draw_site_potentials(mod, build_tree(2, depth, 3), seed=8,
+                                 realization=5)
+            assert keys == [(8, TAG_REALIZATION, 5)], depth
 
 
 class TestAssembly:

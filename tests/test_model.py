@@ -116,6 +116,13 @@ class TestDeterministicSpectrum:
         assert hull.hi == pytest.approx(np.sqrt(2) + 0.5 + 0.1 * 4 * np.sqrt(2))
 
 
+# every ensemble at m = 3 (odd, so a bernoulli draw ends mid-word)
+SAMPLERS = [GOE(), DiagonalIID("uniform"), DiagonalIID("gauss"),
+            DiagonalIID("bernoulli"),
+            PointMass([[0.2, 0.1, 0.0], [0.1, -0.3, 0.4], [0.0, 0.4, 0.5]])]
+SAMPLER_IDS = ["goe", "diag:uniform", "diag:gauss", "diag:bernoulli", "point"]
+
+
 class TestEnsembleSampling:
     def test_point_mass_exact(self):
         V0 = np.array([[0.2, 0.1], [0.1, -0.3]])
@@ -141,6 +148,21 @@ class TestEnsembleSampling:
             assert np.all(offdiag == 0.0)
             assert V[:, 0, 0].mean() == pytest.approx(0.0, abs=0.02)
             assert V[:, 0, 0].var() == pytest.approx(var, rel=0.05)
+
+    @pytest.mark.parametrize("ens", SAMPLERS, ids=SAMPLER_IDS)
+    def test_sample_is_batch_of_one(self, ens):
+        one = ens.sample(3, keyed_rng(2, 4, 5))
+        batch = ens.sample_batch(3, keyed_rng(2, 4, 5), 1)
+        assert one.shape == (3, 3)
+        assert one.tobytes() == batch[0].tobytes()
+
+    @pytest.mark.parametrize("ens", SAMPLERS, ids=SAMPLER_IDS)
+    def test_sequential_samples_equal_one_batch(self, ens):
+        # what lets one batched draw stand in for a loop of draws on one stream
+        rng = keyed_rng(2, 4, 6)
+        singles = np.array([ens.sample(3, rng) for _ in range(11)])
+        batch = ens.sample_batch(3, keyed_rng(2, 4, 6), 11)
+        assert singles.tobytes() == batch.tobytes()
 
     def test_scalar_batch_same_law(self):
         ens = DiagonalIID("uniform")
