@@ -4,6 +4,9 @@ Matrix Green's functions via tree recursions (closed forms, deterministic
 fixed-point solves, population dynamics, exact diagonalization cross-checks),
 density-of-states and bounded-moment indicators, and the explicit spectrum of
 the linearized transfer operator -- plus a reproducible command-line driver.
+
+The names below are the documented surface (README and ``demos/``); every
+other function is imported from its module, e.g. ``bethestrip.recursion``.
 """
 
 __version__ = "0.2.0"
@@ -21,91 +24,17 @@ from .errors import (
     TruncationOverflowError,
     UnsupportedEnsembleError,
 )
-from .linalg import (
-    SpectralPoint,
-    min_imag_eigenvalue,
-    resolvent,
-    sym_part,
-)
-from .model import (
-    GOE,
-    BetheStripModel,
-    DiagonalIID,
-    PointMass,
-    RealInterval,
-    band_intersection,
-    deterministic_spectrum,
-    effective_spectrum_bounds,
-    parse_ensemble_spec,
-)
-from .rng import child_seed, keyed_rng
-from .free import (
-    FreeSolution,
-    a_e_matrix,
-    free_char_weight,
-    free_dos,
-    free_forward_green,
-    free_forward_green_boundary,
-    free_full_green,
-    free_full_green_boundary,
-    free_pair_char_weight,
-    free_solution,
-)
-from .recursion import (
-    EtaRecord,
-    FixedPointResidual,
-    MomentEstimate,
-    PopulationPool,
-    StationaryMeasurement,
-    ac_indicator,
-    batch_stats,
-    dos_density,
-    eta_continuation,
-    fixed_point_residual,
-    forward_step,
-    measure_stationary,
-    pool_char_weight,
-    pool_pair_char_weight,
-    population_init,
-    population_run,
-    population_sweep,
-    root_assemble,
-    root_draws,
-    sample_tree,
-    sample_tree_given,
-)
-from .fixedpoint import (
-    FixedPointProblem,
-    SolveReport,
-    continuation_to_boundary,
-    newton_solve,
-    picard_solve,
-    solve_forward,
-)
-from .ed import (
-    TruncatedTree,
-    assemble_operator,
-    build_tree,
-    dos_histogram,
-    draw_site_potentials,
-    green_column,
-    root_green_block,
-    tree_site_count,
-)
-from .linearization import (
-    MonomialIndex,
-    OperatorMatrix,
-    PolyGaussSymbol,
-    build_ce_matrix,
-    ce_apply_symbol,
-    enumerate_indices,
-    gap_kce,
-    gap_tensor,
-    lambda_j,
-    slot_count,
-    upper_slots,
-    verify_modulus,
-)
+from .linalg import SpectralPoint
+from .model import GOE, BetheStripModel, PointMass, band_intersection
+from .rng import child_seed
+from .free import (a_e_matrix, free_dos, free_forward_green_boundary,
+                   free_full_green_boundary)
+from .recursion import (ac_indicator, eta_continuation, sample_tree,
+                        sample_tree_given)
+from .fixedpoint import continuation_to_boundary, solve_forward
+from .ed import (build_tree, draw_site_potentials, root_green_block,
+                 tree_site_count)
+from .linearization import build_ce_matrix, enumerate_indices, gap_kce, lambda_j
 
 __all__ = [
     "__version__",
@@ -123,82 +52,34 @@ __all__ = [
     "UnsupportedEnsembleError",
     # linalg
     "SpectralPoint",
-    "min_imag_eigenvalue",
-    "resolvent",
-    "sym_part",
     # model
     "GOE",
     "BetheStripModel",
-    "DiagonalIID",
     "PointMass",
-    "RealInterval",
     "band_intersection",
-    "deterministic_spectrum",
-    "effective_spectrum_bounds",
-    "parse_ensemble_spec",
     # rng
     "child_seed",
-    "keyed_rng",
     # free
-    "FreeSolution",
     "a_e_matrix",
-    "free_char_weight",
     "free_dos",
-    "free_forward_green",
     "free_forward_green_boundary",
-    "free_full_green",
     "free_full_green_boundary",
-    "free_pair_char_weight",
-    "free_solution",
     # recursion
-    "EtaRecord",
-    "FixedPointResidual",
-    "MomentEstimate",
-    "PopulationPool",
-    "StationaryMeasurement",
     "ac_indicator",
-    "batch_stats",
-    "dos_density",
     "eta_continuation",
-    "fixed_point_residual",
-    "forward_step",
-    "measure_stationary",
-    "pool_char_weight",
-    "pool_pair_char_weight",
-    "population_init",
-    "population_run",
-    "population_sweep",
-    "root_assemble",
-    "root_draws",
     "sample_tree",
     "sample_tree_given",
     # fixedpoint
-    "FixedPointProblem",
-    "SolveReport",
     "continuation_to_boundary",
-    "newton_solve",
-    "picard_solve",
     "solve_forward",
     # ed
-    "TruncatedTree",
-    "assemble_operator",
     "build_tree",
-    "dos_histogram",
     "draw_site_potentials",
-    "green_column",
     "root_green_block",
     "tree_site_count",
     # linearization
-    "MonomialIndex",
-    "OperatorMatrix",
-    "PolyGaussSymbol",
     "build_ce_matrix",
-    "ce_apply_symbol",
     "enumerate_indices",
     "gap_kce",
-    "gap_tensor",
     "lambda_j",
-    "slot_count",
-    "upper_slots",
-    "verify_modulus",
 ]

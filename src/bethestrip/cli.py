@@ -30,6 +30,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,42 +62,51 @@ _SUBCOMMANDS = {
     "crosscheck": "forward recursion vs sparse-LU solve on shared realizations",
 }
 
-# canonical config key -> argparse dest
-_KEY_DEST = {
-    "K": "K",
-    "m": "m",
-    "A": "A",
-    "lambda": "lam",
-    "ensemble": "ensemble",
-    "E-grid": "e_grid",
-    "eta-schedule": "eta_schedule",
-    "pool": "pool",
-    "sweeps": "sweeps",
-    "burnin": "burnin",
-    "samples": "samples",
-    "depth": "depth",
-    "degree": "degree",
-    "seed": "seed",
-    "workers": "workers",
-    "out": "out",
-}
+_POOL_SUBS = ("dos-scan", "ac-indicator")
 
-_GLOBAL_DEFAULTS = {
-    "K": "2",
-    "lambda": "0.0",
-    "ensemble": "goe",
-    "pool": "1000",
-    "sweeps": "50",
-    "burnin": "100",
-    "samples": "500",
-    "depth": "3",
-    "degree": "2",
-    "seed": "0",
-}
 
-_SUB_DEFAULTS = {
-    "free-profile": {"eta-schedule": "0"},
-    "crosscheck": {"eta-schedule": "0.05", "samples": "20"},
+class _Key(NamedTuple):
+    """One config key: its flag, its default and where its value goes."""
+
+    metavar: str
+    help: str
+    # None (no default), a string, or {subcommand: string} with "*" as fallback
+    default: str | dict | None = None
+    # integer keys only: the least allowed value
+    lo: int | None = None
+    # subcommands whose manifest echoes the resolved value
+    echo: tuple = tuple(_SUBCOMMANDS)
+
+
+# Every config key: one --flag and one config-file key each, in help order.
+_KEYS = {
+    "K": _Key("INT", "branching number (>= 2)", "2", lo=2),
+    "m": _Key("INT", "strip width (number of orbitals)", lo=1),
+    "A": _Key("SPEC", 'diagonal onsite matrix, e.g. "diag:-0.5,0.5"'),
+    "lambda": _Key("FLOAT", "disorder coupling strength", "0.0"),
+    "ensemble": _Key("SPEC", "goe | diag:<kind> | point:<matrix-or-path>",
+                     "goe"),
+    "E-grid": _Key("LO:HI:N", "inclusive energy grid with N points"),
+    "eta-schedule": _Key("E1,E2,...", "comma-separated eta levels",
+                         {"free-profile": "0", "crosscheck": "0.05"},
+                         echo=("free-profile", *_POOL_SUBS, "crosscheck")),
+    "pool": _Key("INT", "population size", "1000", 16, _POOL_SUBS),
+    "sweeps": _Key("INT", "relaxation sweeps per eta level after the first",
+                   "50", 1, _POOL_SUBS),
+    "burnin": _Key("INT", "sweeps at the first eta level", "100", 0,
+                   _POOL_SUBS),
+    "samples": _Key("INT",
+                    "root draws per measured sweep; realizations for crosscheck",
+                    {"crosscheck": "20", "*": "500"}, 1,
+                    (*_POOL_SUBS, "crosscheck")),
+    "depth": _Key("INT", "truncation depth for crosscheck", "3", 0,
+                  ("crosscheck",)),
+    "degree": _Key("INT", "basis truncation degree", "2", 0,
+                   ("gap-scan", "ce-spectrum")),
+    "seed": _Key("INT", "master seed", "0", 0),
+    "workers": _Key("INT", "thread count (default: $BETHE_STRIP_THREADS or 1)",
+                    lo=1),
+    "out": _Key("PATH", "primary output path (required)"),
 }
 
 
@@ -105,30 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
     g = shared.add_argument_group("configuration")
     g.add_argument("--config", metavar="PATH",
                    help="key=value file supplying defaults; flags take precedence")
-    g.add_argument("--K", metavar="INT", help="branching number (>= 2)")
-    g.add_argument("--m", metavar="INT", help="strip width (number of orbitals)")
-    g.add_argument("--A", metavar="SPEC",
-                   help='diagonal onsite matrix, e.g. "diag:-0.5,0.5"')
-    g.add_argument("--lambda", dest="lam", metavar="FLOAT",
-                   help="disorder coupling strength")
-    g.add_argument("--ensemble", metavar="SPEC",
-                   help="goe | diag:<kind> | point:<matrix-or-path>")
-    g.add_argument("--E-grid", dest="e_grid", metavar="LO:HI:N",
-                   help="inclusive energy grid with N points")
-    g.add_argument("--eta-schedule", dest="eta_schedule", metavar="E1,E2,...",
-                   help="comma-separated eta levels")
-    g.add_argument("--pool", metavar="INT", help="population size")
-    g.add_argument("--sweeps", metavar="INT",
-                   help="relaxation sweeps per eta level after the first")
-    g.add_argument("--burnin", metavar="INT", help="sweeps at the first eta level")
-    g.add_argument("--samples", metavar="INT",
-                   help="root draws per measured sweep; realizations for crosscheck")
-    g.add_argument("--depth", metavar="INT", help="truncation depth for crosscheck")
-    g.add_argument("--degree", metavar="INT", help="basis truncation degree")
-    g.add_argument("--seed", metavar="INT", help="master seed")
-    g.add_argument("--workers", metavar="INT",
-                   help="thread count (default: $BETHE_STRIP_THREADS or 1)")
-    g.add_argument("--out", metavar="PATH", help="primary output path (required)")
+    for key, spec in _KEYS.items():
+        g.add_argument(f"--{key}", dest=key, metavar=spec.metavar,
+                       help=spec.help)
 
     parser = argparse.ArgumentParser(
         prog="bethestrip",
@@ -160,25 +149,22 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in _KEY_DEST:
+        if key not in _KEYS:
             raise ConfigError(
                 f"{path}:{lineno}: unknown key {key!r}; "
-                f"expected one of {', '.join(_KEY_DEST)}"
+                f"expected one of {', '.join(_KEYS)}"
             )
         values[key] = value.strip()
     return values
 
 
-def _parse_int(key: str, raw: str, lo: int | None = None,
-               hi: int | None = None) -> int:
+def _parse_int(key: str, raw: str, lo: int | None = None) -> int:
     try:
         value = int(str(raw).strip(), 10)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
     if lo is not None and value < lo:
         raise ConfigError(f"{key}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{key}: must be <= {hi}, got {value}")
     return value
 
 
@@ -236,21 +222,21 @@ class RunConfig:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     sub = args.subcommand
     file_values = _read_config_file(args.config) if args.config else {}
-    sub_defaults = _SUB_DEFAULTS.get(sub, {})
+    raw = {}
+    for key, spec in _KEYS.items():
+        default = spec.default
+        if isinstance(default, dict):
+            default = default.get(sub, default.get("*"))
+        flag = getattr(args, key)
+        raw[key] = flag if flag is not None else file_values.get(key, default)
+    if raw["workers"] is None:
+        raw["workers"] = os.environ.get("BETHE_STRIP_THREADS") or "1"
 
-    def pick(key):
-        flag = getattr(args, _KEY_DEST[key])
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        if key in sub_defaults:
-            return sub_defaults[key]
-        return _GLOBAL_DEFAULTS.get(key)
+    def count(key):
+        return _parse_int(key, raw[key], _KEYS[key].lo)
 
-    K = _parse_int("K", pick("K"), lo=2)
-
-    a_raw, m_raw = pick("A"), pick("m")
+    K = count("K")
+    a_raw, m_raw = raw["A"], raw["m"]
     if a_raw is not None:
         if not str(a_raw).startswith("diag:"):
             raise ConfigError(f'A: expected "diag:v1,v2,...", got {a_raw!r}')
@@ -259,28 +245,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not toks:
             raise ConfigError("A: empty diagonal")
         a = tuple(_parse_float("A", t) for t in toks)
-        if m_raw is not None and _parse_int("m", m_raw, lo=1) != len(a):
+        if m_raw is not None and count("m") != len(a):
             raise ConfigError(
                 f"m={m_raw} disagrees with the {len(a)} entries of A"
             )
     else:
-        m = _parse_int("m", m_raw, lo=1) if m_raw is not None else 1
-        a = (0.0,) * m
+        a = (0.0,) * (count("m") if m_raw is not None else 1)
 
-    lam = _parse_float("lambda", pick("lambda"))
-    ensemble = parse_ensemble_spec(str(pick("ensemble")), len(a))
+    lam = _parse_float("lambda", raw["lambda"])
+    ensemble = parse_ensemble_spec(str(raw["ensemble"]), len(a))
     try:
         model = BetheStripModel(K=K, a=a, lam=lam, ensemble=ensemble)
     except (ValueError, UnsupportedEnsembleError) as exc:
         raise ConfigError(str(exc)) from None
 
-    grid_raw = pick("E-grid")
-    if grid_raw is None:
+    if raw["E-grid"] is None:
         raise ConfigError("E-grid is required")
-    lo, hi, n, e_values = _parse_grid(grid_raw)
+    lo, hi, n, e_values = _parse_grid(raw["E-grid"])
 
-    etas_raw = pick("eta-schedule")
-    if sub in ("dos-scan", "ac-indicator"):
+    etas_raw = raw["eta-schedule"]
+    if sub in _POOL_SUBS:
         if etas_raw is None:
             raise ConfigError("eta-schedule is required")
         etas = _parse_etas(etas_raw)
@@ -301,51 +285,33 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     else:
         etas = ()
 
-    pool = _parse_int("pool", pick("pool"), lo=16)
-    sweeps = _parse_int("sweeps", pick("sweeps"), lo=1)
-    burnin = _parse_int("burnin", pick("burnin"), lo=0)
-    samples = _parse_int("samples", pick("samples"), lo=1)
-    depth = _parse_int("depth", pick("depth"), lo=0)
-    degree = _parse_int("degree", pick("degree"), lo=0)
-    seed = _parse_int("seed", pick("seed"), lo=0)
+    # the integer fields of RunConfig; K and m went into the model above
+    counts = {key: count(key) for key, spec in _KEYS.items()
+              if spec.lo is not None and key not in ("K", "m")}
 
-    workers_raw = pick("workers")
-    if workers_raw is None:
-        workers_raw = os.environ.get("BETHE_STRIP_THREADS") or "1"
-    workers = _parse_int("workers", workers_raw, lo=1)
-
-    out_raw = pick("out")
-    if out_raw is None:
+    if raw["out"] is None:
         raise ConfigError("out is required")
-    out = Path(str(out_raw))
+    out = Path(str(raw["out"]))
 
-    echo = {
-        "subcommand": sub,
+    resolved = {
+        **counts,
         "K": model.K,
         "m": model.m,
         "A": "diag:" + ",".join(repr(x) for x in model.a),
         "lambda": model.lam,
         "ensemble": model.ensemble.spec_string(),
         "E-grid": f"{lo!r}:{hi!r}:{n}",
-        "seed": seed,
-        "workers": workers,
+        "eta-schedule": ",".join(repr(e) for e in etas),
         "out": str(out),
     }
-    if etas:
-        echo["eta-schedule"] = ",".join(repr(e) for e in etas)
-    if sub in ("dos-scan", "ac-indicator"):
-        echo.update(pool=pool, sweeps=sweeps, burnin=burnin, samples=samples,
-                    chunking=CLI_CHUNKING)
-        echo["measure-sweeps"] = MEASURE_SWEEPS
-    if sub == "crosscheck":
-        echo.update(depth=depth, samples=samples)
-    if sub in ("gap-scan", "ce-spectrum"):
-        echo["degree"] = degree
+    echo = {key: resolved[key] for key, spec in _KEYS.items() if sub in spec.echo}
+    echo["subcommand"] = sub
+    if sub in _POOL_SUBS:
+        echo.update({"chunking": CLI_CHUNKING,
+                     "measure-sweeps": MEASURE_SWEEPS})
 
     return RunConfig(subcommand=sub, model=model, e_values=e_values, etas=etas,
-                     pool=pool, sweeps=sweeps, burnin=burnin, samples=samples,
-                     depth=depth, degree=degree, seed=seed, workers=workers,
-                     out=out, echo=echo)
+                     out=out, echo=echo, **counts)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +328,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _render_csv(header, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _write_bytes(path: Path, text: str) -> bytes:
-    if path.parent and str(path.parent) not in ("", "."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     data = text.encode("utf-8")
     path.write_bytes(data)
     return data
@@ -385,11 +344,16 @@ class CommandResult:
     message: str = ""
 
 
+def _csv_result(cfg: RunConfig, header, rows, warnings=()) -> CommandResult:
+    """Write the rows to cfg.out as CSV, its only output so far."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    data = _write_bytes(cfg.out, "\n".join(lines) + "\n")
+    return CommandResult([(cfg.out, data)], {cfg.out.name: header}, list(warnings))
+
+
 def _reim(diag) -> list:
-    out = []
-    for v in np.asarray(diag):
-        out.extend((float(v.real), float(v.imag)))
-    return out
+    return [float(x) for v in np.asarray(diag) for x in (v.real, v.imag)]
 
 
 # ---------------------------------------------------------------------------
@@ -404,34 +368,30 @@ def _cmd_free_profile(cfg: RunConfig) -> CommandResult:
             header += [f"{tag}_re_{k}", f"{tag}_im_{k}"]
     rows = []
     outside = 0
+    no_ae = np.full(m, complex(math.nan, math.nan))
     for E in cfg.e_values:
         for eta in cfg.etas:
             if eta > 0.0:
                 sp = SpectralPoint(E, eta)
                 g0 = np.diagonal(free_forward_green(sp, model))
                 gf = np.diagonal(free_full_green(sp, model))
-                ae = None
+                ae = no_ae
             else:
                 g0 = np.diagonal(free_forward_green_boundary(E, model))
                 gf = np.diagonal(free_full_green_boundary(E, model))
                 try:
                     ae = np.diagonal(a_e_matrix(E, model))
                 except OutOfBandError:
-                    ae = None
+                    ae = no_ae
                     outside += 1
-            row = [float(E), float(eta)]
-            row += _reim(g0)
-            row += _reim(gf)
-            row += _reim(ae) if ae is not None else [math.nan] * (2 * m)
-            rows.append(row)
+            rows.append([float(E), float(eta), *_reim(g0), *_reim(gf), *_reim(ae)])
     warnings = []
     if outside:
         warnings.append(
             f"{outside} eta=0 rows outside the closed band-intersection "
             "window; ae columns emitted as nan"
         )
-    data = _write_bytes(cfg.out, _render_csv(header, rows))
-    return CommandResult([(cfg.out, data)], {cfg.out.name: header}, warnings)
+    return _csv_result(cfg, header, rows, warnings)
 
 
 def _continuation_records(cfg: RunConfig):
@@ -457,8 +417,7 @@ def _cmd_dos_scan(cfg: RunConfig) -> CommandResult:
                          float(ms.dos.mean), float(ms.dos.std_error),
                          float(ms.trace_abs_sq.mean),
                          float(ms.trace_abs_sq.std_error)])
-    data = _write_bytes(cfg.out, _render_csv(header, rows))
-    return CommandResult([(cfg.out, data)], {cfg.out.name: header}, [])
+    return _csv_result(cfg, header, rows)
 
 
 def _cmd_ac_indicator(cfg: RunConfig) -> CommandResult:
@@ -480,12 +439,12 @@ def _cmd_ac_indicator(cfg: RunConfig) -> CommandResult:
         "window": [0.9, 1.1],
         "results": results,
     }
-    data = _write_bytes(cfg.out, _render_csv(header, rows))
+    result = _csv_result(cfg, header, rows)
     verdict_path = Path(str(cfg.out) + ".verdict.json")
     vdata = _write_bytes(verdict_path,
                          json.dumps(verdict, sort_keys=True, indent=2) + "\n")
-    return CommandResult([(cfg.out, data), (verdict_path, vdata)],
-                         {cfg.out.name: header}, [])
+    result.outputs.append((verdict_path, vdata))
+    return result
 
 
 def _cmd_gap_scan(cfg: RunConfig) -> CommandResult:
@@ -507,8 +466,7 @@ def _cmd_gap_scan(cfg: RunConfig) -> CommandResult:
             f"skipped {skipped} of {len(cfg.e_values)} grid points outside "
             "the band-intersection window"
         )
-    data = _write_bytes(cfg.out, _render_csv(header, rows))
-    return CommandResult([(cfg.out, data)], {cfg.out.name: header}, warnings)
+    return _csv_result(cfg, header, rows, warnings)
 
 
 def _triangularity_residual(op) -> list:
@@ -532,8 +490,7 @@ def _cmd_ce_spectrum(cfg: RunConfig) -> CommandResult:
                          J.degree, float(value.real), float(value.imag),
                          float(abs(value)),
                          float(cfg.model.K) ** (-J.degree), residual])
-    data = _write_bytes(cfg.out, _render_csv(header, rows))
-    return CommandResult([(cfg.out, data)], {cfg.out.name: header}, [])
+    return _csv_result(cfg, header, rows)
 
 
 def _cmd_crosscheck(cfg: RunConfig) -> CommandResult:
@@ -614,12 +571,11 @@ def _write_manifest(cfg: RunConfig, result: CommandResult, wall: float) -> Path:
 
 def format_config(config: dict) -> str:
     """Render a manifest config echo as a key=value file (round-trip aid)."""
-    lines = [f"{key}={config[key]}" for key in sorted(config)
-             if key in _KEY_DEST]
+    lines = [f"{key}={config[key]}" for key in _KEYS if key in config]
     return "\n".join(lines) + "\n"
 
 
-_VALUE_FLAGS = {"--config", "--out"} | {f"--{key}" for key in _KEY_DEST}
+_VALUE_FLAGS = {"--config"} | {f"--{key}" for key in _KEYS}
 
 
 def _preprocess_argv(argv) -> list:
@@ -630,17 +586,12 @@ def _preprocess_argv(argv) -> list:
     option strings.
     """
     merged = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if (token in _VALUE_FLAGS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")
-                and not argv[i + 1].startswith("--")):
-            merged.append(f"{token}={argv[i + 1]}")
-            i += 2
-            continue
-        merged.append(token)
-        i += 1
+    for token in argv:
+        if (merged and merged[-1] in _VALUE_FLAGS and token.startswith("-")
+                and not token.startswith("--")):
+            merged[-1] = f"{merged[-1]}={token}"
+        else:
+            merged.append(token)
     return merged
 
 
@@ -654,11 +605,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    try:
+        start = time.perf_counter()
         result = _DISPATCH[cfg.subcommand](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -179,29 +179,6 @@ def _picard_loop(problem: FixedPointProblem, G: np.ndarray, damping: float,
     return G, max_iter, history, False
 
 
-def picard_solve(problem: FixedPointProblem, damping: float = DAMPING,
-                 tol: float = SOLVE_TOL,
-                 max_iter: int = DEFAULT_PICARD_MAX_ITER) -> SolveReport:
-    """Damped iteration G <- (1-damping) G + damping * map(G).
-
-    Converges globally for eta not too small; near the real axis the
-    slowest linearized mode approaches modulus one and Newton should
-    take over (see :func:`solve_forward`).
-    """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    G, it, history, ok = _picard_loop(problem, problem.initial_guess(),
-                                      damping, tol, max_iter)
-    if not ok:
-        raise NoConvergenceError(
-            f"damped iteration did not reach tol={tol} in {max_iter} steps "
-            f"at z={problem.z} (last residual {history[-1]:.3e})",
-            residual=history[-1],
-            iterations=max_iter,
-        )
-    return _report(problem, G, it, "picard", tol, history)
-
-
 def _vec_upper(M: np.ndarray, slots) -> np.ndarray:
     return np.array([M[j, k] for j, k in slots])
 
@@ -263,32 +240,21 @@ def _newton_loop(problem: FixedPointProblem, G: np.ndarray, tol: float,
     return G, max_iter, history, False
 
 
-def newton_solve(problem: FixedPointProblem, tol: float = SOLVE_TOL,
-                 max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> SolveReport:
-    """Newton's method on the m(m+1)/2 upper-triangle coordinates.
-
-    Requires a starting point inside the Newton basin (warm start from
-    :func:`picard_solve` or a neighboring continuation step).
-    """
-    G, it, history, ok = _newton_loop(problem, problem.initial_guess(),
-                                      tol, max_iter)
-    if not ok:
-        raise NoConvergenceError(
-            f"Newton did not reach tol={tol} in {max_iter} steps at "
-            f"z={problem.z} (last residual {history[-1]:.3e})",
-            residual=history[-1],
-            iterations=max_iter,
-        )
-    return _report(problem, G, it, "newton", tol, history)
-
-
 def solve_forward(model: BetheStripModel, point: SpectralPoint,
                   initial: np.ndarray | None = None, *,
                   damping: float = DAMPING, switch: float = NEWTON_SWITCH,
                   tol: float = SOLVE_TOL,
                   picard_max_iter: int = DEFAULT_PICARD_MAX_ITER,
                   newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> SolveReport:
-    """Damped iteration down to ``switch``, then Newton down to ``tol``."""
+    """Damped iteration down to ``switch``, then Newton down to ``tol``.
+
+    The damped step G <- (1-damping) G + damping * map(G) converges globally
+    for eta not too small; near the real axis the slowest linearized mode
+    approaches modulus one, which is where Newton takes over.  ``switch=tol``
+    runs the damped iteration alone, ``switch=math.inf`` Newton alone.
+    """
+    if not 0.0 < damping <= 1.0:
+        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     problem = FixedPointProblem(model, point, initial)
     G = problem.initial_guess()
     G, p_it, p_hist, ok = _picard_loop(problem, G, damping, switch,

@@ -25,6 +25,7 @@ from bethestrip.linalg import SpectralPoint
 from bethestrip.linearization import OperatorMatrix, enumerate_indices
 from bethestrip.model import GOE, BetheStripModel
 from bethestrip.recursion import sample_tree
+from test_acceptance import CLI_RUNS
 
 
 def sha(path):
@@ -379,16 +380,44 @@ class TestConfigPlumbing:
         assert len(rows) == 3
 
     def test_manifest_config_round_trips(self, tmp_path):
-        out = tmp_path / "a.csv"
-        main(["free-profile", "--K", "3", "--A", "diag:-0.25,0.5",
-              "--E-grid", "-1.5:1.5:7", "--eta-schedule", "0.1,0",
-              "--seed", "4", "--out", str(out)])
-        config = manifest_of(out)["config"]
-        config["out"] = str(tmp_path / "b.csv")
-        (tmp_path / "rt.cfg").write_text(cli.format_config(config))
-        assert main(["free-profile", "--config",
-                     str(tmp_path / "rt.cfg")]) == 0
-        assert (tmp_path / "b.csv").read_bytes() == out.read_bytes()
+        # every criterion-9 config: rerunning the echo as a config file
+        # reproduces every output byte for byte, and the same echo
+        for sub, args in CLI_RUNS.items():
+            out, again = tmp_path / f"{sub}-a.out", tmp_path / f"{sub}-b.out"
+            assert main([sub, *args, "--seed", "4", "--out", str(out)]) == 0
+            config = manifest_of(out)["config"]
+            config["out"] = str(again)
+            cfg = tmp_path / f"{sub}.cfg"
+            cfg.write_text(cli.format_config(config))
+            assert main([sub, "--config", str(cfg)]) == 0, sub
+            assert manifest_of(again)["config"] == config, sub
+            outputs = sorted(p.name[len(out.name):]
+                             for p in tmp_path.glob(f"{out.name}*"))
+            assert len(outputs) >= 2, sub          # the output and its manifest
+            for suffix in outputs:
+                if suffix != ".manifest.json":
+                    assert (Path(f"{again}{suffix}").read_bytes()
+                            == Path(f"{out}{suffix}").read_bytes()), (sub, suffix)
+
+    POOL_ECHO = {"eta-schedule", "pool", "sweeps", "burnin", "samples",
+                 "chunking", "measure-sweeps"}
+    ECHO_EXTRA = {
+        "free-profile": {"eta-schedule"},
+        "dos-scan": POOL_ECHO,
+        "ac-indicator": POOL_ECHO,
+        "gap-scan": {"degree"},
+        "ce-spectrum": {"degree"},
+        "crosscheck": {"eta-schedule", "depth", "samples"},
+    }
+
+    @pytest.mark.parametrize("sub", list(CLI_RUNS))
+    def test_echo_key_set_per_subcommand(self, sub, tmp_path):
+        # the goldens skip manifests, so the echoed key set is pinned here
+        out = tmp_path / "a.out"
+        assert main([sub, *CLI_RUNS[sub], "--out", str(out)]) == 0
+        assert set(manifest_of(out)["config"]) == {
+            "subcommand", "K", "m", "A", "lambda", "ensemble", "E-grid",
+            "seed", "workers", "out", *self.ECHO_EXTRA[sub]}
 
     def test_unknown_key_and_missing_file(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 """Tests for the deterministic forward fixed-point solver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,6 @@ from bethestrip.fixedpoint import (
     FixedPointProblem,
     SolveReport,
     continuation_to_boundary,
-    newton_solve,
-    picard_solve,
     solve_forward,
 )
 from bethestrip.free import free_forward_green, free_forward_green_boundary
@@ -89,10 +89,11 @@ class TestProblem:
 
 
 class TestPicard:
+    """Damped iteration alone: solve_forward with switch = tol."""
+
     def test_scalar_free_from_zero(self):
-        prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0),
-                                 np.zeros((1, 1)))
-        rep = picard_solve(prob, tol=1e-12)
+        rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
+                            np.zeros((1, 1)), switch=1e-12, tol=1e-12)
         assert rep.method == "picard"
         assert rep.converged
         assert rep.residual < 1e-12
@@ -102,38 +103,40 @@ class TestPicard:
     def test_free_matrix_case(self):
         mod = make_model(K=3, a=(-0.7, 0.1, 0.4))
         sp = SpectralPoint(0.2, 0.8)
-        prob = FixedPointProblem(mod, sp, np.zeros((3, 3)))
-        rep = picard_solve(prob)
+        rep = solve_forward(mod, sp, np.zeros((3, 3)), switch=fp.SOLVE_TOL)
+        assert rep.method == "picard"
         np.testing.assert_allclose(rep.solution, free_forward_green(sp, mod),
                                    atol=1e-10)
 
     def test_point_mass_quadratic_oracle(self):
         mod = make_model(lam=1.0, ensemble=PointMass(((1.0,),)))
-        rep = picard_solve(FixedPointProblem(mod, SpectralPoint(2.0, 0.1)))
+        rep = solve_forward(mod, SpectralPoint(2.0, 0.1), switch=fp.SOLVE_TOL)
+        assert rep.method == "picard"
         want = herglotz_quadratic_root(2, 2 + 0.1j, 1.0)
         assert rep.solution[0, 0] == pytest.approx(want, abs=1e-10)
 
     def test_damping_validated(self):
-        prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0))
+        mod, sp = make_model(), SpectralPoint(0.0, 1.0)
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                picard_solve(prob, damping=bad)
-        assert picard_solve(prob, damping=1.0).converged
+                solve_forward(mod, sp, damping=bad)
+        assert solve_forward(mod, sp, damping=1.0).converged
 
     def test_no_convergence_reports_residual(self):
-        prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0),
-                                 np.zeros((1, 1)))
         with pytest.raises(NoConvergenceError) as ei:
-            picard_solve(prob, max_iter=2)
+            solve_forward(make_model(), SpectralPoint(0.0, 1.0),
+                          np.zeros((1, 1)), switch=fp.SOLVE_TOL,
+                          picard_max_iter=2)
         assert ei.value.iterations == 2
         assert ei.value.residual > 0
 
 
 class TestNewton:
+    """Newton from the start: solve_forward with switch = inf."""
+
     def test_scalar_case_fast(self):
-        prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0),
-                                 np.array([[1j]]))
-        rep = newton_solve(prob)
+        rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
+                            np.array([[1j]]), switch=math.inf)
         assert rep.method == "newton"
         assert rep.iterations <= 6
         assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
@@ -145,7 +148,8 @@ class TestNewton:
         free = free_forward_green(sp, mod)
         start = free + 0.05 * (random_symmetric(2, np.random.default_rng(3))
                                + 0.3j * np.eye(2))
-        rep = newton_solve(FixedPointProblem(mod, sp, start))
+        rep = solve_forward(mod, sp, start, switch=math.inf)
+        assert rep.method == "newton"
         np.testing.assert_allclose(rep.solution, free, atol=1e-12)
 
     def test_jacobian_scalar_value(self):
@@ -176,9 +180,11 @@ class TestNewton:
                                        atol=1e-6)
 
     def test_quadratic_tail(self):
-        prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0),
-                                 np.array([[1j]]))
-        hist = newton_solve(prob).residual_history
+        rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
+                            np.array([[1j]]), switch=math.inf)
+        # the zero-step damped phase records r0 once before Newton repeats it
+        assert rep.residual_history[0] == rep.residual_history[1]
+        hist = rep.residual_history[1:]
         pairs = [(hist[i], hist[i + 1]) for i in range(len(hist) - 1)
                  if hist[i + 1] > 1e-14]
         assert len(pairs) >= 2
@@ -192,14 +198,15 @@ class TestNewton:
         mod = make_model(K=4)
         start = np.array([[-3.0]], dtype=complex)
         with pytest.raises(SingularJacobianError):
-            newton_solve(FixedPointProblem(mod, SpectralPoint(2.0, 0.0),
-                                           start))
+            solve_forward(mod, SpectralPoint(2.0, 0.0), start,
+                          switch=math.inf)
 
     def test_no_convergence_raises(self):
-        prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0),
-                                 np.array([[1j]]))
-        with pytest.raises(NoConvergenceError):
-            newton_solve(prob, tol=1e-12, max_iter=1)
+        with pytest.raises(NoConvergenceError) as ei:
+            solve_forward(make_model(), SpectralPoint(0.0, 1.0),
+                          np.array([[1j]]), switch=math.inf, tol=1e-12,
+                          newton_max_iter=1)
+        assert ei.value.iterations == 1
 
 
 class TestSolveForward:
