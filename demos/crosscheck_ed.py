@@ -26,7 +26,7 @@ for depth in range(0, 6):
         pots = draw_site_potentials(model, tree, seed=7,
                                     realization=realization)
         recursed = sample_tree_given(sp, model, tree, pots)
-        direct = root_green_block(tree, model, pots, sp)
+        direct = root_green_block(sp, model, tree, pots)
         worst = max(worst, float(np.max(np.abs(recursed - direct))))
     dof = tree.n_sites * model.m
     print(f"{depth:5d} {tree.n_sites:6d} {dof:6d} {worst:28.3e}")
@@ -34,7 +34,7 @@ print()
 
 tree = build_tree(model.K, 4, model.m)
 same = sample_tree(sp, model, depth=4, seed=7)
-direct_other = root_green_block(tree, model,
-                                draw_site_potentials(model, tree, seed=8), sp)
+direct_other = root_green_block(sp, model, tree,
+                                draw_site_potentials(model, tree, seed=8))
 print("negative control -- mismatched seeds no longer describe the same")
 print(f"operator: max deviation {np.max(np.abs(same - direct_other)):.3e}")

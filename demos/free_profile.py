@@ -8,8 +8,8 @@ real axis, and the density of states, all from explicit formulas.
 import numpy as np
 
 from bethestrip import (BetheStripModel, GOE, SpectralPoint, a_e_matrix,
-                        band_intersection, free_dos,
-                        free_forward_green_boundary, free_full_green_boundary)
+                        band_intersection, free_dos, free_forward_green,
+                        free_full_green)
 
 model = BetheStripModel(K=2, a=(-0.5, 0.5), lam=0.0, ensemble=GOE())
 window = band_intersection(model)
@@ -22,7 +22,7 @@ print()
 print("real-axis profile (eta -> 0+ limits are valid at every real energy):")
 print(f"{'E':>6} {'Im g0_1':>9} {'Im g0_2':>9} {'dos':>8}   note")
 for E in np.linspace(-2.5, 2.5, 11):
-    g0 = np.diagonal(free_forward_green_boundary(float(E), model))
+    g0 = np.diagonal(free_forward_green(SpectralPoint(float(E), 0.0), model))
     dos = free_dos(float(E), model)
     inside = window.contains(float(E))
     note = "inside common window" if inside else (
@@ -38,7 +38,7 @@ for k, v in enumerate(ae, start=1):
     print(f"  orbital {k}: {v:.6f}  (modulus {abs(v):.6f})")
 print()
 
-gf = np.diagonal(free_full_green_boundary(E, model))
+gf = np.diagonal(free_full_green(SpectralPoint(E, 0.0), model))
 print("full-lattice Green's diagonal at the same energy (root has K+1 branches):")
 for k, v in enumerate(gf, start=1):
     print(f"  orbital {k}: {v:.6f}")

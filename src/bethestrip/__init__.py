@@ -27,8 +27,7 @@ from .errors import (
 from .linalg import SpectralPoint
 from .model import GOE, BetheStripModel, PointMass, band_intersection
 from .rng import child_seed
-from .free import (a_e_matrix, free_dos, free_forward_green_boundary,
-                   free_full_green_boundary)
+from .free import a_e_matrix, free_dos, free_forward_green, free_full_green
 from .recursion import (ac_indicator, eta_continuation, sample_tree,
                         sample_tree_given)
 from .fixedpoint import continuation_to_boundary, solve_forward
@@ -62,8 +61,8 @@ __all__ = [
     # free
     "a_e_matrix",
     "free_dos",
-    "free_forward_green_boundary",
-    "free_full_green_boundary",
+    "free_forward_green",
+    "free_full_green",
     # recursion
     "ac_indicator",
     "eta_continuation",

@@ -38,8 +38,7 @@ from . import __version__
 from .ed import build_tree, draw_site_potentials, root_green_block
 from .errors import (BetheStripError, ConfigError, OutOfBandError,
                      UnsupportedEnsembleError)
-from .free import (a_e_matrix, free_forward_green, free_forward_green_boundary,
-                   free_full_green, free_full_green_boundary)
+from .free import a_e_matrix, free_forward_green, free_full_green
 from .linalg import SpectralPoint
 from .linearization import gap_kce, gap_tensor, build_ce_matrix, verify_modulus
 from .model import BetheStripModel, parse_ensemble_spec
@@ -319,8 +318,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -371,18 +368,14 @@ def _cmd_free_profile(cfg: RunConfig) -> CommandResult:
     no_ae = np.full(m, complex(math.nan, math.nan))
     for E in cfg.e_values:
         for eta in cfg.etas:
-            if eta > 0.0:
-                sp = SpectralPoint(E, eta)
-                g0 = np.diagonal(free_forward_green(sp, model))
-                gf = np.diagonal(free_full_green(sp, model))
-                ae = no_ae
-            else:
-                g0 = np.diagonal(free_forward_green_boundary(E, model))
-                gf = np.diagonal(free_full_green_boundary(E, model))
+            sp = SpectralPoint(E, eta)
+            g0 = np.diagonal(free_forward_green(sp, model))
+            gf = np.diagonal(free_full_green(sp, model))
+            ae = no_ae
+            if eta == 0.0:  # A_E is a real-axis quantity
                 try:
                     ae = np.diagonal(a_e_matrix(E, model))
                 except OutOfBandError:
-                    ae = no_ae
                     outside += 1
             rows.append([float(E), float(eta), *_reim(g0), *_reim(gf), *_reim(ae)])
     warnings = []
@@ -506,7 +499,7 @@ def _cmd_crosscheck(cfg: RunConfig) -> CommandResult:
                                           realization=t)
         sp = SpectralPoint(float(E), eta)
         recursed = sample_tree_given(sp, model, tree, potentials)
-        direct = root_green_block(tree, model, potentials, sp)
+        direct = root_green_block(sp, model, tree, potentials)
         return float(np.max(np.abs(recursed - direct)))
 
     if cfg.workers > 1:

@@ -113,25 +113,25 @@ def assemble_operator(tree, model, potentials):
     return _coo_operator(tree, model.a_matrix + model.lam * potentials).tocsr()
 
 
-def _factorize(tree, model, potentials, sp: SpectralPoint):
+def _factorize(sp: SpectralPoint, model, tree, potentials):
     blocks = (model.a_matrix + model.lam * potentials) - sp.z * np.eye(model.m)
     shifted = _coo_operator(tree, blocks).tocsc()
     shifted.eliminate_zeros()  # a stored zero would change SuperLU's pattern
     return scipy.sparse.linalg.splu(shifted)
 
 
-def green_column(tree, model, potentials, sp: SpectralPoint, site=0, orbital=0):
+def green_column(sp: SpectralPoint, model, tree, potentials, site=0, orbital=0):
     """One column of (H - z)^{-1} via sparse LU."""
-    lu = _factorize(tree, model, potentials, sp)
+    lu = _factorize(sp, model, tree, potentials)
     e = np.zeros(tree.n_sites * model.m, dtype=complex)
     e[site * model.m + orbital] = 1.0
     return lu.solve(e)
 
 
-def root_green_block(tree, model, potentials, sp: SpectralPoint):
+def root_green_block(sp: SpectralPoint, model, tree, potentials):
     """The m x m Green's matrix block at the root, one LU for all m columns."""
     m = model.m
-    lu = _factorize(tree, model, potentials, sp)
+    lu = _factorize(sp, model, tree, potentials)
     rhs = np.zeros((tree.n_sites * m, m), dtype=complex)
     rhs[np.arange(m), np.arange(m)] = 1.0
     sol = lu.solve(rhs)

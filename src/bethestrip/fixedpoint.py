@@ -26,7 +26,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedEnsembleError,
 )
-from .free import free_forward_green, free_forward_green_boundary
+from .free import free_forward_green
 from .linalg import HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue, resolvent
 from .linearization import upper_slots
 from .model import BetheStripModel, PointMass
@@ -115,9 +115,7 @@ class FixedPointProblem:
         """The stored initial guess, or the lam=0 closed form at ``point``."""
         if self.initial is not None:
             return self.initial.copy()
-        if self.point.eta > 0.0:
-            return free_forward_green(self.point, self.model)
-        return free_forward_green_boundary(self.point.E, self.model)
+        return free_forward_green(self.point, self.model)
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,23 @@
 """Closed forms for the disorder-free strip.
 
 With a diagonal strip operator A the forward Green's matrix decouples per
-orbital and solves the scalar quadratic (K/4) g^2 + (z - a_k) g + 1 = 0; the
-physical root is the one in the upper half plane (for eta > 0) and the decay
-root on the real axis.  Everything else here -- the full-lattice Green's
-matrix, the real-axis boundary matrix, and the Gaussian characteristic
-weights -- is a short formula on top of that root.
+orbital and solves the scalar quadratic (K/4) g^2 + (z - a_k) g + 1 = 0.  The
+physical root is the one in the upper half plane for eta > 0; eta = 0 means
+the real-axis limit eta -> 0+, which exists at every real energy: -4 A_E
+inside a band, the real decaying root outside.  Everything else here -- the
+full-lattice Green's matrix, the boundary matrix A_E and the Gaussian
+characteristic weights -- is a short formula on top of that root.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import OutOfBandError
 from .linalg import SpectralPoint, require_psd, sqrt_upper
-from .model import band_intersection
+
+
+def _in_band_root(x, K):
+    """(A_E)_kk = (x - i sqrt(K - x^2)) / (2K), x = E - a_k, |x| <= sqrt K."""
+    return (x - 1j * np.sqrt(K - x * x)) / (2.0 * K)
 
 
 def _forward_diag(z, a, K):
@@ -27,50 +30,25 @@ def _forward_diag(z, a, K):
         g_sum = (2.0 / K) * (-x + s)
         g_quot = np.where(x + s != 0.0, -2.0 / (x + s), np.inf)
     g = np.where(np.abs(-x + s) > np.abs(x + s), g_sum, g_quot)
-    if z.imag > 0:
-        # exactly one root lies in the upper half plane (root product 4/K > 0)
-        other = 4.0 / (K * g)
-        g = np.where(g.imag > 0, g, other)
-    return g
+    # exactly one root lies in the upper half plane (root product 4/K > 0)
+    return np.where(g.imag > 0, g, 4.0 / (K * g))
 
 
 def free_forward_green(sp: SpectralPoint, model):
     """Forward (half-tree) Green's matrix of the free strip, diagonal (m, m).
 
-    At eta = 0 the energy must lie strictly inside every shifted band
-    |E - a_k| < sqrt(K); otherwise OutOfBandError.  Use
-    :func:`free_forward_green_boundary` for the real-axis limit valid at all
-    real energies.
+    Valid at every eta >= 0.  At eta = 0 it is the real-axis limit: -4 A_E
+    strictly inside a band, the real decaying root at a band edge and
+    outside, the two meeting continuously at the edge.
     """
-    if sp.eta == 0.0:
-        gap = model.sqrt_k - np.max(np.abs(sp.E - np.asarray(model.a)))
-        if gap <= 0.0:
-            raise OutOfBandError(
-                f"E={sp.E:g} is outside a free band (closest edge {gap:g})"
-            )
-    g = _forward_diag(complex(sp.z), model.a, model.K)
-    return np.diag(g)
-
-
-def free_forward_green_boundary(E, model):
-    """Real-axis (eta -> 0+) limit of the forward Green's matrix, any real E.
-
-    Inside a band the limit is complex with positive imaginary part; outside
-    it is the real decaying branch; at band edges the two meet continuously.
-    """
-    x = float(E) - np.asarray(model.a, dtype=float)
+    if sp.eta > 0.0:
+        return np.diag(_forward_diag(complex(sp.z), model.a, model.K))
+    x = float(sp.E) - np.asarray(model.a, dtype=float)
     w = x * x - model.K
-    inside = w < 0.0
-    g = np.empty(model.m, dtype=complex)
-    g[inside] = (2.0 / model.K) * (-x[inside] + 1j * np.sqrt(-w[inside]))
-    out = ~inside
-    g[out] = (2.0 / model.K) * (-x[out] + np.sign(x[out]) * np.sqrt(w[out]))
-    return np.diag(g)
-
-
-def _full_from_forward(z, a, K, g_fwd):
-    denom = np.asarray(a, dtype=complex) - z - ((K + 1) / 4.0) * g_fwd
-    return 1.0 / denom
+    with np.errstate(invalid="ignore"):
+        inside = -4.0 * _in_band_root(x, model.K)
+        outside = (2.0 / model.K) * (-x + np.sign(x) * np.sqrt(w))
+    return np.diag(np.where(w < 0.0, inside, outside))
 
 
 def free_full_green(sp: SpectralPoint, model):
@@ -80,13 +58,8 @@ def free_full_green(sp: SpectralPoint, model):
     branches dress the diagonal: G(z) = [A - z - (K+1)/4 G0(z)]^{-1}.
     """
     g_fwd = np.diagonal(free_forward_green(sp, model))
-    return np.diag(_full_from_forward(complex(sp.z), model.a, model.K, g_fwd))
-
-
-def free_full_green_boundary(E, model):
-    """Real-axis limit of the full Green's matrix, valid at all real E."""
-    g_fwd = np.diagonal(free_forward_green_boundary(E, model))
-    return np.diag(_full_from_forward(complex(E), model.a, model.K, g_fwd))
+    a = np.asarray(model.a, dtype=complex)
+    return np.diag(1.0 / (a - complex(sp.z) - ((model.K + 1) / 4.0) * g_fwd))
 
 
 def a_e_matrix(E, model):
@@ -97,21 +70,19 @@ def a_e_matrix(E, model):
     on the closure of the band intersection window.
     """
     x = float(E) - np.asarray(model.a, dtype=float)
-    w = model.K - x * x
-    if np.any(w < 0.0):
+    if np.any(x * x > model.K):
         raise OutOfBandError(
             f"E={E:g} leaves |E - a_k| <= sqrt(K) for some orbital"
         )
-    return np.diag((x - 1j * np.sqrt(w)) / (2.0 * model.K))
+    return np.diag(_in_band_root(x, model.K))
 
 
 def free_dos(sp_or_E, model):
     """Density of states per orbital of the free strip, (1/(m pi)) Im Tr G."""
-    if isinstance(sp_or_E, SpectralPoint) and sp_or_E.eta > 0.0:
-        full = free_full_green(sp_or_E, model)
-    else:
-        E = sp_or_E.E if isinstance(sp_or_E, SpectralPoint) else float(sp_or_E)
-        full = free_full_green_boundary(E, model)
+    sp = sp_or_E
+    if not isinstance(sp, SpectralPoint):
+        sp = SpectralPoint(float(sp_or_E))
+    full = free_full_green(sp, model)
     return float(np.trace(full).imag / (model.m * np.pi))
 
 
@@ -140,21 +111,3 @@ def free_pair_char_weight(sp: SpectralPoint, model, Mp, Mm):
     t = np.sum(g * np.diagonal(Mp)) - np.sum(np.conj(g) * np.diagonal(Mm))
     return complex(np.exp(0.25j * t))
 
-
-@dataclass(frozen=True)
-class FreeSolution:
-    """Bundle of the free closed forms at one spectral point."""
-
-    point: SpectralPoint
-    forward: np.ndarray
-    full: np.ndarray
-    boundary: np.ndarray = None  # -G0/4, present only at eta == 0 in-window
-
-
-def free_solution(sp: SpectralPoint, model) -> FreeSolution:
-    fwd = free_forward_green(sp, model)
-    full = free_full_green(sp, model)
-    boundary = None
-    if sp.eta == 0.0 and band_intersection(model).contains(sp.E):
-        boundary = a_e_matrix(sp.E, model)
-    return FreeSolution(sp, fwd, full, boundary)

@@ -21,8 +21,9 @@ HERGLOTZ_SLACK = 1e-10
 class SpectralPoint:
     """A spectral parameter z = E + i eta with eta >= 0 kept explicit.
 
-    eta == 0 marks a genuine real-axis (boundary) evaluation, which several
-    routines treat differently from a merely small eta.
+    eta == 0 means the real-axis limit eta -> 0+, which the free closed
+    forms give at every real E; routines that need dissipation, such as
+    the samplers, require eta > 0.
     """
 
     E: float

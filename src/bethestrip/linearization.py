@@ -48,6 +48,7 @@ from .errors import (
     OutOfBandError,
     TruncationOverflowError,
 )
+from .free import a_e_matrix
 from .model import BetheStripModel
 
 #: Tolerance on | |lambda_J| - K^{-|J|} | in verify_modulus.
@@ -142,50 +143,57 @@ def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
 def _interior_ae_diag(E: float, model: BetheStripModel) -> np.ndarray:
     """Diagonal of A_E, requiring E strictly inside the band window."""
     x = float(E) - np.asarray(model.a, dtype=float)
-    w = model.K - x * x
-    if np.any(w <= 0.0):
+    if np.any(x * x >= model.K):
         raise OutOfBandError(
             f"E={E:g} is not strictly inside |E - a_k| < sqrt(K) "
             "for every orbital"
         )
-    return (x - 1j * np.sqrt(w)) / (2.0 * model.K)
+    return np.diagonal(a_e_matrix(E, model))
+
+
+def eigenvalue_law(ae_diag, basis) -> np.ndarray:
+    """lambda_J = prod_{j<=k} [4 (A_E)_jj (A_E)_kk]^{J_jk} for each J in basis.
+
+    ae_diag is the diagonal of A_E, (m,) or a stack (..., m); the result
+    has shape ae_diag.shape[:-1] + (len(basis),).
+    """
+    d = np.asarray(ae_diag)
+    j, k = np.array(upper_slots(d.shape[-1])).T
+    exps = np.array([J.powers for J in basis])
+    return np.prod((4.0 * d[..., None, j] * d[..., None, k]) ** exps, axis=-1)
 
 
 def lambda_j(E: float, model: BetheStripModel, J: MonomialIndex) -> complex:
     """Eigenvalue of C_E at index J: prod [4 (A_E)_jj (A_E)_kk]^{J_jk}."""
     if J.m != model.m:
         raise ValueError(f"index has m={J.m}, model has m={model.m}")
-    d = _interior_ae_diag(E, model)
-    out = complex(1.0)
-    for power, (j, k) in zip(J.powers, upper_slots(model.m)):
-        if power:
-            out *= (4.0 * d[j] * d[k]) ** power
-    return out
+    return complex(eigenvalue_law(_interior_ae_diag(E, model), [J])[0])
 
 
 def verify_modulus(E: float, model: BetheStripModel, max_degree: int) -> float:
     """Check |lambda_J| = K^{-|J|} and lambda_J != 1/K for |J| <= max_degree.
 
     Returns min_J |lambda_J - 1/K|; raises EigenvalueLawError naming the
-    offending J if either law fails.
+    first offending J in basis order if either law fails.
     """
-    inv_k = 1.0 / model.K
-    min_dist = math.inf
-    for J in enumerate_indices(model.m, max_degree):
-        lam = lambda_j(E, model, J)
-        want = model.K ** (-J.degree)
-        if abs(abs(lam) - want) > MODULUS_RTOL:
+    basis = enumerate_indices(model.m, max_degree)
+    lams = eigenvalue_law(_interior_ae_diag(E, model), basis)
+    degrees = np.array([J.degree for J in basis])
+    wrong = np.abs(np.abs(lams) - float(model.K) ** -degrees) > MODULUS_RTOL
+    dist = np.abs(lams - 1.0 / model.K)
+    bad = wrong | (dist == 0.0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        J = basis[i]
+        if wrong[i]:
             raise EigenvalueLawError(
-                f"|lambda_{J}| = {abs(lam)!r} != K^-{J.degree} = {want!r} "
-                f"at E={E:g}"
+                f"|lambda_{J}| = {abs(complex(lams[i]))!r} != K^-{J.degree} = "
+                f"{model.K ** -J.degree!r} at E={E:g}"
             )
-        dist = abs(lam - inv_k)
-        if dist == 0.0:
-            raise EigenvalueLawError(
-                f"lambda_{J} hit the forbidden value 1/K at E={E:g}"
-            )
-        min_dist = min(min_dist, dist)
-    return min_dist
+        raise EigenvalueLawError(
+            f"lambda_{J} hit the forbidden value 1/K at E={E:g}"
+        )
+    return float(dist.min())
 
 
 def gap_kce(E: float, model: BetheStripModel, max_degree: int) -> float:
@@ -195,29 +203,22 @@ def gap_kce(E: float, model: BetheStripModel, max_degree: int) -> float:
     floor 1 - 1/K valid for every |J| >= 2 (there |K lambda_J| <= 1/K),
     so the result bounds the gap over the full infinite index set.
     """
-    enumerated = min(
-        abs(model.K * lambda_j(E, model, J) - 1.0)
-        for J in enumerate_indices(model.m, max(max_degree, 1))
-    )
-    return min(enumerated, 1.0 - 1.0 / model.K)
+    basis = enumerate_indices(model.m, max(max_degree, 1))
+    lams = eigenvalue_law(_interior_ae_diag(E, model), basis)
+    return min(float(np.abs(model.K * lams - 1.0).min()), 1.0 - 1.0 / model.K)
 
 
 def gap_tensor(E: float, model: BetheStripModel, max_degree: int) -> float:
     """Gap of the second-moment tensor spectrum {K lambda_J conj(lambda_J')}.
 
-    Enumerates pairs with |J| + |J'| <= max(max_degree, 1) and applies
-    the same analytic floor 1 - 1/K for all deeper pairs.
+    It equals :func:`gap_kce`.  By the modulus law |lambda_J| = K^{-|J|},
+    every pair with |J| + |J'| >= 2 has |K lambda_J conj(lambda_J')| <= 1/K,
+    so its distance from 1 is at least the floor 1 - 1/K that gap_kce
+    already applies.  The remaining pairs are (J, 0) and (0, J) with
+    |J| <= 1, and |K conj(lambda_J) - 1| = |K lambda_J - 1|: exactly the
+    terms gap_kce enumerates below that floor.
     """
-    top = max(max_degree, 1)
-    indices = enumerate_indices(model.m, top)
-    lams = [lambda_j(E, model, J) for J in indices]
-    enumerated = min(
-        abs(model.K * lam * np.conj(lam2) - 1.0)
-        for J, lam in zip(indices, lams)
-        for J2, lam2 in zip(indices, lams)
-        if J.degree + J2.degree <= top
-    )
-    return min(float(enumerated), 1.0 - 1.0 / model.K)
+    return gap_kce(E, model, max_degree)
 
 
 @dataclass
@@ -468,9 +469,7 @@ def build_ce_matrix(E, model: BetheStripModel,
         for u in range(model.m):
             entries[e] *= powers[e, u, half[..., u]]
 
-    j, k = np.array(upper_slots(model.m)).T
-    exps = np.array([J.powers for J in basis])
-    want = np.prod((4.0 * diag[:, j] * diag[:, k])[:, None, :] ** exps, axis=-1)
+    want = eigenvalue_law(diag, basis)
     bad = np.abs(np.diagonal(entries, axis1=1, axis2=2) - want) > 1e-8
     if bad.any():
         e, col = np.argwhere(bad)[0]

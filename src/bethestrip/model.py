@@ -268,14 +268,6 @@ class BetheStripModel:
     def sqrt_k(self) -> float:
         return float(np.sqrt(self.K))
 
-    def config_dict(self):
-        return {
-            "K": self.K,
-            "a": list(self.a),
-            "lambda": self.lam,
-            "ensemble": self.ensemble.spec_string(),
-        }
-
 
 def band_intersection(model) -> RealInterval:
     """Common interior of all shifted free bands [a_k - sqrt K, a_k + sqrt K].

@@ -23,7 +23,7 @@ import numpy as np
 from . import ed
 from .free import free_forward_green
 from .linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
-                     require_psd, resolvent)
+                     require_psd, resolvent, symmetry_defect)
 from .rng import TAG_MEASURE, TAG_SWEEP, keyed_rng
 
 DEFAULT_BATCHES = 20
@@ -101,7 +101,7 @@ class PopulationPool:
 
     def validate(self, slack=HERGLOTZ_SLACK):
         """Check the Herglotz and symmetry invariants on every sample."""
-        defect = np.max(np.abs(self.samples - np.swapaxes(self.samples, 1, 2)))
+        defect = symmetry_defect(self.samples)
         if defect > 1e-11:
             raise AssertionError(f"pool symmetry defect {defect:.2e}")
         worst = min_imag_eigenvalue(self.samples)

@@ -18,7 +18,7 @@ from bethestrip.cli import main as cli_main
 from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
 from bethestrip.errors import OutOfBandError
 from bethestrip.fixedpoint import continuation_to_boundary, solve_forward
-from bethestrip.free import free_dos, free_forward_green_boundary
+from bethestrip.free import free_dos, free_forward_green
 from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
 from bethestrip.linearization import (build_ce_matrix, enumerate_indices,
                                       gap_kce, lambda_j)
@@ -56,7 +56,7 @@ def test_criterion_1_free_closed_form(capsys):
     grid_dev = 0.0
     for E in np.linspace(-1.4, 1.4, 200):
         got = continuation_to_boundary(model, float(E))[-1].solution
-        want = free_forward_green_boundary(float(E), model)
+        want = free_forward_green(SpectralPoint(float(E), 0.0), model)
         grid_dev = max(grid_dev, float(np.max(np.abs(got - want))))
     elapsed = time.perf_counter() - start
     ok = center_dev <= 1e-10 and grid_dev <= 1e-10 and elapsed < 1.0
@@ -144,7 +144,7 @@ def test_criterion_4_oracle_equivalence(capsys):
                     pots = draw_site_potentials(model, tree, seed,
                                                 realization=realization)
                     recursed = sample_tree_given(sp, model, tree, pots)
-                    dense = root_green_block(tree, model, pots, sp)
+                    dense = root_green_block(sp, model, tree, pots)
                     worst = max(worst, float(np.max(np.abs(recursed - dense))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 30.0

@@ -360,8 +360,8 @@ class TestCrosscheck:
         sp = SpectralPoint(0.3, 0.05)
         tree = build_tree(2, 3, 2)
         recursed = sample_tree(sp, model, depth=3, seed=1)
-        dense = root_green_block(tree, model,
-                                 draw_site_potentials(model, tree, seed=2), sp)
+        dense = root_green_block(sp, model, tree,
+                                 draw_site_potentials(model, tree, seed=2))
         assert np.max(np.abs(recursed - dense)) > 1e-8
 
 

@@ -180,7 +180,7 @@ class TestGreenSolves:
         V = draw_site_potentials(mod, t, seed=2)
         sp = SpectralPoint(0.3, 0.05)
         H = assemble_operator(t, mod, V).astype(complex)
-        u = green_column(t, mod, V, sp, site=0, orbital=1)
+        u = green_column(sp, mod, t, V, site=0, orbital=1)
         e = np.zeros(t.n_sites * mod.m, dtype=complex)
         e[1] = 1.0
         resid = np.max(np.abs(H @ u - sp.z * u - e))
@@ -191,8 +191,8 @@ class TestGreenSolves:
         t = build_tree(2, 2)
         V = draw_site_potentials(mod, t, seed=3)
         sp = SpectralPoint(-0.2, 0.1)
-        blk = root_green_block(t, mod, V, sp)
-        col0 = green_column(t, mod, V, sp, site=0, orbital=0)
+        blk = root_green_block(sp, mod, t, V)
+        col0 = green_column(sp, mod, t, V, site=0, orbital=0)
         np.testing.assert_allclose(blk[:, 0], col0[: mod.m], atol=1e-12)
         assert np.max(np.abs(blk - blk.T)) < 1e-10
         # Herglotz: positive imaginary part at eta > 0
@@ -209,7 +209,7 @@ class TestGreenSolves:
         sp = SpectralPoint(0.3, 0.05)
         H = dense_operator(t, mod, V)
         want = np.linalg.inv(H - sp.z * np.eye(len(H)))[:m, :m]
-        got = root_green_block(t, mod, V, sp)
+        got = root_green_block(sp, mod, t, V)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
 

@@ -18,7 +18,7 @@ from bethestrip.fixedpoint import (
     continuation_to_boundary,
     solve_forward,
 )
-from bethestrip.free import free_forward_green, free_forward_green_boundary
+from bethestrip.free import a_e_matrix, free_forward_green
 from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
 from bethestrip.linearization import upper_slots
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
@@ -85,7 +85,7 @@ class TestProblem:
                                    free_forward_green(sp, mod))
         prob0 = FixedPointProblem(mod, SpectralPoint(0.3, 0.0))
         np.testing.assert_allclose(prob0.initial_guess(),
-                                   free_forward_green_boundary(0.3, mod))
+                                   -4.0 * a_e_matrix(0.3, mod))
 
 
 class TestPicard:
@@ -273,14 +273,14 @@ class TestContinuation:
         assert last.converged
         assert not last.herglotz
         assert abs(last.solution[0, 0].imag) < 1e-10
-        want = free_forward_green_boundary(E, make_model())[0, 0]
+        want = free_forward_green(SpectralPoint(E), make_model())[0, 0]
         assert last.solution[0, 0] == pytest.approx(want, abs=1e-10)
 
     def test_decoupled_m2_boundary(self):
         mod = make_model(a=(-0.5, 0.5))
         last = continuation_to_boundary(mod, 0.0)[-1]
         np.testing.assert_allclose(last.solution,
-                                   free_forward_green_boundary(0.0, mod),
+                                   free_forward_green(SpectralPoint(0.0), mod),
                                    atol=1e-10)
 
     def test_schedule_validation(self):

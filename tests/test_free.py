@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,11 +10,8 @@ from bethestrip.free import (
     free_char_weight,
     free_dos,
     free_forward_green,
-    free_forward_green_boundary,
     free_full_green,
-    free_full_green_boundary,
     free_pair_char_weight,
-    free_solution,
 )
 from bethestrip.linalg import SpectralPoint
 from bethestrip.model import GOE, BetheStripModel, band_intersection
@@ -25,6 +24,29 @@ def make_model(K=2, a=(0.0,)):
 def quadratic_residual(g, z, a, K):
     """The forward entries must solve (K/4) g^2 + (z - a) g + 1 = 0."""
     return np.abs((K / 4.0) * g * g + (z - a) * g + 1.0)
+
+
+def real_axis(E, model):
+    """Diagonal of the forward Green's matrix at eta = 0."""
+    return np.diagonal(free_forward_green(SpectralPoint(E, 0.0), model))
+
+
+def roots_oracle(E, a, K):
+    """Per orbital, the physical root of (K/4) g^2 + (E - a_k) g + 1 by
+    numpy.roots: in band the root with Im > 0, outside the smaller one."""
+    out = []
+    for ak in a:
+        r = np.roots([K / 4.0, E - ak, 1.0])
+        inside = (E - ak) ** 2 < K
+        out.append(r[np.argmax(r.imag)] if inside else r[np.argmin(np.abs(r))])
+    return np.array(out)
+
+
+PROFILES = {1: (0.1,), 2: (-0.4, 0.3), 3: (-0.5, 0.0, 0.4)}
+
+
+def band_edges(model):
+    return [ak + s * np.sqrt(model.K) for ak in model.a for s in (-1.0, 1.0)]
 
 
 class TestForwardGreen:
@@ -60,25 +82,42 @@ class TestForwardGreen:
         g = free_forward_green(z, make_model())[0, 0]
         assert g == pytest.approx(-1.0 / z.z, rel=1e-4)
 
-    def test_out_of_band_raises(self):
-        with pytest.raises(OutOfBandError):
-            free_forward_green(SpectralPoint(2.0, 0.0), make_model())
-        with pytest.raises(OutOfBandError):
-            free_forward_green(SpectralPoint(np.sqrt(2), 0.0), make_model())
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_real_axis_matches_numpy_roots(self, m, K):
+        mod = make_model(K=K, a=PROFILES[m])
+        edges = band_edges(mod)
+        for E in np.linspace(-3.5, 3.5, 141):
+            if min(abs(E - e) for e in edges) < 1e-3:
+                continue
+            np.testing.assert_allclose(real_axis(E, mod),
+                                       roots_oracle(E, mod.a, K),
+                                       rtol=0, atol=1e-12)
+        # at a band edge the double root is ill-conditioned: float(sqrt K)
+        # rounding moves it by ~1e-8, and numpy.roots by as much again
+        for E in edges:
+            np.testing.assert_allclose(real_axis(E, mod),
+                                       roots_oracle(E, mod.a, K),
+                                       rtol=0, atol=1e-7)
 
     def test_real_axis_limit_matches_boundary(self):
-        mod = make_model(K=2, a=(-0.3, 0.3))
-        for E in (-0.9, 0.0, 0.4, 1.0):
-            lim = free_forward_green(SpectralPoint(E, 1e-9), mod)
-            bnd = free_forward_green_boundary(E, mod)
-            np.testing.assert_allclose(lim, bnd, atol=1e-4)
+        # continuity between eta = 1e-10 and eta = 0 away from the band edges
+        for m, K in itertools.product(PROFILES, (2, 3)):
+            mod = make_model(K=K, a=PROFILES[m])
+            edges = band_edges(mod)
+            for E in np.linspace(-3.5, 3.5, 71):
+                if min(abs(E - e) for e in edges) < 1e-2:
+                    continue
+                near = free_forward_green(SpectralPoint(E, 1e-10), mod)
+                np.testing.assert_allclose(near, np.diag(real_axis(E, mod)),
+                                           rtol=0, atol=1e-8)
 
 
 class TestBoundaryForward:
     def test_real_and_signed_outside(self):
         mod = make_model()
-        g_hi = free_forward_green_boundary(3.0, mod)[0, 0]
-        g_lo = free_forward_green_boundary(-3.0, mod)[0, 0]
+        g_hi = real_axis(3.0, mod)[0]
+        g_lo = real_axis(-3.0, mod)[0]
         assert g_hi.imag == 0.0 and g_hi.real < 0.0
         assert g_lo.imag == 0.0 and g_lo.real > 0.0
         # decaying branch: |g| <= 2/sqrt(K) everywhere
@@ -87,9 +126,9 @@ class TestBoundaryForward:
     def test_continuous_at_edge(self):
         mod = make_model()
         edge = np.sqrt(2)
-        inner = free_forward_green_boundary(edge - 1e-9, mod)[0, 0]
-        outer = free_forward_green_boundary(edge + 1e-9, mod)[0, 0]
-        at = free_forward_green_boundary(edge, mod)[0, 0]
+        inner = real_axis(edge - 1e-9, mod)[0]
+        outer = real_axis(edge + 1e-9, mod)[0]
+        at = real_axis(edge, mod)[0]
         # the sqrt cusp amplifies the ~1e-16 rounding of float(sqrt 2) to ~1e-8
         assert at == pytest.approx(-edge, abs=1e-7)
         assert abs(inner - at) < 1e-4 and abs(outer - at) < 1e-4
@@ -97,7 +136,7 @@ class TestBoundaryForward:
     def test_quadratic_residue_everywhere(self):
         mod = make_model(K=4, a=(-0.2, 0.6))
         for E in np.linspace(-6, 6, 61):
-            g = np.diagonal(free_forward_green_boundary(E, mod))
+            g = real_axis(E, mod)
             res = quadratic_residual(g, complex(E), np.array(mod.a), mod.K)
             assert res.max() < 1e-12
 
@@ -129,7 +168,7 @@ class TestFullGreen:
     def test_dos_vanishes_outside(self):
         mod = make_model()
         assert free_dos(2.5, mod) == 0.0
-        assert free_full_green_boundary(2.5, mod)[0, 0].imag == 0.0
+        assert free_full_green(SpectralPoint(2.5), mod)[0, 0].imag == 0.0
 
 
 class TestBoundaryMatrix:
@@ -205,12 +244,3 @@ class TestCharWeights:
             zp = free_char_weight(sp, mod, Mp)
             zm = free_char_weight(sp, mod, Mm)
             assert xi == pytest.approx(zp * np.conj(zm), abs=1e-13)
-
-
-def test_free_solution_bundle():
-    mod = make_model(K=2, a=(-0.5, 0.5))
-    sol = free_solution(SpectralPoint(0.0, 0.0), mod)
-    assert sol.boundary is not None
-    np.testing.assert_allclose(-4 * sol.boundary, sol.forward, atol=1e-13)
-    sol_eta = free_solution(SpectralPoint(0.0, 0.5), mod)
-    assert sol_eta.boundary is None

@@ -38,6 +38,42 @@ def working_gauss(E, model):
     return -a_e_matrix(E, model)
 
 
+PROFILES = {1: (0.1,), 2: (-0.4, 0.3), 3: (-0.5, 0.0, 0.4)}
+
+
+def window_energies(model):
+    """Energies strictly inside the band-intersection window, two of them
+    near the edges, where some |K lambda_J - 1| drop below 1 - 1/K."""
+    lo = model.a[-1] - np.sqrt(model.K)
+    hi = model.a[0] + np.sqrt(model.K)
+    return lo + (hi - lo) * np.array([1e-3, 0.02, 0.25, 0.5, 0.75, 0.98,
+                                      1 - 1e-3])
+
+
+def loop_lambda(E, model, J):
+    """lambda_J as one product per index, by a loop over the slots."""
+    d = np.diagonal(a_e_matrix(E, model))
+    out = complex(1.0)
+    for power, (j, k) in zip(J.powers, upper_slots(model.m)):
+        if power:
+            out *= (4.0 * d[j] * d[k]) ** power
+    return out
+
+
+def pair_loop_gap(E, model, max_degree):
+    """Brute-force tensor gap over pairs with |J| + |J'| <= max(d, 1)."""
+    top = max(max_degree, 1)
+    indices = enumerate_indices(model.m, top)
+    lams = [loop_lambda(E, model, J) for J in indices]
+    enumerated = min(
+        abs(model.K * lam * np.conj(lam2) - 1.0)
+        for J, lam in zip(indices, lams)
+        for J2, lam2 in zip(indices, lams)
+        if J.degree + J2.degree <= top
+    )
+    return min(float(enumerated), 1.0 - 1.0 / model.K)
+
+
 class TestMonomialIndex:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -123,6 +159,21 @@ class TestLambdaJ:
         with pytest.raises(ValueError):
             lambda_j(0.0, make_model(), MonomialIndex.zero(2))
 
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_law_matches_per_index_product(self, m, K):
+        mod = make_model(K=K, a=PROFILES[m])
+        basis = enumerate_indices(m, 3)
+        energies = window_energies(mod)
+        stack = np.array([np.diagonal(a_e_matrix(E, mod)) for E in energies])
+        law = lin.eigenvalue_law(stack, basis)
+        assert law.shape == (len(energies), len(basis))
+        for E, row in zip(energies, law):
+            want = np.array([loop_lambda(E, mod, J) for J in basis])
+            np.testing.assert_allclose(row, want, rtol=1e-14, atol=0)
+            got = np.array([lambda_j(E, mod, J) for J in basis])
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
 
 class TestVerifyModulus:
     def test_scalar_min_distance(self):
@@ -139,12 +190,13 @@ class TestVerifyModulus:
 
     def test_violation_raises_with_index(self, monkeypatch):
         # break the law only at degree 1 so the offending index is J[1]
-        real = lin.lambda_j
+        real = lin.eigenvalue_law
 
-        def skewed(E, model, J):
-            return 0.9 + 0.0j if J.degree == 1 else real(E, model, J)
+        def skewed(ae_diag, basis):
+            degree_one = np.array([J.degree == 1 for J in basis])
+            return np.where(degree_one, 0.9 + 0.0j, real(ae_diag, basis))
 
-        monkeypatch.setattr(lin, "lambda_j", skewed)
+        monkeypatch.setattr(lin, "eigenvalue_law", skewed)
         with pytest.raises(EigenvalueLawError, match=r"J\[1\]"):
             verify_modulus(0.0, make_model(), 1)
 
@@ -156,6 +208,15 @@ class TestGaps:
             pytest.approx(2.0 / 3.0, abs=1e-12)
         assert gap_tensor(0.0, make_model(), 3) == \
             pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_tensor_equals_pair_loop(self, m, K):
+        mod = make_model(K=K, a=PROFILES[m])
+        for E in window_energies(mod):
+            for d in range(4):
+                assert abs(gap_tensor(E, mod, d)
+                           - pair_loop_gap(E, mod, d)) <= 1e-15
 
     def test_degree_zero_still_sees_first_level(self):
         mod = make_model()

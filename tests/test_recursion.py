@@ -81,7 +81,7 @@ class TestSampleTree:
                 tree = ed.build_tree(K, L, m)
                 V = ed.draw_site_potentials(mod, tree, seed=11, realization=2)
                 rec = sample_tree_given(sp, mod, tree, V)
-                direct = ed.root_green_block(tree, mod, V, sp)
+                direct = ed.root_green_block(sp, mod, tree, V)
                 np.testing.assert_allclose(rec, direct, atol=1e-10)
 
     def test_redraws_identically(self):
