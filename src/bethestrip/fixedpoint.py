@@ -6,15 +6,17 @@ of the infinite tree satisfies the matrix equation
     G = [A + lam*V0 - z - (K/4) G]^{-1},
 
 a finite-dimensional fixed-point problem on complex symmetric m x m
-matrices.  This module solves it by damped iteration (robust far from
-the solution) and Newton's method (quadratic near it), and continues
-the solution in the spectral parameter down to the real axis, tracking
-the dissipative branch Im G >= 0.
+matrices.  :func:`solve_forward` solves it in one loop that evaluates
+the map once per iterate: damped steps (robust far from the solution)
+until the residual drops below ``switch``, then Newton steps on vec(G)
+(quadratic near it).  :func:`continuation_to_boundary` continues the
+solution in the spectral parameter down to the real axis, tracking the
+dissipative branch Im G >= 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,8 +29,8 @@ from .errors import (
     UnsupportedEnsembleError,
 )
 from .free import free_forward_green
-from .linalg import HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue, resolvent
-from .linearization import upper_slots
+from .linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
+                     resolvent, sym_part)
 from .model import BetheStripModel, PointMass
 
 #: Default residual tolerance (max-norm of G - map(G)) for a converged solve.
@@ -80,16 +82,13 @@ class FixedPointProblem:
     def z(self) -> complex:
         return self.point.z
 
-    def onsite_matrix(self) -> np.ndarray:
-        """A + lam*V0, the deterministic on-site block."""
+    @cached_property
+    def _shifted_onsite(self) -> np.ndarray:
+        """A + lam*V0 - z, the deterministic on-site block shifted by z."""
         B = np.array(self.model.a_matrix, dtype=float)
         if self.model.lam != 0.0:
             B = B + self.model.lam * self.model.ensemble.matrix
-        return B
-
-    @cached_property
-    def _shifted_onsite(self) -> np.ndarray:
-        return self.onsite_matrix() - self.z * np.eye(self.model.m)
+        return B - self.z * np.eye(self.model.m)
 
     def forward_map(self, G: np.ndarray) -> np.ndarray:
         """Apply G -> [A + lam*V0 - z - (K/4) G]^{-1} once."""
@@ -105,12 +104,6 @@ class FixedPointProblem:
             )
         return np.array([[out]])
 
-    def residual_matrix(self, G: np.ndarray) -> np.ndarray:
-        return G - self.forward_map(G)
-
-    def residual_norm(self, G: np.ndarray) -> float:
-        return float(np.abs(self.residual_matrix(G)).max())
-
     def initial_guess(self) -> np.ndarray:
         """The stored initial guess, or the lam=0 closed form at ``point``."""
         if self.initial is not None:
@@ -122,20 +115,20 @@ class FixedPointProblem:
 class SolveReport:
     """Outcome of one deterministic solve.
 
-    ``residual`` is an independent re-evaluation of max|G - map(G)| at
-    the returned solution, so ``converged`` certifies the solution
-    rather than trusting loop bookkeeping.  ``min_imag_eig`` is
-    min eig(Im G) at the solution, computed once per solve.
+    ``residual_history[i]`` is max|G - map(G)| at iterate i, so it holds
+    ``iterations + 1`` entries; ``residual`` is the last one, at the
+    returned solution, and is at most the solve's ``tol`` (a solve that
+    does not converge raises).  ``min_imag_eig`` is min eig(Im G) at the
+    solution, computed once per solve.
     """
 
     solution: np.ndarray
     residual: float
     iterations: int
     method: str
-    converged: bool
     z: complex
     min_imag_eig: float
-    residual_history: tuple = field(default=())
+    residual_history: tuple = ()
 
     @property
     def herglotz(self) -> bool:
@@ -143,99 +136,20 @@ class SolveReport:
         return self.min_imag_eig > BOUNDARY_IMAG_FLOOR
 
 
-def _report(problem: FixedPointProblem, G: np.ndarray, iterations: int,
-            method: str, tol: float, history) -> SolveReport:
-    residual = problem.residual_norm(G)
-    return SolveReport(
-        solution=G,
-        residual=residual,
-        iterations=iterations,
-        method=method,
-        converged=bool(residual <= tol),
-        z=problem.z,
-        min_imag_eig=min_imag_eigenvalue(G),
-        residual_history=tuple(history),
-    )
+def _jacobian(problem: FixedPointProblem, Phi: np.ndarray) -> np.ndarray:
+    """Exact Jacobian I - (K/4) Phi (x) Phi of R(G) = G - map(G) on vec(G).
 
-
-def _picard_loop(problem: FixedPointProblem, G: np.ndarray, damping: float,
-                 tol: float, max_iter: int):
-    """Run the damped iteration; one map evaluation per step.
-
-    Returns (G, iterations, history, converged) where the residual in
-    ``history[i]`` is measured at the iterate reached after i steps.
+    d map(G)[dG] = (K/4) Phi dG Phi with Phi = map(G), by the derivative of
+    the matrix inverse; vec is row-major and Phi is symmetric.  The map
+    X -> Phi X Phi preserves symmetric and skew matrices, and its skew
+    eigenvalues phi_i phi_j (i < j, phi the eigenvalues of Phi) are among
+    its symmetric ones (i <= j).  So this m^2 x m^2 system is singular
+    exactly when its restriction to symmetric dG is, and for a symmetric
+    residual its solution is the symmetric Newton step.
     """
-    history = []
-    for it in range(max_iter + 1):
-        Phi = problem.forward_map(G)
-        history.append(float(np.abs(G - Phi).max()))
-        if history[-1] <= tol:
-            return G, it, history, True
-        if it == max_iter:
-            break
-        G = (1.0 - damping) * G + damping * Phi
-    return G, max_iter, history, False
-
-
-def _vec_upper(M: np.ndarray, slots) -> np.ndarray:
-    return np.array([M[j, k] for j, k in slots])
-
-
-def _sym_from_upper(v: np.ndarray, m: int, slots) -> np.ndarray:
-    G = np.zeros((m, m), dtype=complex)
-    for val, (j, k) in zip(v, slots):
-        G[j, k] = val
-        G[k, j] = val
-    return G
-
-
-def _jacobian(problem: FixedPointProblem, Phi: np.ndarray, slots) -> np.ndarray:
-    """Exact Jacobian of R(G) = G - map(G) on upper-triangle coordinates.
-
-    d map(G)[dG] = (K/4) * Phi dG Phi with Phi = map(G), by the
-    derivative of the matrix inverse, so each column is the upper
-    triangle of dG - (K/4) Phi dG Phi for a symmetric unit direction.
-    """
-    m = problem.model.m
-    quarter_k = 0.25 * problem.model.K
-    J = np.empty((len(slots), len(slots)), dtype=complex)
-    for c, (j, k) in enumerate(slots):
-        dG = np.zeros((m, m), dtype=complex)
-        dG[j, k] = 1.0
-        dG[k, j] = 1.0
-        dR = dG - quarter_k * (Phi @ dG @ Phi)
-        J[:, c] = _vec_upper(dR, slots)
-    return J
-
-
-def _newton_loop(problem: FixedPointProblem, G: np.ndarray, tol: float,
-                 max_iter: int):
-    """Newton iteration; raises SingularJacobianError on a failed step."""
-    m = problem.model.m
-    slots = upper_slots(m)
-    history = []
-    for it in range(max_iter + 1):
-        Phi = problem.forward_map(G)
-        R = G - Phi
-        history.append(float(np.abs(R).max()))
-        if history[-1] <= tol:
-            return G, it, history, True
-        if it == max_iter:
-            break
-        J = _jacobian(problem, Phi, slots)
-        try:
-            step = np.linalg.solve(J, -_vec_upper(R, slots))
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(
-                f"singular Newton Jacobian at z={problem.z} "
-                f"(residual {history[-1]:.3e})"
-            ) from exc
-        if not np.isfinite(step).all():
-            raise SingularJacobianError(
-                f"non-finite Newton step at z={problem.z}"
-            )
-        G = G + _sym_from_upper(step, m, slots)
-    return G, max_iter, history, False
+    m = len(Phi)
+    outer = (Phi[:, None, :, None] * Phi[None, :, None, :]).reshape(m * m, m * m)
+    return np.eye(m * m) - 0.25 * problem.model.K * outer
 
 
 def solve_forward(model: BetheStripModel, point: SpectralPoint,
@@ -244,38 +158,70 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
                   tol: float = SOLVE_TOL,
                   picard_max_iter: int = DEFAULT_PICARD_MAX_ITER,
                   newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> SolveReport:
-    """Damped iteration down to ``switch``, then Newton down to ``tol``.
+    """Damped steps while the residual exceeds ``switch``, then Newton, to ``tol``.
 
-    The damped step G <- (1-damping) G + damping * map(G) converges globally
-    for eta not too small; near the real axis the slowest linearized mode
-    approaches modulus one, which is where Newton takes over.  ``switch=tol``
-    runs the damped iteration alone, ``switch=math.inf`` Newton alone.
+    One loop evaluates Phi = map(G) once per iterate and stops as soon as
+    max|G - Phi| <= tol.  The damped step G <- (1-damping) G + damping * Phi
+    converges globally for eta not too small; near the real axis the
+    slowest linearized mode approaches modulus one, which is where Newton
+    takes over, and once it has it keeps the loop.  ``switch=tol`` runs the
+    damped iteration alone, ``switch=math.inf`` Newton alone.  At most
+    ``picard_max_iter`` damped and ``newton_max_iter`` Newton steps are taken.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError(f"damping must lie in (0, 1], got {damping}")
     problem = FixedPointProblem(model, point, initial)
     G = problem.initial_guess()
-    G, p_it, p_hist, ok = _picard_loop(problem, G, damping, switch,
-                                       picard_max_iter)
-    if not ok:
-        raise NoConvergenceError(
-            f"damped iteration stalled above switch={switch} after "
-            f"{picard_max_iter} steps at z={problem.z} "
-            f"(last residual {p_hist[-1]:.3e})",
-            residual=p_hist[-1],
-            iterations=picard_max_iter,
-        )
-    if p_hist[-1] <= tol:
-        return _report(problem, G, p_it, "picard", tol, p_hist)
-    G, n_it, n_hist, ok = _newton_loop(problem, G, tol, newton_max_iter)
-    if not ok:
-        raise NoConvergenceError(
-            f"Newton did not reach tol={tol} in {newton_max_iter} steps at "
-            f"z={problem.z} (last residual {n_hist[-1]:.3e})",
-            residual=n_hist[-1],
-            iterations=newton_max_iter,
-        )
-    return _report(problem, G, p_it + n_it, "newton", tol, p_hist + n_hist)
+    history = []
+    picard_steps = newton_steps = 0
+    while True:
+        Phi = problem.forward_map(G)
+        R = G - Phi
+        residual = float(np.abs(R).max())
+        history.append(residual)
+        if residual <= tol:
+            break
+        if newton_steps == 0 and residual > switch:
+            if picard_steps == picard_max_iter:
+                raise NoConvergenceError(
+                    f"damped iteration stalled above switch={switch} after "
+                    f"{picard_max_iter} steps at z={problem.z} "
+                    f"(last residual {residual:.3e})",
+                    residual=residual,
+                    iterations=picard_max_iter,
+                )
+            G = (1.0 - damping) * G + damping * Phi
+            picard_steps += 1
+            continue
+        if newton_steps == newton_max_iter:
+            raise NoConvergenceError(
+                f"Newton did not reach tol={tol} in {newton_max_iter} steps at "
+                f"z={problem.z} (last residual {residual:.3e})",
+                residual=residual,
+                iterations=newton_max_iter,
+            )
+        try:
+            step = np.linalg.solve(_jacobian(problem, Phi), -R.ravel())
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(
+                f"singular Newton Jacobian at z={problem.z} "
+                f"(residual {residual:.3e})"
+            ) from exc
+        if not np.isfinite(step).all():
+            raise SingularJacobianError(
+                f"non-finite Newton step at z={problem.z}"
+            )
+        G = G + sym_part(step.reshape(G.shape))
+        newton_steps += 1
+    return SolveReport(
+        solution=G,
+        residual=residual,
+        iterations=picard_steps + newton_steps,
+        method="newton" if newton_steps else "picard",
+        z=problem.z,
+        min_imag_eig=min_imag_eigenvalue(G),
+        residual_history=tuple(history),
+    )
 
 
 def continuation_to_boundary(model: BetheStripModel, E: float,

@@ -201,24 +201,14 @@ def gap_kce(E: float, model: BetheStripModel, max_degree: int) -> float:
 
     Enumerates |J| <= max(max_degree, 1) and combines with the analytic
     floor 1 - 1/K valid for every |J| >= 2 (there |K lambda_J| <= 1/K),
-    so the result bounds the gap over the full infinite index set.
+    so the result bounds the gap over the full infinite index set.  It is
+    also the gap of the second-moment tensor spectrum {K lambda_J
+    conj(lambda_J')}: pairs with |J| + |J'| >= 2 have modulus <= 1/K, under
+    the floor, and the pairs (J, 0), (0, J) give the terms |K lambda_J - 1|.
     """
     basis = enumerate_indices(model.m, max(max_degree, 1))
     lams = eigenvalue_law(_interior_ae_diag(E, model), basis)
     return min(float(np.abs(model.K * lams - 1.0).min()), 1.0 - 1.0 / model.K)
-
-
-def gap_tensor(E: float, model: BetheStripModel, max_degree: int) -> float:
-    """Gap of the second-moment tensor spectrum {K lambda_J conj(lambda_J')}.
-
-    It equals :func:`gap_kce`.  By the modulus law |lambda_J| = K^{-|J|},
-    every pair with |J| + |J'| >= 2 has |K lambda_J conj(lambda_J')| <= 1/K,
-    so its distance from 1 is at least the floor 1 - 1/K that gap_kce
-    already applies.  The remaining pairs are (J, 0) and (0, J) with
-    |J| <= 1, and |K conj(lambda_J) - 1| = |K lambda_J - 1|: exactly the
-    terms gap_kce enumerates below that floor.
-    """
-    return gap_kce(E, model, max_degree)
 
 
 @dataclass

@@ -40,16 +40,42 @@ def herglotz_quadratic_root(K, z, b):
     return complex(upper[0])
 
 
+def onsite(model):
+    """B = A + lam*V0, built from the model."""
+    B = np.array(model.a_matrix, dtype=float)
+    if model.lam != 0.0:
+        B = B + model.lam * model.ensemble.matrix
+    return B
+
+
+def raw_residual(model, z, G):
+    """G - [B - z - (K/4) G]^{-1} through a plain inverse, for any square G."""
+    return G - np.linalg.inv(onsite(model) - z * np.eye(len(G)) - 0.25 * model.K * G)
+
+
+def random_complex_symmetric(m, rng):
+    return random_symmetric(m, rng) + 1j * (random_symmetric(m, rng)
+                                            + 2.0 * np.eye(m))
+
+
+def m3_point_mass():
+    V0 = ((0.5, -0.3, 0.1), (-0.3, -0.2, 0.25), (0.1, 0.25, 0.4))
+    return make_model(K=3, a=(-0.6, 0.0, 0.5), lam=1.3, ensemble=PointMass(V0))
+
+
+def bench_point_mass():
+    """The m = 2 point mass of the benchmark's continuation workload."""
+    V0 = ((0.3, 0.1), (0.1, -0.2))
+    return make_model(K=2, a=(-0.5, 0.5), lam=0.7, ensemble=PointMass(V0))
+
+
 def diagonalized_solution(model, z):
     """Independent closed form for the point-mass fixed point.
 
     The equation only involves B = A + lam*V0, so in B's orthogonal
     eigenbasis it decouples into scalar quadratics, one per eigenvalue.
     """
-    B = np.array(model.a_matrix, dtype=float)
-    if model.lam != 0.0:
-        B = B + model.lam * model.ensemble.matrix
-    evals, U = np.linalg.eigh(B)
+    evals, U = np.linalg.eigh(onsite(model))
     g = np.array([herglotz_quadratic_root(model.K, z, b) for b in evals])
     return U @ np.diag(g) @ U.T
 
@@ -63,7 +89,9 @@ class TestProblem:
     def test_lam_zero_any_ensemble_ok(self):
         prob = FixedPointProblem(make_model(lam=0.0, ensemble=GOE()),
                                  SpectralPoint(0.0, 1.0))
-        assert prob.onsite_matrix() == pytest.approx(np.zeros((1, 1)))
+        # forward_map(0) = (A + lam*V0 - z)^-1 = (0 - i)^-1
+        assert prob.forward_map(np.zeros((1, 1))) == pytest.approx(
+            np.array([[1j]]))
 
     def test_initial_shape_checked(self):
         with pytest.raises(ValueError):
@@ -74,8 +102,10 @@ class TestProblem:
         V0 = ((0.2, 0.1), (0.1, -0.3))
         mod = make_model(a=(-0.5, 0.5), lam=2.0, ensemble=PointMass(V0))
         prob = FixedPointProblem(mod, SpectralPoint(0.0, 1.0))
-        want = np.array([[-0.5 + 0.4, 0.2], [0.2, 0.5 - 0.6]])
-        np.testing.assert_allclose(prob.onsite_matrix(), want)
+        onsite = np.array([[-0.5 + 0.4, 0.2], [0.2, 0.5 - 0.6]])
+        np.testing.assert_allclose(prob.forward_map(np.zeros((2, 2))),
+                                   np.linalg.inv(onsite - 1j * np.eye(2)),
+                                   rtol=1e-14)
 
     def test_default_guess_is_free_solution(self):
         mod = make_model(a=(-0.5, 0.5))
@@ -95,8 +125,7 @@ class TestPicard:
         rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
                             np.zeros((1, 1)), switch=1e-12, tol=1e-12)
         assert rep.method == "picard"
-        assert rep.converged
-        assert rep.residual < 1e-12
+        assert rep.residual <= 1e-12
         assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
                                                    abs=1e-11)
 
@@ -120,7 +149,7 @@ class TestPicard:
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 solve_forward(mod, sp, damping=bad)
-        assert solve_forward(mod, sp, damping=1.0).converged
+        assert solve_forward(mod, sp, damping=1.0).residual <= fp.SOLVE_TOL
 
     def test_no_convergence_reports_residual(self):
         with pytest.raises(NoConvergenceError) as ei:
@@ -158,33 +187,50 @@ class TestNewton:
         prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0))
         g = 1j * (np.sqrt(3) - 1)
         Phi = prob.forward_map(np.array([[g]]))
-        J = fp._jacobian(prob, Phi, upper_slots(1))
+        J = fp._jacobian(prob, Phi)
         assert J[0, 0] == pytest.approx(3 - np.sqrt(3), abs=1e-10)
 
     def test_jacobian_matches_finite_differences(self, rng):
+        # every unit direction of vec(G), skew ones included, through a plain
+        # inverse: forward_map symmetrizes, so it only sees symmetric dG
         V0 = ((0.3, -0.2, 0.0), (-0.2, 0.1, 0.4), (0.0, 0.4, -0.5))
         mod = make_model(K=3, a=(-0.4, 0.0, 0.6), lam=0.8,
                          ensemble=PointMass(V0))
-        prob = FixedPointProblem(mod, SpectralPoint(0.2, 0.5))
-        G = random_symmetric(3, rng) + 1j * (random_symmetric(3, rng)
-                                             + 2.0 * np.eye(3))
-        slots = upper_slots(3)
-        J = fp._jacobian(prob, prob.forward_map(G), slots)
+        z = 0.2 + 0.5j
+        G = random_complex_symmetric(3, rng)
+        J = fp._jacobian(FixedPointProblem(mod, SpectralPoint.from_z(z)),
+                         G - raw_residual(mod, z, G))
         h = 1e-7
-        for c, (j, k) in enumerate(slots):
-            dG = np.zeros((3, 3), dtype=complex)
+        for c in range(9):
+            dG = np.zeros(9, dtype=complex)
+            dG[c] = 1.0
+            dG = dG.reshape(3, 3)
+            num = (raw_residual(mod, z, G + h * dG)
+                   - raw_residual(mod, z, G - h * dG)) / (2 * h)
+            np.testing.assert_allclose(num.ravel(), J[:, c], atol=1e-6)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_jacobian_matches_upper_slot_columns(self, m, rng):
+        # oracle: the Jacobian built one symmetric unit direction at a time
+        # and read on upper-triangle coordinates
+        mod = make_model(K=3, a=(-0.4, 0.0, 0.6)[:m])
+        prob = FixedPointProblem(mod, SpectralPoint(0.2, 0.5))
+        Phi = prob.forward_map(random_complex_symmetric(m, rng))
+        J = fp._jacobian(prob, Phi)
+        slots = upper_slots(m)
+        for j, k in slots:
+            dG = np.zeros((m, m), dtype=complex)
             dG[j, k] = dG[k, j] = 1.0
-            num = (prob.residual_matrix(G + h * dG)
-                   - prob.residual_matrix(G - h * dG)) / (2 * h)
-            np.testing.assert_allclose(fp._vec_upper(num, slots), J[:, c],
-                                       atol=1e-6)
+            want = dG - 0.25 * mod.K * (Phi @ dG @ Phi)
+            got = (J @ dG.ravel()).reshape(m, m)
+            np.testing.assert_allclose([got[r, s] for r, s in slots],
+                                       [want[r, s] for r, s in slots],
+                                       rtol=1e-14, atol=1e-15)
 
     def test_quadratic_tail(self):
         rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
                             np.array([[1j]]), switch=math.inf)
-        # the zero-step damped phase records r0 once before Newton repeats it
-        assert rep.residual_history[0] == rep.residual_history[1]
-        hist = rep.residual_history[1:]
+        hist = rep.residual_history
         pairs = [(hist[i], hist[i + 1]) for i in range(len(hist) - 1)
                  if hist[i + 1] > 1e-14]
         assert len(pairs) >= 2
@@ -201,6 +247,14 @@ class TestNewton:
             solve_forward(mod, SpectralPoint(2.0, 0.0), start,
                           switch=math.inf)
 
+    def test_singular_jacobian_detected_m2(self):
+        # a = (0, 0.5), K = 4, z = 2: G = -3 I maps to Phi = diag(1, 2/3), so
+        # the (0, 0) entry of I - Phi (x) Phi is 1 - 1*1 = 0 exactly.
+        mod = make_model(K=4, a=(0.0, 0.5))
+        with pytest.raises(SingularJacobianError):
+            solve_forward(mod, SpectralPoint(2.0, 0.0),
+                          -3.0 * np.eye(2, dtype=complex), switch=math.inf)
+
     def test_no_convergence_raises(self):
         with pytest.raises(NoConvergenceError) as ei:
             solve_forward(make_model(), SpectralPoint(0.0, 1.0),
@@ -215,7 +269,6 @@ class TestSolveForward:
         rep = solve_forward(mod, SpectralPoint(2.0, 0.1),
                             np.zeros((1, 1), dtype=complex))
         assert rep.method == "newton"
-        assert rep.converged
         assert rep.residual <= 1e-11
         want = herglotz_quadratic_root(2, 2 + 0.1j, 1.0)
         assert rep.solution[0, 0] == pytest.approx(want, abs=1e-11)
@@ -226,12 +279,10 @@ class TestSolveForward:
         rep = solve_forward(mod, sp, free_forward_green(sp, mod))
         assert rep.method == "picard"
         assert rep.iterations == 0
-        assert rep.converged
+        assert rep.residual <= fp.SOLVE_TOL
 
     def test_diagonalization_oracle_m3(self):
-        V0 = ((0.5, -0.3, 0.1), (-0.3, -0.2, 0.25), (0.1, 0.25, 0.4))
-        mod = make_model(K=3, a=(-0.6, 0.0, 0.5), lam=1.3,
-                         ensemble=PointMass(V0))
+        mod = m3_point_mass()
         sp = SpectralPoint(0.4, 0.2)
         rep = solve_forward(mod, sp)
         np.testing.assert_allclose(rep.solution,
@@ -239,12 +290,37 @@ class TestSolveForward:
                                    atol=1e-10)
         assert rep.herglotz
 
+    @pytest.mark.parametrize("switch, method", [
+        (fp.SOLVE_TOL, "picard"), (fp.NEWTON_SWITCH, "newton"),
+        (math.inf, "newton")], ids=["damped", "mixed", "newton"])
+    def test_history_one_entry_per_iterate(self, switch, method, monkeypatch):
+        seen = []
+        real = FixedPointProblem.forward_map
+
+        def recording(self, G):
+            Phi = real(self, G)
+            seen.append((G.copy(), float(np.abs(G - Phi).max())))
+            return Phi
+
+        monkeypatch.setattr(FixedPointProblem, "forward_map", recording)
+        rep = solve_forward(bench_point_mass(), SpectralPoint(0.3, 0.4),
+                            np.zeros((2, 2), dtype=complex), switch=switch)
+        assert rep.method == method
+        assert len(seen) == len(rep.residual_history) == rep.iterations + 1
+        assert list(rep.residual_history) == [r for _, r in seen]
+        np.testing.assert_array_equal(seen[-1][0], rep.solution)
+        assert rep.residual == rep.residual_history[-1] <= fp.SOLVE_TOL
+        if switch == fp.NEWTON_SWITCH:
+            # the first step was damped, and a later one Newton
+            assert rep.residual_history[0] > switch
+
     def test_report_certificate(self):
         mod = make_model()
         rep = solve_forward(mod, SpectralPoint(0.3, 0.8))
         prob = FixedPointProblem(mod, SpectralPoint(0.3, 0.8))
-        assert rep.residual == pytest.approx(prob.residual_norm(rep.solution))
-        assert rep.converged == (rep.residual <= 1e-11)
+        G = rep.solution
+        assert rep.residual == float(np.abs(G - prob.forward_map(G)).max())
+        assert rep.residual <= fp.SOLVE_TOL
         assert rep.z == 0.3 + 0.8j
 
 
@@ -260,7 +336,7 @@ class TestContinuation:
         assert etas[-2] >= 1e-8 and etas[-1] == 0.0
         assert all(b < a for a, b in zip(etas[:-1], etas[1:]))
         for rep in reports:
-            assert rep.converged
+            assert rep.residual <= fp.SOLVE_TOL
             low = min_imag_eigenvalue(rep.solution)
             assert low >= -1e-10
             if rep.z.imag > 0:
@@ -270,7 +346,7 @@ class TestContinuation:
         E = np.sqrt(2.0) + 0.5
         reports = continuation_to_boundary(make_model(), E)
         last = reports[-1]
-        assert last.converged
+        assert last.residual <= fp.SOLVE_TOL
         assert not last.herglotz
         assert abs(last.solution[0, 0].imag) < 1e-10
         want = free_forward_green(SpectralPoint(E), make_model())[0, 0]
@@ -282,6 +358,17 @@ class TestContinuation:
         np.testing.assert_allclose(last.solution,
                                    free_forward_green(SpectralPoint(0.0), mod),
                                    atol=1e-10)
+
+    @pytest.mark.parametrize("model", [bench_point_mass, m3_point_mass],
+                             ids=["m2", "m3"])
+    def test_matches_diagonalized_solution(self, model):
+        mod = model()
+        for E in (-2.2, -1.1, -0.35, 0.0, 0.6, 1.45, 2.3):
+            for rep in continuation_to_boundary(mod, E):
+                if rep.z.imag > 0:
+                    np.testing.assert_allclose(
+                        rep.solution, diagonalized_solution(mod, rep.z),
+                        atol=1e-10, rtol=0)
 
     def test_schedule_validation(self):
         mod = make_model()
@@ -305,7 +392,7 @@ class TestContinuation:
         def wrong_branch(model, point, initial=None, **kw):
             sol = np.array([[-1j]])
             return SolveReport(solution=sol, residual=0.0, iterations=1,
-                               method="newton", converged=True, z=point.z,
+                               method="newton", z=point.z,
                                min_imag_eig=-1.0, residual_history=(0.0,))
 
         monkeypatch.setattr(fp, "solve_forward", wrong_branch)

@@ -22,7 +22,6 @@ from bethestrip.linearization import (
     ce_apply_symbol,
     enumerate_indices,
     gap_kce,
-    gap_tensor,
     lambda_j,
     upper_slots,
     verify_modulus,
@@ -206,8 +205,6 @@ class TestGaps:
         assert gap_kce(0.0, make_model(), 3) == pytest.approx(0.5, abs=1e-12)
         assert gap_kce(0.0, make_model(K=3), 3) == \
             pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert gap_tensor(0.0, make_model(), 3) == \
-            pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("K", [2, 3])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -215,13 +212,12 @@ class TestGaps:
         mod = make_model(K=K, a=PROFILES[m])
         for E in window_energies(mod):
             for d in range(4):
-                assert abs(gap_tensor(E, mod, d)
+                assert abs(gap_kce(E, mod, d)
                            - pair_loop_gap(E, mod, d)) <= 1e-15
 
     def test_degree_zero_still_sees_first_level(self):
         mod = make_model()
         assert gap_kce(0.0, mod, 0) == gap_kce(0.0, mod, 1)
-        assert gap_tensor(0.0, mod, 0) == gap_tensor(0.0, mod, 1)
 
     def test_floor_caps_gap(self):
         # At K=2, E=0 the enumerated distances are >= 1, so the reported
@@ -233,15 +229,12 @@ class TestGaps:
         lo, hi = 0.4 - np.sqrt(2.0), -0.3 + np.sqrt(2.0)
         grid = np.linspace(lo + 1e-9, hi - 1e-9, 100)
         assert all(gap_kce(E, mod, 2) > 0 for E in grid)
-        assert all(gap_tensor(E, mod, 2) > 0 for E in grid)
         # Approaching the upper edge the gap scales like sqrt(hi - E);
         # sample below the floor 1 - 1/K (where the enumerated minimum
         # is active) and require strict monotone decay to ~0.
         approach = [hi - 10.0 ** (-2 - 0.5 * i) for i in range(10)]
         tail_k = [gap_kce(E, mod, 2) for E in approach]
-        tail_t = [gap_tensor(E, mod, 2) for E in approach]
         assert all(b < a for a, b in zip(tail_k, tail_k[1:]))
-        assert all(b < a for a, b in zip(tail_t, tail_t[1:]))
         # sqrt scaling: at 10^-6.5 from the edge the gap is ~2e-3
         assert tail_k[-1] < 2e-3
         with pytest.raises(OutOfBandError):
