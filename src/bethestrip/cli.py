@@ -40,7 +40,7 @@ from .errors import (BetheStripError, ConfigError, OutOfBandError,
                      UnsupportedEnsembleError)
 from .free import a_e_matrix, free_forward_green, free_full_green
 from .linalg import SpectralPoint
-from .linearization import gap_kce, build_ce_matrix, verify_modulus
+from .linearization import build_ce_matrix, eigenvalue_gaps, enumerate_indices
 from .model import BetheStripModel, parse_ensemble_spec
 from .recursion import eta_continuation, ac_indicator, sample_tree_given
 from .rng import child_seed
@@ -444,13 +444,12 @@ def _cmd_gap_scan(cfg: RunConfig) -> CommandResult:
     header = ["E", "gap_kce", "gap_tensor", "min_dist_inv_k"]
     rows = []
     skipped = 0
+    basis = enumerate_indices(cfg.model.m, max(cfg.degree, 1))
     for E in cfg.e_values:
         try:
-            gap = gap_kce(float(E), cfg.model, cfg.degree)
-            # gap_kce is also the second-moment tensor gap (its docstring)
-            rows.append([float(E), gap, gap,
-                         verify_modulus(float(E), cfg.model,
-                                        max(cfg.degree, 1))])
+            gap, dist = eigenvalue_gaps(float(E), cfg.model, basis)
+            # gap_kce is also the second-moment tensor gap (eigenvalue_gaps)
+            rows.append([float(E), gap, gap, dist])
         except OutOfBandError:
             skipped += 1
     warnings = []

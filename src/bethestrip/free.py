@@ -5,14 +5,14 @@ orbital and solves the scalar quadratic (K/4) g^2 + (z - a_k) g + 1 = 0.  The
 physical root is the one in the upper half plane for eta > 0; eta = 0 means
 the real-axis limit eta -> 0+, which exists at every real energy: -4 A_E
 inside a band, the real decaying root outside.  Everything else here -- the
-full-lattice Green's matrix, the boundary matrix A_E and the Gaussian
-characteristic weights -- is a short formula on top of that root.
+full-lattice Green's matrix, the boundary matrix A_E and the density of
+states -- is a short formula on top of that root.
 """
 
 import numpy as np
 
 from .errors import OutOfBandError
-from .linalg import SpectralPoint, require_psd, sqrt_upper
+from .linalg import SpectralPoint, sqrt_upper
 
 
 def _in_band_root(x, K):
@@ -84,30 +84,4 @@ def free_dos(sp_or_E, model):
         sp = SpectralPoint(float(sp_or_E))
     full = free_full_green(sp, model)
     return float(np.trace(full).imag / (model.m * np.pi))
-
-
-def free_char_weight(sp: SpectralPoint, model, M):
-    """exp((i/4) Tr(G0 M)) for PSD symmetric M: the free characteristic weight.
-
-    This is the Gaussian fixed-point value of the disorder-averaged
-    characteristic function of the forward Green's matrix; at lam = 0 the
-    average is the deterministic free value.
-    """
-    M = require_psd(M, "M")
-    g = np.diagonal(free_forward_green(sp, model))
-    return complex(np.exp(0.25j * np.sum(g * np.diagonal(M))))
-
-
-def free_pair_char_weight(sp: SpectralPoint, model, Mp, Mm):
-    """exp((i/4)(Tr(G0 Mp) - Tr(conj(G0) Mm))), the two-sided free weight.
-
-    The pair weight factorizes into a holomorphic and an anti-holomorphic
-    free factor; its boundary behavior is what separates point spectrum from
-    absolutely continuous spectrum.
-    """
-    Mp = require_psd(Mp, "Mp")
-    Mm = require_psd(Mm, "Mm")
-    g = np.diagonal(free_forward_green(sp, model))
-    t = np.sum(g * np.diagonal(Mp)) - np.sum(np.conj(g) * np.diagonal(Mm))
-    return complex(np.exp(0.25j * t))
 

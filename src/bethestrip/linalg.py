@@ -39,11 +39,6 @@ class SpectralPoint:
     def z(self) -> complex:
         return complex(self.E, self.eta)
 
-    @classmethod
-    def from_z(cls, z) -> "SpectralPoint":
-        z = complex(z)
-        return cls(z.real, z.imag)
-
     def __str__(self):
         return f"{self.E:g}+{self.eta:g}i"
 

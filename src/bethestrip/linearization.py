@@ -51,7 +51,7 @@ from .errors import (
 from .free import a_e_matrix
 from .model import BetheStripModel
 
-#: Tolerance on | |lambda_J| - K^{-|J|} | in verify_modulus.
+#: Tolerance on | |lambda_J| - K^{-|J|} | in eigenvalue_gaps.
 MODULUS_RTOL = 1e-12
 #: Largest monomial basis build_ce_matrix will assemble.
 MAX_BASIS = 500
@@ -106,11 +106,6 @@ class MonomialIndex:
     @classmethod
     def zero(cls, m: int) -> "MonomialIndex":
         return cls(m=m, powers=(0,) * slot_count(m))
-
-    def power(self, j: int, k: int) -> int:
-        if j > k:
-            j, k = k, j
-        return self.powers[upper_slots(self.m).index((j, k))]
 
     def entries(self) -> np.ndarray:
         """The m x m upper-triangular integer matrix J."""
@@ -170,13 +165,20 @@ def lambda_j(E: float, model: BetheStripModel, J: MonomialIndex) -> complex:
     return complex(eigenvalue_law(_interior_ae_diag(E, model), [J])[0])
 
 
-def verify_modulus(E: float, model: BetheStripModel, max_degree: int) -> float:
-    """Check |lambda_J| = K^{-|J|} and lambda_J != 1/K for |J| <= max_degree.
+def eigenvalue_gaps(E: float, model: BetheStripModel,
+                    basis) -> tuple[float, float]:
+    """(gap of K*C_E - I, min_J |lambda_J - 1/K|) from one pass over basis.
 
-    Returns min_J |lambda_J - 1/K|; raises EigenvalueLawError naming the
-    first offending J in basis order if either law fails.
+    One evaluation of lambda_J over basis checks |lambda_J| = K^{-|J|} and
+    lambda_J != 1/K, raising EigenvalueLawError naming the first offending
+    J in basis order.  The gap is the distance of {K lambda_J} from 1,
+    combined with the analytic floor 1 - 1/K valid for every |J| >= 2
+    (there |K lambda_J| <= 1/K); with every |J| <= 1 in basis it bounds the
+    gap over the full infinite index set.  It is also the gap of the
+    second-moment tensor spectrum {K lambda_J conj(lambda_J')}: pairs with
+    |J| + |J'| >= 2 have modulus <= 1/K, under the floor, and the pairs
+    (J, 0), (0, J) give the terms |K lambda_J - 1|.
     """
-    basis = enumerate_indices(model.m, max_degree)
     lams = eigenvalue_law(_interior_ae_diag(E, model), basis)
     degrees = np.array([J.degree for J in basis])
     wrong = np.abs(np.abs(lams) - float(model.K) ** -degrees) > MODULUS_RTOL
@@ -193,22 +195,14 @@ def verify_modulus(E: float, model: BetheStripModel, max_degree: int) -> float:
         raise EigenvalueLawError(
             f"lambda_{J} hit the forbidden value 1/K at E={E:g}"
         )
-    return float(dist.min())
+    gap = min(float(np.abs(model.K * lams - 1.0).min()), 1.0 - 1.0 / model.K)
+    return gap, float(dist.min())
 
 
 def gap_kce(E: float, model: BetheStripModel, max_degree: int) -> float:
-    """Spectral gap of K*C_E - I: distance of {K lambda_J} from 1.
-
-    Enumerates |J| <= max(max_degree, 1) and combines with the analytic
-    floor 1 - 1/K valid for every |J| >= 2 (there |K lambda_J| <= 1/K),
-    so the result bounds the gap over the full infinite index set.  It is
-    also the gap of the second-moment tensor spectrum {K lambda_J
-    conj(lambda_J')}: pairs with |J| + |J'| >= 2 have modulus <= 1/K, under
-    the floor, and the pairs (J, 0), (0, J) give the terms |K lambda_J - 1|.
-    """
+    """Spectral gap of K*C_E - I over |J| <= max(max_degree, 1); see eigenvalue_gaps."""
     basis = enumerate_indices(model.m, max(max_degree, 1))
-    lams = eigenvalue_law(_interior_ae_diag(E, model), basis)
-    return min(float(np.abs(model.K * lams - 1.0).min()), 1.0 - 1.0 / model.K)
+    return eigenvalue_gaps(E, model, basis)[0]
 
 
 @dataclass
@@ -252,9 +246,6 @@ class OperatorMatrix:
 
     basis: tuple
     entries: np.ndarray
-
-    def index_of(self, J: MonomialIndex) -> int:
-        return self.basis.index(J)
 
 
 def _spoly_mul(a: dict, b: dict, cap: tuple) -> dict:

@@ -3,8 +3,7 @@
 A configuration is the tree branching number K, the diagonal free strip
 operator A = diag(a_1 <= ... <= a_m), a coupling strength, and a law for the
 random symmetric m x m potential V.  Ensembles know how to sample themselves
-(scalar and batched), evaluate their characteristic function
-E exp(-i Tr(M V)), and describe the support of their eigenvalue shifts when
+(scalar and batched) and describe the support of their eigenvalue shifts when
 that support is bounded.
 """
 
@@ -58,10 +57,6 @@ class DisorderEnsemble:
         """
         raise NotImplementedError
 
-    def char_fn(self, M):
-        """E exp(-i Tr(M V)) for a complex symmetric test matrix M."""
-        raise NotImplementedError
-
     def shift_support(self, a, lam):
         """Intervals swept by the eigenvalues of A + lam V over the support.
 
@@ -70,10 +65,10 @@ class DisorderEnsemble:
         """
         raise NotImplementedError
 
-    def support_radius(self, m, sigmas=SUPPORT_SIGMAS):
+    def support_radius(self, m):
         """Bound (exact or effective) on |eigenvalues of V|.
 
-        For unbounded ensembles this is a quantile proxy at ``sigmas``
+        For unbounded ensembles this is a quantile proxy at SUPPORT_SIGMAS
         standard deviations, used only for reporting effective spectrum
         edges, never for exact statements.
         """
@@ -110,14 +105,11 @@ class PointMass(DisorderEnsemble):
         self._check_m(m)
         return np.broadcast_to(self.matrix, (n, m, m)).copy()
 
-    def char_fn(self, M):
-        return complex(np.exp(-1j * np.trace(np.asarray(M) @ self.matrix)))
-
     def shift_support(self, a, lam):
         evals = np.linalg.eigvalsh(np.diag(a) + lam * self.matrix)
         return [RealInterval(float(e), float(e)) for e in evals]
 
-    def support_radius(self, m, sigmas=SUPPORT_SIGMAS):
+    def support_radius(self, m):
         self._check_m(m)
         return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
@@ -160,19 +152,6 @@ class DiagonalIID(DisorderEnsemble):
         out[:, idx, idx] = v
         return out
 
-    def _entry_char(self, t):
-        t = np.asarray(t, dtype=complex)
-        if self.kind == "uniform":
-            # E e^{-itv}, v ~ U[-1,1]: sin(t)/t
-            return np.sinc(t / np.pi)
-        if self.kind == "gauss":
-            return np.exp(-0.5 * t * t)
-        return np.cos(t)
-
-    def char_fn(self, M):
-        d = np.diagonal(np.asarray(M))
-        return complex(np.prod(self._entry_char(d)))
-
     def shift_support(self, a, lam):
         r = abs(lam)
         if self.kind == "uniform":
@@ -187,12 +166,9 @@ class DiagonalIID(DisorderEnsemble):
             "gaussian diagonal disorder has unbounded support"
         )
 
-    def support_radius(self, m, sigmas=SUPPORT_SIGMAS):
-        if self.kind == "uniform":
-            return 1.0
-        if self.kind == "bernoulli":
-            return 1.0
-        return float(sigmas)
+    def support_radius(self, m):
+        # uniform and bernoulli entries lie in [-1, 1]
+        return SUPPORT_SIGMAS if self.kind == "gauss" else 1.0
 
     def spec_string(self):
         return f"diag:{self.kind}"
@@ -203,8 +179,7 @@ class GOE(DisorderEnsemble):
     """Gaussian orthogonal ensemble: V = (X + X^T)/2, X i.i.d. standard normal.
 
     Diagonal entries have variance 1, off-diagonal variance 1/2, so
-    Var Tr(M V) = Tr M^2 and the characteristic function is
-    exp(-Tr(M^2)/2).
+    Var Tr(M V) = Tr M^2.
     """
 
     # its own class attribute, so bench/tracing.py can wrap GOE draws
@@ -214,16 +189,12 @@ class GOE(DisorderEnsemble):
         X = rng.standard_normal((n, m, m))
         return 0.5 * (X + np.swapaxes(X, -1, -2))
 
-    def char_fn(self, M):
-        M = np.asarray(M)
-        return complex(np.exp(-0.5 * np.trace(M @ M)))
-
     def shift_support(self, a, lam):
         raise UnsupportedEnsembleError("GOE support is all of Sym(m)")
 
-    def support_radius(self, m, sigmas=SUPPORT_SIGMAS):
+    def support_radius(self, m):
         # quantile proxy for the largest |eigenvalue| of an m x m GOE draw
-        return float(sigmas * np.sqrt(m))
+        return float(SUPPORT_SIGMAS * np.sqrt(m))
 
     def spec_string(self):
         return "goe"
@@ -305,7 +276,7 @@ def deterministic_spectrum(model):
     return _merge_intervals(bands)
 
 
-def effective_spectrum_bounds(model, sigmas=SUPPORT_SIGMAS):
+def effective_spectrum_bounds(model):
     """Outer [lo, hi] hull of the spectrum, exact when the support is bounded.
 
     For unbounded ensembles the disorder contribution is truncated at the
@@ -316,7 +287,7 @@ def effective_spectrum_bounds(model, sigmas=SUPPORT_SIGMAS):
         bands = deterministic_spectrum(model)
         return RealInterval(bands[0].lo, bands[-1].hi)
     except UnsupportedEnsembleError:
-        r = abs(model.lam) * model.ensemble.support_radius(model.m, sigmas)
+        r = abs(model.lam) * model.ensemble.support_radius(model.m)
         rk = model.sqrt_k
         return RealInterval(model.a[0] - rk - r, model.a[-1] + rk + r)
 

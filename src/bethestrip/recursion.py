@@ -42,14 +42,6 @@ def forward_step(sp: SpectralPoint, model, V, children):
     return resolvent(_shifted(model, V, sp.z), sum(children))
 
 
-def root_assemble(sp: SpectralPoint, model, V, neighbors):
-    """Full-lattice Green's matrix at a root with K+1 forward neighbors."""
-    neighbors = list(neighbors)
-    if len(neighbors) != model.K + 1:
-        raise ValueError(f"root_assemble needs K+1={model.K + 1} neighbors")
-    return resolvent(_shifted(model, V, sp.z), sum(neighbors))
-
-
 def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
     """Root Green's matrix on a depth-L truncated tree, by leaf-to-root elimination.
 
@@ -99,13 +91,13 @@ class PopulationPool:
     def size(self) -> int:
         return len(self.samples)
 
-    def validate(self, slack=HERGLOTZ_SLACK):
+    def validate(self):
         """Check the Herglotz and symmetry invariants on every sample."""
         defect = symmetry_defect(self.samples)
         if defect > 1e-11:
             raise AssertionError(f"pool symmetry defect {defect:.2e}")
         worst = min_imag_eigenvalue(self.samples)
-        if worst < -slack:
+        if worst < -HERGLOTZ_SLACK:
             raise AssertionError(f"pool Herglotz defect {worst:.2e}")
         if self.point.eta > 0:
             # ||G||_2^2 is the top eigenvalue of G^H G: one batched eigvalsh,
@@ -216,21 +208,6 @@ def dos_density(pool, model, rng, count) -> MomentEstimate:
 def _char_values(samples, M):
     t = np.einsum("nij,ji->n", samples, np.asarray(M, dtype=complex))
     return np.exp(0.25j * t)
-
-
-def pool_char_weight(pool: PopulationPool, M) -> MomentEstimate:
-    """Pool estimate of E exp((i/4) Tr(G M)) for PSD symmetric M."""
-    require_psd(M)
-    return batch_stats(_char_values(pool.samples, M))
-
-
-def pool_pair_char_weight(pool: PopulationPool, Mp, Mm) -> MomentEstimate:
-    """Pool estimate of E exp((i/4)(Tr(G Mp) - Tr(conj G Mm)))."""
-    require_psd(Mp)
-    require_psd(Mm)
-    t = (np.einsum("nij,ji->n", pool.samples, np.asarray(Mp, dtype=complex))
-         - np.einsum("nij,ji->n", np.conj(pool.samples), np.asarray(Mm, dtype=complex)))
-    return batch_stats(np.exp(0.25j * t))
 
 
 @dataclass(frozen=True)

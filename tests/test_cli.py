@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from bethestrip import cli
+from bethestrip import linearization as lin
 from bethestrip.cli import main
 from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
 from bethestrip.free import free_dos, free_full_green
@@ -241,6 +242,27 @@ class TestGapScan:
         main(["gap-scan", "--K", "2", "--m", "2", "--A", "diag:-0.3,0.3",
               "--E-grid", "-0.5:0.5:5", "--degree", "1", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_basis_per_run_one_law_per_energy(self, tmp_path, monkeypatch):
+        # the criterion-9 config: all 9 energies are inside the band window
+        calls = {"enumerate_indices": 0, "eigenvalue_law": 0}
+
+        def counted(name):
+            real = getattr(lin, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            monkeypatch.setattr(lin, name, wrapper)
+            monkeypatch.setattr(cli, name, wrapper, raising=False)
+        out = tmp_path / "gap.csv"
+        assert main(["gap-scan", *CLI_RUNS["gap-scan"], "--out", str(out)]) == 0
+        assert len(csv_table(out)[1]) == 9
+        assert calls == {"enumerate_indices": 1, "eigenvalue_law": 9}
 
 
 class TestCeSpectrum:

@@ -198,7 +198,7 @@ class TestNewton:
                          ensemble=PointMass(V0))
         z = 0.2 + 0.5j
         G = random_complex_symmetric(3, rng)
-        J = fp._jacobian(FixedPointProblem(mod, SpectralPoint.from_z(z)),
+        J = fp._jacobian(FixedPointProblem(mod, SpectralPoint(z.real, z.imag)),
                          G - raw_residual(mod, z, G))
         h = 1e-7
         for c in range(9):

@@ -7,11 +7,9 @@ from scipy.integrate import quad
 from bethestrip.errors import OutOfBandError
 from bethestrip.free import (
     a_e_matrix,
-    free_char_weight,
     free_dos,
     free_forward_green,
     free_full_green,
-    free_pair_char_weight,
 )
 from bethestrip.linalg import SpectralPoint
 from bethestrip.model import GOE, BetheStripModel, band_intersection
@@ -206,41 +204,3 @@ class TestBoundaryMatrix:
         mod = make_model(K=2, a=(-0.5, 0.5))
         with pytest.raises(OutOfBandError):
             a_e_matrix(1.0, mod)  # in-band for a=0.5, out for a=-0.5
-
-
-class TestCharWeights:
-    def test_frozen_band_center(self):
-        w = free_char_weight(SpectralPoint(0.0, 0.0), make_model(), np.array([[1.0]]))
-        assert w == pytest.approx(np.exp(-np.sqrt(2) / 4), abs=1e-14)
-
-    def test_frozen_at_i(self):
-        w = free_char_weight(SpectralPoint(0.0, 1.0), make_model(), np.array([[1.0]]))
-        assert w == pytest.approx(np.exp(-(np.sqrt(3) - 1) / 4), abs=1e-14)
-
-    def test_modulus_below_one(self, rng):
-        mod = make_model(K=3, a=(-0.3, 0.3))
-        for _ in range(50):
-            B = rng.standard_normal((2, 2))
-            M = B @ B.T
-            w = free_char_weight(SpectralPoint(0.2, 0.05), mod, M)
-            assert abs(w) <= 1.0 + 1e-12
-
-    def test_rejects_non_psd(self):
-        mod = make_model()
-        with pytest.raises(ValueError):
-            free_char_weight(SpectralPoint(0.0, 0.1), mod, np.array([[-1.0]]))
-        with pytest.raises(ValueError):
-            free_pair_char_weight(
-                SpectralPoint(0.0, 0.1), mod, np.array([[1.0]]), np.array([[-2.0]])
-            )
-
-    def test_pair_factorizes(self, rng):
-        mod = make_model(K=2, a=(-0.5, 0.5))
-        sp = SpectralPoint(0.3, 0.2)
-        for _ in range(20):
-            Bp, Bm = rng.standard_normal((2, 2, 2))
-            Mp, Mm = Bp @ Bp.T, Bm @ Bm.T
-            xi = free_pair_char_weight(sp, mod, Mp, Mm)
-            zp = free_char_weight(sp, mod, Mp)
-            zm = free_char_weight(sp, mod, Mm)
-            assert xi == pytest.approx(zp * np.conj(zm), abs=1e-13)

@@ -6,7 +6,9 @@ change that moves the numerics fails here even when it is deterministic.
 Every column is compared: text exactly, numbers to a relative 1e-10 (the
 RNG streams are keyed, so only rounding may move).  The exception is
 crosscheck's ``max_deviation``, itself a rounding-level number, which is held
-to an absolute 1e-12.
+to an absolute 1e-12.  Its ``worst_case`` is the argmax over such numbers, so
+a reordered sum can flip it: it is compared only while the top per-case
+deviation, recomputed here, leads the runner-up by PINNED_LEAD.
 
 A change that alters stream use on purpose regenerates the set with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -16,9 +18,15 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bethestrip.cli import main as cli_main
+from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
+from bethestrip.linalg import SpectralPoint
+from bethestrip.model import GOE, BetheStripModel
+from bethestrip.recursion import sample_tree_given
+from bethestrip.rng import child_seed
 from test_acceptance import CLI_RUNS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -26,6 +34,8 @@ SEED = "13"
 RTOL = 1e-10
 # absolute tolerances for rounding-level outputs, by (subcommand, key)
 ATOL = {("crosscheck", "max_deviation"): 1e-12}
+# top over runner-up deviation above which crosscheck's worst_case is pinned
+PINNED_LEAD = 2.0
 
 
 def run(sub, out_dir):
@@ -77,6 +87,27 @@ def compare_csv(sub, got, want):
             assert close(g, w), f"{sub} row {r} {col}: {g} != {w}"
 
 
+def crosscheck_deviations(report):
+    """Per-case deviations of the criterion-9 crosscheck config, in case order."""
+    model = BetheStripModel(K=2, a=(-0.5, 0.5), lam=0.5, ensemble=GOE())
+    tree = build_tree(model.K, report["depth"], model.m)
+    devs = []
+    for i, E in enumerate(report["energies"]):
+        sp = SpectralPoint(E, report["eta"])
+        for t in range(report["realizations"]):
+            V = draw_site_potentials(model, tree, child_seed(int(SEED), i), t)
+            devs.append(float(np.max(np.abs(sample_tree_given(sp, model, tree, V)
+                                            - root_green_block(sp, model, tree, V)))))
+    return devs
+
+
+def worst_case_is_pinned(report):
+    devs = crosscheck_deviations(report)
+    assert max(devs) == report["max_deviation"]
+    runner_up, top = sorted(devs)[-2:]
+    return top >= PINNED_LEAD * runner_up
+
+
 @pytest.mark.parametrize("sub", list(CLI_RUNS))
 def test_outputs_match_golden(sub, tmp_path):
     got = run(sub, tmp_path)
@@ -84,7 +115,10 @@ def test_outputs_match_golden(sub, tmp_path):
     assert sorted(got) == sorted(want)
     for name, text in want.items():
         if name.endswith(".json") or sub == "crosscheck":
-            compare_json(sub, json.loads(got[name]), json.loads(text))
+            got_json, want_json = json.loads(got[name]), json.loads(text)
+            if sub == "crosscheck" and not worst_case_is_pinned(got_json):
+                del got_json["worst_case"], want_json["worst_case"]
+            compare_json(sub, got_json, want_json)
         else:
             compare_csv(sub, got[name], text)
 

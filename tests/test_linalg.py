@@ -151,10 +151,6 @@ class TestSpectralPoint:
         with pytest.raises(ValueError):
             SpectralPoint(np.nan, 0.0)
 
-    def test_from_z_roundtrip(self):
-        sp = SpectralPoint.from_z(1.25 + 0.5j)
-        assert (sp.E, sp.eta) == (1.25, 0.5)
-
 
 def test_sym_part_projects(rng):
     X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -20,11 +20,11 @@ from bethestrip.linearization import (
     PolyGaussSymbol,
     build_ce_matrix,
     ce_apply_symbol,
+    eigenvalue_gaps,
     enumerate_indices,
     gap_kce,
     lambda_j,
     upper_slots,
-    verify_modulus,
 )
 from bethestrip.model import BetheStripModel, DiagonalIID
 
@@ -85,10 +85,6 @@ class TestMonomialIndex:
     def test_accessors(self):
         J = MonomialIndex(m=2, powers=(2, 1, 0))
         assert J.degree == 3
-        assert J.power(0, 0) == 2
-        assert J.power(0, 1) == 1
-        assert J.power(1, 0) == 1  # symmetric access
-        assert J.power(1, 1) == 0
         np.testing.assert_array_equal(J.entries(), [[2, 1], [0, 0]])
         assert MonomialIndex.zero(2).degree == 0
 
@@ -177,15 +173,16 @@ class TestLambdaJ:
 class TestVerifyModulus:
     def test_scalar_min_distance(self):
         # lambda values 1, -1/2, 1/4, -1/8: closest to 1/2 is 1/4.
-        assert verify_modulus(0.0, make_model(), 3) == \
-            pytest.approx(0.25, abs=1e-12)
+        gap, dist = eigenvalue_gaps(0.0, make_model(), enumerate_indices(1, 3))
+        assert dist == pytest.approx(0.25, abs=1e-12)
+        assert gap == gap_kce(0.0, make_model(), 3)
 
     def test_m2_all_moduli(self):
         mod = make_model(a=(-0.5, 0.5))
         for J in enumerate_indices(2, 2):
             lam = lambda_j(0.0, mod, J)
             assert abs(lam) == pytest.approx(2.0 ** (-J.degree), abs=1e-12)
-        assert verify_modulus(0.0, mod, 2) > 0
+        assert eigenvalue_gaps(0.0, mod, enumerate_indices(2, 2))[1] > 0
 
     def test_violation_raises_with_index(self, monkeypatch):
         # break the law only at degree 1 so the offending index is J[1]
@@ -197,7 +194,7 @@ class TestVerifyModulus:
 
         monkeypatch.setattr(lin, "eigenvalue_law", skewed)
         with pytest.raises(EigenvalueLawError, match=r"J\[1\]"):
-            verify_modulus(0.0, make_model(), 1)
+            eigenvalue_gaps(0.0, make_model(), enumerate_indices(1, 1))
 
 
 class TestGaps:
@@ -449,10 +446,6 @@ class TestBuildMatrix:
     def test_out_of_band_propagates(self):
         with pytest.raises(OutOfBandError):
             build_ce_matrix(2.0, make_model(), 1)
-
-    def test_index_of(self):
-        M = build_ce_matrix(0.0, make_model(), 2)
-        assert M.index_of(MonomialIndex(m=1, powers=(2,))) == 2
 
 
 def interior_energies(model, fracs=(-0.5, 0.1, 0.6)):

@@ -173,35 +173,6 @@ class TestEnsembleSampling:
         assert singles.var() == pytest.approx(1 / 3, rel=0.1)
 
 
-class TestCharacteristicFn:
-    def test_point_mass_exact(self):
-        ens = PointMass(np.diag([1.0, 2.0]))
-        M = np.array([[0.3, 0.0], [0.0, 0.1]])
-        expected = np.exp(-1j * (0.3 * 1.0 + 0.1 * 2.0))
-        assert ens.char_fn(M) == pytest.approx(expected, abs=1e-15)
-
-    def test_goe_against_monte_carlo(self):
-        ens = GOE()
-        M = np.array([[0.4, 0.2], [0.2, -0.1]])
-        V = ens.sample_batch(2, keyed_rng(5, 4, 3), 200000)
-        mc = np.exp(-1j * np.trace(M @ V, axis1=1, axis2=2)).mean()
-        assert ens.char_fn(M) == pytest.approx(mc, abs=0.01)
-
-    def test_diag_against_monte_carlo(self):
-        for kind in ("uniform", "gauss", "bernoulli"):
-            ens = DiagonalIID(kind)
-            M = np.diag([0.7, 0.3])
-            V = ens.sample_batch(2, keyed_rng(6, 4, 4), 200000)
-            mc = np.exp(-1j * np.trace(M @ V, axis1=1, axis2=2)).mean()
-            assert ens.char_fn(M) == pytest.approx(mc, abs=0.01), kind
-
-    def test_goe_closed_form(self):
-        M = np.array([[0.4, 0.2], [0.2, -0.1]])
-        assert GOE().char_fn(M) == pytest.approx(
-            np.exp(-0.5 * np.trace(M @ M)), abs=1e-15
-        )
-
-
 class TestEnsembleSpecParsing:
     def test_goe(self):
         assert isinstance(parse_ensemble_spec("goe", 2), GOE)

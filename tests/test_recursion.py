@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from bethestrip import ed, recursion
-from bethestrip.free import free_char_weight, free_dos, free_forward_green, free_full_green
+from bethestrip.free import free_dos, free_forward_green, free_full_green
 from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 from bethestrip.recursion import (
@@ -14,12 +14,9 @@ from bethestrip.recursion import (
     fixed_point_residual,
     forward_step,
     measure_stationary,
-    pool_char_weight,
-    pool_pair_char_weight,
     population_init,
     population_run,
     population_sweep,
-    root_assemble,
     root_draws,
     sample_tree,
     sample_tree_given,
@@ -40,21 +37,12 @@ class TestForwardStep:
         out = forward_step(sp, mod, np.zeros((1, 1)), [g0] * mod.K)
         np.testing.assert_allclose(out, g0, atol=1e-13)
 
-    def test_root_assemble_free(self):
-        mod = make_model(K=3, a=(-0.2, 0.4))
-        sp = SpectralPoint(0.1, 0.3)
-        g0 = free_forward_green(sp, mod)
-        out = root_assemble(sp, mod, np.zeros((2, 2)), [g0] * (mod.K + 1))
-        np.testing.assert_allclose(out, free_full_green(sp, mod), atol=1e-13)
-
     def test_wrong_arity(self):
         mod = make_model(K=2)
         sp = SpectralPoint(0.0, 0.1)
         g = free_forward_green(sp, mod)
         with pytest.raises(ValueError):
             forward_step(sp, mod, np.zeros((1, 1)), [g] * 3)
-        with pytest.raises(ValueError):
-            root_assemble(sp, mod, np.zeros((1, 1)), [g] * 2)
 
     def test_herglotz_preserved(self, rng):
         for _ in range(100):
@@ -230,29 +218,13 @@ class TestEstimators:
         assert dos.mean == pytest.approx(free_dos(sp, mod), abs=1e-12)
         assert dos.std_error < 1e-12
 
-    def test_char_weights_free_pool(self):
-        mod = make_model(K=2, a=(0.0,), lam=0.0)
-        sp = SpectralPoint(0.0, 0.3)
-        pool = population_init(sp, mod, 40, seed=0)
-        M = np.array([[2.0]])
-        w = pool_char_weight(pool, M)
-        assert w.mean == pytest.approx(free_char_weight(sp, mod, M), abs=1e-14)
-        xi = pool_pair_char_weight(pool, M, M)
-        assert abs(xi.mean) == pytest.approx(abs(w.mean) ** 2, abs=1e-12)
-
-    def test_char_weight_modulus_bounded(self, rng):
-        mod = make_model(K=2, a=(-0.5, 0.5), lam=0.2)
-        sp = SpectralPoint(0.0, 0.05)
-        pool = population_run(population_init(sp, mod, 300, seed=2), mod, 15)
-        for _ in range(10):
-            M = random_psd(2, rng)
-            assert abs(pool_char_weight(pool, M).mean) <= 1 + 1e-12
-
     def test_rejects_bad_test_matrix(self):
         mod = make_model()
         pool = population_init(SpectralPoint(0.0, 0.5), mod, 10, seed=0)
-        with pytest.raises(ValueError):
-            pool_char_weight(pool, np.array([[-1.0]]))
+        for bad, why in ((np.array([[-1.0]]), "positive semidefinite"),
+                         (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric")):
+            with pytest.raises(ValueError, match=why):
+                fixed_point_residual(pool, mod, keyed_rng(0, 2, 5), [bad], 20)
 
     def test_decoupled_orbitals_same_law(self):
         mod = make_model(K=2, a=(0.0, 0.0), lam=0.5,
@@ -285,9 +257,14 @@ class TestWeakFixedPoint:
         mod = make_model(K=2, a=(0.0,), lam=0.0)
         sp = SpectralPoint(0.0, 0.2)
         pool = population_run(population_init(sp, mod, 100, seed=0), mod, 2)
-        res = fixed_point_residual(pool, mod, keyed_rng(0, 2, 5),
-                                   [np.array([[1.0]])], 200)
+        M = np.array([[1.0]])
+        res = fixed_point_residual(pool, mod, keyed_rng(0, 2, 5), [M], 200)
         assert res.residual < 1e-13
+        # at lam = 0 every sample is G0, so the pool weight is the free one
+        g0 = free_forward_green(sp, mod)
+        free = np.exp(0.25j * np.trace(g0 @ M))
+        assert recursion._char_values(pool.samples, M).mean() == \
+            pytest.approx(free, abs=1e-14)
 
 
 class TestContinuation:
