@@ -139,8 +139,12 @@ def _read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        lines = p.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    for lineno, line in enumerate(p.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -291,6 +295,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if raw["out"] is None:
         raise ConfigError("out is required")
     out = Path(str(raw["out"]))
+    if out.is_dir():
+        raise ConfigError(f"out: {out} is a directory")
 
     resolved = {
         **counts,

@@ -8,8 +8,8 @@ of the infinite tree satisfies the matrix equation
 a finite-dimensional fixed-point problem on complex symmetric m x m
 matrices.  :func:`solve_forward` solves it in one loop that evaluates
 the map once per iterate: damped steps (robust far from the solution)
-until the residual drops below ``switch``, then Newton steps on vec(G)
-(quadratic near it).  :func:`continuation_to_boundary` continues the
+until the residual drops below ``NEWTON_SWITCH``, then Newton steps on
+vec(G) (quadratic near it).  :func:`continuation_to_boundary` continues the
 solution in the spectral parameter down to the real axis, tracking the
 dissipative branch Im G >= 0.
 """
@@ -33,9 +33,9 @@ from .linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
                      resolvent, sym_part)
 from .model import BetheStripModel, PointMass
 
-#: Default residual tolerance (max-norm of G - map(G)) for a converged solve.
+#: Residual tolerance (max-norm of G - map(G)) for a converged solve.
 SOLVE_TOL = 1e-11
-#: Default damping for the fixed-point iteration.
+#: Damping for the fixed-point iteration.
 DAMPING = 0.5
 #: Residual below which the combined solver hands over from damped
 #: iteration to Newton.
@@ -47,6 +47,9 @@ BOUNDARY_IMAG_FLOOR = 1e-8
 
 DEFAULT_PICARD_MAX_ITER = 500
 DEFAULT_NEWTON_MAX_ITER = 60
+
+#: Continuation levels: eta = 1, 1/2, ..., 2^-26 (the last above 1e-8), then 0.
+ETA_SCHEDULE = tuple(0.5 ** k for k in range(27)) + (0.0,)
 
 
 @dataclass(frozen=True)
@@ -153,23 +156,17 @@ def _jacobian(problem: FixedPointProblem, Phi: np.ndarray) -> np.ndarray:
 
 
 def solve_forward(model: BetheStripModel, point: SpectralPoint,
-                  initial: np.ndarray | None = None, *,
-                  damping: float = DAMPING, switch: float = NEWTON_SWITCH,
-                  tol: float = SOLVE_TOL,
-                  picard_max_iter: int = DEFAULT_PICARD_MAX_ITER,
-                  newton_max_iter: int = DEFAULT_NEWTON_MAX_ITER) -> SolveReport:
-    """Damped steps while the residual exceeds ``switch``, then Newton, to ``tol``.
+                  initial: np.ndarray | None = None) -> SolveReport:
+    """Damped steps while the residual exceeds NEWTON_SWITCH, then Newton.
 
     One loop evaluates Phi = map(G) once per iterate and stops as soon as
-    max|G - Phi| <= tol.  The damped step G <- (1-damping) G + damping * Phi
-    converges globally for eta not too small; near the real axis the
-    slowest linearized mode approaches modulus one, which is where Newton
-    takes over, and once it has it keeps the loop.  ``switch=tol`` runs the
-    damped iteration alone, ``switch=math.inf`` Newton alone.  At most
-    ``picard_max_iter`` damped and ``newton_max_iter`` Newton steps are taken.
+    max|G - Phi| <= SOLVE_TOL.  The damped step G <- (1-DAMPING) G +
+    DAMPING * Phi converges globally for eta not too small; near the real
+    axis the slowest linearized mode approaches modulus one, which is where
+    Newton takes over, and once it has it keeps the loop.  At most
+    DEFAULT_PICARD_MAX_ITER damped and DEFAULT_NEWTON_MAX_ITER Newton steps
+    are taken.  These module constants are read at call time.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
     problem = FixedPointProblem(model, point, initial)
     G = problem.initial_guess()
     history = []
@@ -179,26 +176,26 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
         R = G - Phi
         residual = float(np.abs(R).max())
         history.append(residual)
-        if residual <= tol:
+        if residual <= SOLVE_TOL:
             break
-        if newton_steps == 0 and residual > switch:
-            if picard_steps == picard_max_iter:
+        if newton_steps == 0 and residual > NEWTON_SWITCH:
+            if picard_steps == DEFAULT_PICARD_MAX_ITER:
                 raise NoConvergenceError(
-                    f"damped iteration stalled above switch={switch} after "
-                    f"{picard_max_iter} steps at z={problem.z} "
-                    f"(last residual {residual:.3e})",
+                    f"damped iteration stalled above NEWTON_SWITCH="
+                    f"{NEWTON_SWITCH} after {picard_steps} steps at "
+                    f"z={problem.z} (last residual {residual:.3e})",
                     residual=residual,
-                    iterations=picard_max_iter,
+                    iterations=picard_steps,
                 )
-            G = (1.0 - damping) * G + damping * Phi
+            G = (1.0 - DAMPING) * G + DAMPING * Phi
             picard_steps += 1
             continue
-        if newton_steps == newton_max_iter:
+        if newton_steps == DEFAULT_NEWTON_MAX_ITER:
             raise NoConvergenceError(
-                f"Newton did not reach tol={tol} in {newton_max_iter} steps at "
-                f"z={problem.z} (last residual {residual:.3e})",
+                f"Newton did not reach SOLVE_TOL={SOLVE_TOL} in {newton_steps} "
+                f"steps at z={problem.z} (last residual {residual:.3e})",
                 residual=residual,
-                iterations=newton_max_iter,
+                iterations=newton_steps,
             )
         try:
             step = np.linalg.solve(_jacobian(problem, Phi), -R.ravel())
@@ -224,41 +221,22 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
     )
 
 
-def continuation_to_boundary(model: BetheStripModel, E: float,
-                             eta_start: float = 1.0, eta_factor: float = 0.5,
-                             eta_min: float = 1e-8, *,
-                             tol: float = SOLVE_TOL) -> list[SolveReport]:
-    """Track the dissipative solution along a geometric eta schedule to eta=0.
+def continuation_to_boundary(model: BetheStripModel, E: float) -> list[SolveReport]:
+    """Track the dissipative solution down ETA_SCHEDULE to eta = 0.
 
-    Solves at eta_start, eta_start*eta_factor, ... while above eta_min,
-    then once more at eta = 0, warm-starting every step from the last
-    solution.  For eta > 0 the tracked solution must stay dissipative
-    (Im G >= 0 up to slack); losing that branch, or any solver failure,
-    raises ContinuationBreakdownError tagged with the failing eta.  The
-    final boundary report may legitimately carry ``herglotz=False``:
-    outside the spectrum the boundary solution is real.
+    Solves once per level, warm-starting every step from the last solution.
+    For eta > 0 the tracked solution must stay dissipative (Im G >= 0 up to
+    slack); losing that branch, or any solver failure, raises
+    ContinuationBreakdownError tagged with the failing eta.  The final
+    boundary report may legitimately carry ``herglotz=False``: outside the
+    spectrum the boundary solution is real.
     """
-    if eta_min <= 0.0:
-        raise ValueError(f"eta_min must be positive, got {eta_min}")
-    if eta_start <= eta_min:
-        raise ValueError(
-            f"eta_start must exceed eta_min, got {eta_start} <= {eta_min}"
-        )
-    if not 0.0 < eta_factor < 1.0:
-        raise ValueError(f"eta_factor must lie in (0, 1), got {eta_factor}")
-    etas = []
-    eta = float(eta_start)
-    while eta >= eta_min:
-        etas.append(eta)
-        eta *= eta_factor
-    etas.append(0.0)
-
     reports: list[SolveReport] = []
     guess = None
-    for eta in etas:
+    for eta in ETA_SCHEDULE:
         point = SpectralPoint(E, eta)
         try:
-            report = solve_forward(model, point, guess, tol=tol)
+            report = solve_forward(model, point, guess)
         except (NoConvergenceError, SingularJacobianError,
                 SingularMatrixError) as exc:
             raise ContinuationBreakdownError(

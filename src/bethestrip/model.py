@@ -3,8 +3,7 @@
 A configuration is the tree branching number K, the diagonal free strip
 operator A = diag(a_1 <= ... <= a_m), a coupling strength, and a law for the
 random symmetric m x m potential V.  Ensembles know how to sample themselves
-(scalar and batched) and describe the support of their eigenvalue shifts when
-that support is bounded.
+(scalar and batched).
 """
 
 import json
@@ -13,13 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, UnsupportedEnsembleError
+from .errors import ConfigError
 
 MAX_WIDTH = 16  # supported strip widths; dense m x m algebra throughout
-
-# Effective support quantile (in sigmas) used for unbounded ensembles when a
-# bounded stand-in for the spectrum edges is needed (reporting only).
-SUPPORT_SIGMAS = 4.0
 
 
 @dataclass(frozen=True)
@@ -35,8 +30,8 @@ class RealInterval:
     def width(self) -> float:
         return max(self.hi - self.lo, 0.0)
 
-    def contains(self, x, margin=0.0) -> bool:
-        return self.lo + margin < x < self.hi - margin
+    def contains(self, x) -> bool:
+        return self.lo < x < self.hi
 
     def __str__(self):
         return f"({self.lo:g}, {self.hi:g})"
@@ -54,23 +49,6 @@ class DisorderEnsemble:
 
         So n sequential ``sample`` calls on one stream equal one batch of n,
         and a batch of n is a prefix of any longer batch on the same stream.
-        """
-        raise NotImplementedError
-
-    def shift_support(self, a, lam):
-        """Intervals swept by the eigenvalues of A + lam V over the support.
-
-        Returns a list of RealInterval (possibly degenerate points).  Raises
-        UnsupportedEnsembleError when the support is unbounded.
-        """
-        raise NotImplementedError
-
-    def support_radius(self, m):
-        """Bound (exact or effective) on |eigenvalues of V|.
-
-        For unbounded ensembles this is a quantile proxy at SUPPORT_SIGMAS
-        standard deviations, used only for reporting effective spectrum
-        edges, never for exact statements.
         """
         raise NotImplementedError
 
@@ -104,14 +82,6 @@ class PointMass(DisorderEnsemble):
     def sample_batch(self, m, rng, n):
         self._check_m(m)
         return np.broadcast_to(self.matrix, (n, m, m)).copy()
-
-    def shift_support(self, a, lam):
-        evals = np.linalg.eigvalsh(np.diag(a) + lam * self.matrix)
-        return [RealInterval(float(e), float(e)) for e in evals]
-
-    def support_radius(self, m):
-        self._check_m(m)
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.matrix))))
 
     def _check_m(self, m):
         if m != self.m:
@@ -152,24 +122,6 @@ class DiagonalIID(DisorderEnsemble):
         out[:, idx, idx] = v
         return out
 
-    def shift_support(self, a, lam):
-        r = abs(lam)
-        if self.kind == "uniform":
-            return [RealInterval(ak - r, ak + r) for ak in a]
-        if self.kind == "bernoulli":
-            out = []
-            for ak in a:
-                out.append(RealInterval(ak - r, ak - r))
-                out.append(RealInterval(ak + r, ak + r))
-            return out
-        raise UnsupportedEnsembleError(
-            "gaussian diagonal disorder has unbounded support"
-        )
-
-    def support_radius(self, m):
-        # uniform and bernoulli entries lie in [-1, 1]
-        return SUPPORT_SIGMAS if self.kind == "gauss" else 1.0
-
     def spec_string(self):
         return f"diag:{self.kind}"
 
@@ -188,13 +140,6 @@ class GOE(DisorderEnsemble):
     def sample_batch(self, m, rng, n):
         X = rng.standard_normal((n, m, m))
         return 0.5 * (X + np.swapaxes(X, -1, -2))
-
-    def shift_support(self, a, lam):
-        raise UnsupportedEnsembleError("GOE support is all of Sym(m)")
-
-    def support_radius(self, m):
-        # quantile proxy for the largest |eigenvalue| of an m x m GOE draw
-        return float(SUPPORT_SIGMAS * np.sqrt(m))
 
     def spec_string(self):
         return "goe"
@@ -241,55 +186,12 @@ class BetheStripModel:
 
 
 def band_intersection(model) -> RealInterval:
-    """Common interior of all shifted free bands [a_k - sqrt K, a_k + sqrt K].
+    """Common interior of the free bands [a_k - sqrt K, a_k + sqrt K].
 
-    The interval (a_max - sqrt K ... ) -- concretely
-    (-sqrt K + max a, sqrt K + min a); empty iff the diagonal spread reaches
-    2 sqrt K.
+    That is (max a - sqrt K, min a + sqrt K), the window of the paper's
+    theorem; it is empty iff the diagonal spread a_m - a_1 reaches 2 sqrt K.
     """
     return RealInterval(-model.sqrt_k + model.a[-1], model.sqrt_k + model.a[0])
-
-
-def _merge_intervals(intervals):
-    ivs = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
-    merged = [ivs[0]]
-    for iv in ivs[1:]:
-        last = merged[-1]
-        if iv.lo <= last.hi:
-            if iv.hi > last.hi:
-                merged[-1] = RealInterval(last.lo, iv.hi)
-        else:
-            merged.append(iv)
-    return merged
-
-
-def deterministic_spectrum(model):
-    """Almost-sure spectrum as a union of closed bands.
-
-    Each eigenvalue shift of A + lam V over the disorder support broadens by
-    the free band [-sqrt K, sqrt K]; overlapping bands are merged.  Only
-    defined for ensembles with bounded support.
-    """
-    shifts = model.ensemble.shift_support(model.a, model.lam)
-    rk = model.sqrt_k
-    bands = [RealInterval(iv.lo - rk, iv.hi + rk) for iv in shifts]
-    return _merge_intervals(bands)
-
-
-def effective_spectrum_bounds(model):
-    """Outer [lo, hi] hull of the spectrum, exact when the support is bounded.
-
-    For unbounded ensembles the disorder contribution is truncated at the
-    ensemble's ``support_radius`` quantile proxy; the result is a reporting
-    convention, not an exact spectral statement.
-    """
-    try:
-        bands = deterministic_spectrum(model)
-        return RealInterval(bands[0].lo, bands[-1].hi)
-    except UnsupportedEnsembleError:
-        r = abs(model.lam) * model.ensemble.support_radius(model.m)
-        rk = model.sqrt_k
-        return RealInterval(model.a[0] - rk - r, model.a[-1] + rk + r)
 
 
 def parse_ensemble_spec(spec, m):
@@ -318,7 +220,7 @@ def parse_ensemble_spec(spec, m):
             else:
                 # bare comma-separated diagonal, e.g. point:0.3,-0.1
                 data = np.diag([float(x) for x in payload.split(",")]).tolist()
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot parse point ensemble {payload!r}: {exc}")
         V0 = np.asarray(data, dtype=float)
         if V0.ndim == 1:

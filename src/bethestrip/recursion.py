@@ -198,13 +198,6 @@ def batch_stats(values, batches=DEFAULT_BATCHES) -> MomentEstimate:
     return MomentEstimate(mean=grand, std_error=se, count=batches * size)
 
 
-def dos_density(pool, model, rng, count) -> MomentEstimate:
-    """Density of states per orbital, (1/(m pi)) Im E Tr G, from root draws."""
-    G = root_draws(pool, model, rng, count)
-    vals = np.trace(G, axis1=1, axis2=2).imag / (model.m * np.pi)
-    return batch_stats(vals)
-
-
 def _char_values(samples, M):
     t = np.einsum("nij,ji->n", samples, np.asarray(M, dtype=complex))
     return np.exp(0.25j * t)
@@ -272,7 +265,6 @@ class StationaryMeasurement:
     """Observables averaged over the last `sweeps` generations of a pool."""
 
     green: MomentEstimate          # E G, (m, m)
-    abs_sq: MomentEstimate         # E |G|^2 = E conj(G) G, (m, m)
     trace_abs_sq: MomentEstimate   # E Tr |G|^2, real scalar
     dos: MomentEstimate            # (1/(m pi)) Im E Tr G
 
@@ -296,7 +288,6 @@ def measure_stationary(pool, model, context, sweeps=20, draws_per_sweep=500,
     dos_vals = np.trace(G, axis1=1, axis2=2).imag / (model.m * np.pi)
     meas = StationaryMeasurement(
         green=batch_stats(G, batches),
-        abs_sq=batch_stats(np.conj(G) @ G, batches),
         trace_abs_sq=batch_stats(tr, batches),
         dos=batch_stats(dos_vals, batches),
     )

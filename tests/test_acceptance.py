@@ -23,11 +23,11 @@ from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
 from bethestrip.linearization import (build_ce_matrix, enumerate_indices,
                                       gap_kce, lambda_j)
 from bethestrip.model import (GOE, BetheStripModel, DiagonalIID, PointMass,
-                              band_intersection, effective_spectrum_bounds)
-from bethestrip.recursion import (ac_indicator, dos_density, eta_continuation,
+                              band_intersection)
+from bethestrip.recursion import (ac_indicator, eta_continuation,
                                   fixed_point_residual, forward_step,
-                                  population_init, population_run,
-                                  sample_tree_given)
+                                  measure_stationary, population_init,
+                                  population_run, sample_tree_given)
 from bethestrip.rng import child_seed, keyed_rng
 
 GOE2 = GOE()
@@ -191,8 +191,8 @@ def test_criterion_6_dos_consistency(capsys):
     for i, E in enumerate(np.linspace(-3.0, 3.0, 101)):
         sp = SpectralPoint(float(E), 1e-6)
         pool = population_init(sp, model0, 64, child_seed(61, i))
-        pool = population_run(pool, model0, 2)
-        est = dos_density(pool, model0, keyed_rng(61, 900, i), 128)
+        est = measure_stationary(pool, model0, i, sweeps=2,
+                                 draws_per_sweep=64)[1].dos
         free_dev = max(free_dev,
                        abs(float(est.mean) - free_dos(sp, model0)))
 
@@ -208,8 +208,10 @@ def test_criterion_6_dos_consistency(capsys):
         dos_vals.append(float(record.measurement.dos.mean))
     dos_vals = np.asarray(dos_vals)
     total_mass = float(np.trapezoid(dos_vals, grid))
-    bounds = effective_spectrum_bounds(model)
-    outside = (grid < bounds.lo - 5 * eta) | (grid > bounds.hi + 5 * eta)
+    # spectrum hull with the GOE disorder cut at 4 sigma: |eig V| <= 4 sqrt(m)
+    r = abs(model.lam) * 4.0 * math.sqrt(model.m)
+    lo, hi = model.a[0] - model.sqrt_k - r, model.a[-1] + model.sqrt_k + r
+    outside = (grid < lo - 5 * eta) | (grid > hi + 5 * eta)
     tail_max = float(dos_vals[outside].max()) if outside.any() else 0.0
     elapsed = time.perf_counter() - start
     ok = (free_dev <= 1e-6 and abs(total_mass - 1.0) <= 2e-2

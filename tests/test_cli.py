@@ -449,6 +449,34 @@ class TestConfigPlumbing:
         assert main(args + ["--config", str(bad)]) == 2
         assert main(args + ["--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.cfg"
+        bad.write_bytes(b"K=2\n# caf\xe9\n")
+        rc = main(["free-profile", "--E-grid", "0:0:1", "--config", str(bad),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert str(bad) in capsys.readouterr().err
+
+    def test_point_ensemble_path_is_directory(self, tmp_path, capsys):
+        folder = tmp_path / "v0"
+        folder.mkdir()
+        rc = main(["free-profile", "--E-grid", "0:0:1",
+                   "--ensemble", f"point:{folder}",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert str(folder) in capsys.readouterr().err
+
+    def test_out_directory_rejected_before_work(self, tmp_path, capsys,
+                                                monkeypatch):
+        def never(cfg):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setitem(cli._DISPATCH, "free-profile", never)
+        rc = main(["free-profile", "--E-grid", "0:0:1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        assert str(tmp_path) in capsys.readouterr().err
+
     def test_width_from_diagonal_and_mismatch(self, tmp_path):
         out = tmp_path / "fp.csv"
         rc = main(["free-profile", "--A", "diag:-0.5,0.5",

@@ -1,8 +1,10 @@
-"""The demos run, and every name they and the README import is exported.
+"""The demos run, and the exported names match the documented ones.
 
 Each ``demos/*.py`` runs in a fresh interpreter with ``src`` on the path
 and must exit 0.  The names the README code blocks and the demos import from
-``bethestrip`` are the documented surface, so each must be in ``__all__``.
+``bethestrip`` are the documented surface, so each must be in ``__all__``;
+conversely every exported name but the error classes appears in the README
+or a demo.
 """
 
 import ast
@@ -44,3 +46,14 @@ def test_documented_names_are_exported():
     assert DEMOS and names
     missing = sorted(names - set(bethestrip.__all__))
     assert not missing, f"imported but not in bethestrip.__all__: {missing}"
+
+
+def test_exported_names_are_documented():
+    text = (ROOT / "README.md").read_text()
+    text += "".join(path.read_text() for path in DEMOS)
+    undocumented = [
+        name for name in bethestrip.__all__
+        if not (isinstance(getattr(bethestrip, name), type)
+                and issubclass(getattr(bethestrip, name), BaseException))
+        and not re.search(rf"\b{re.escape(name)}\b", text)]
+    assert not undocumented, f"exported but not in README or demos: {undocumented}"

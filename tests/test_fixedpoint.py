@@ -119,11 +119,16 @@ class TestProblem:
 
 
 class TestPicard:
-    """Damped iteration alone: solve_forward with switch = tol."""
+    """Damped iteration alone: a zero NEWTON_SWITCH never hands over."""
 
-    def test_scalar_free_from_zero(self):
+    @pytest.fixture(autouse=True)
+    def damped_only(self, monkeypatch):
+        monkeypatch.setattr(fp, "NEWTON_SWITCH", 0.0)
+
+    def test_scalar_free_from_zero(self, monkeypatch):
+        monkeypatch.setattr(fp, "SOLVE_TOL", 1e-12)
         rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                            np.zeros((1, 1)), switch=1e-12, tol=1e-12)
+                            np.zeros((1, 1)))
         assert rep.method == "picard"
         assert rep.residual <= 1e-12
         assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
@@ -132,40 +137,37 @@ class TestPicard:
     def test_free_matrix_case(self):
         mod = make_model(K=3, a=(-0.7, 0.1, 0.4))
         sp = SpectralPoint(0.2, 0.8)
-        rep = solve_forward(mod, sp, np.zeros((3, 3)), switch=fp.SOLVE_TOL)
+        rep = solve_forward(mod, sp, np.zeros((3, 3)))
         assert rep.method == "picard"
         np.testing.assert_allclose(rep.solution, free_forward_green(sp, mod),
                                    atol=1e-10)
 
     def test_point_mass_quadratic_oracle(self):
         mod = make_model(lam=1.0, ensemble=PointMass(((1.0,),)))
-        rep = solve_forward(mod, SpectralPoint(2.0, 0.1), switch=fp.SOLVE_TOL)
+        rep = solve_forward(mod, SpectralPoint(2.0, 0.1))
         assert rep.method == "picard"
         want = herglotz_quadratic_root(2, 2 + 0.1j, 1.0)
         assert rep.solution[0, 0] == pytest.approx(want, abs=1e-10)
 
-    def test_damping_validated(self):
-        mod, sp = make_model(), SpectralPoint(0.0, 1.0)
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                solve_forward(mod, sp, damping=bad)
-        assert solve_forward(mod, sp, damping=1.0).residual <= fp.SOLVE_TOL
-
-    def test_no_convergence_reports_residual(self):
+    def test_no_convergence_reports_residual(self, monkeypatch):
+        monkeypatch.setattr(fp, "DEFAULT_PICARD_MAX_ITER", 2)
         with pytest.raises(NoConvergenceError) as ei:
             solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                          np.zeros((1, 1)), switch=fp.SOLVE_TOL,
-                          picard_max_iter=2)
+                          np.zeros((1, 1)))
         assert ei.value.iterations == 2
         assert ei.value.residual > 0
 
 
 class TestNewton:
-    """Newton from the start: solve_forward with switch = inf."""
+    """Newton from the start: an infinite NEWTON_SWITCH hands over at once."""
+
+    @pytest.fixture(autouse=True)
+    def newton_only(self, monkeypatch):
+        monkeypatch.setattr(fp, "NEWTON_SWITCH", math.inf)
 
     def test_scalar_case_fast(self):
         rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                            np.array([[1j]]), switch=math.inf)
+                            np.array([[1j]]))
         assert rep.method == "newton"
         assert rep.iterations <= 6
         assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
@@ -177,7 +179,7 @@ class TestNewton:
         free = free_forward_green(sp, mod)
         start = free + 0.05 * (random_symmetric(2, np.random.default_rng(3))
                                + 0.3j * np.eye(2))
-        rep = solve_forward(mod, sp, start, switch=math.inf)
+        rep = solve_forward(mod, sp, start)
         assert rep.method == "newton"
         np.testing.assert_allclose(rep.solution, free, atol=1e-12)
 
@@ -229,7 +231,7 @@ class TestNewton:
 
     def test_quadratic_tail(self):
         rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                            np.array([[1j]]), switch=math.inf)
+                            np.array([[1j]]))
         hist = rep.residual_history
         pairs = [(hist[i], hist[i + 1]) for i in range(len(hist) - 1)
                  if hist[i + 1] > 1e-14]
@@ -244,8 +246,7 @@ class TestNewton:
         mod = make_model(K=4)
         start = np.array([[-3.0]], dtype=complex)
         with pytest.raises(SingularJacobianError):
-            solve_forward(mod, SpectralPoint(2.0, 0.0), start,
-                          switch=math.inf)
+            solve_forward(mod, SpectralPoint(2.0, 0.0), start)
 
     def test_singular_jacobian_detected_m2(self):
         # a = (0, 0.5), K = 4, z = 2: G = -3 I maps to Phi = diag(1, 2/3), so
@@ -253,13 +254,14 @@ class TestNewton:
         mod = make_model(K=4, a=(0.0, 0.5))
         with pytest.raises(SingularJacobianError):
             solve_forward(mod, SpectralPoint(2.0, 0.0),
-                          -3.0 * np.eye(2, dtype=complex), switch=math.inf)
+                          -3.0 * np.eye(2, dtype=complex))
 
-    def test_no_convergence_raises(self):
+    def test_no_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(fp, "SOLVE_TOL", 1e-12)
+        monkeypatch.setattr(fp, "DEFAULT_NEWTON_MAX_ITER", 1)
         with pytest.raises(NoConvergenceError) as ei:
             solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                          np.array([[1j]]), switch=math.inf, tol=1e-12,
-                          newton_max_iter=1)
+                          np.array([[1j]]))
         assert ei.value.iterations == 1
 
 
@@ -303,14 +305,15 @@ class TestSolveForward:
             return Phi
 
         monkeypatch.setattr(FixedPointProblem, "forward_map", recording)
+        monkeypatch.setattr(fp, "NEWTON_SWITCH", switch)
         rep = solve_forward(bench_point_mass(), SpectralPoint(0.3, 0.4),
-                            np.zeros((2, 2), dtype=complex), switch=switch)
+                            np.zeros((2, 2), dtype=complex))
         assert rep.method == method
         assert len(seen) == len(rep.residual_history) == rep.iterations + 1
         assert list(rep.residual_history) == [r for _, r in seen]
         np.testing.assert_array_equal(seen[-1][0], rep.solution)
         assert rep.residual == rep.residual_history[-1] <= fp.SOLVE_TOL
-        if switch == fp.NEWTON_SWITCH:
+        if method == "newton" and switch < math.inf:
             # the first step was damped, and a later one Newton
             assert rep.residual_history[0] > switch
 
@@ -370,17 +373,17 @@ class TestContinuation:
                         rep.solution, diagonalized_solution(mod, rep.z),
                         atol=1e-10, rtol=0)
 
-    def test_schedule_validation(self):
-        mod = make_model()
-        with pytest.raises(ValueError):
-            continuation_to_boundary(mod, 0.0, eta_min=0.0)
-        with pytest.raises(ValueError):
-            continuation_to_boundary(mod, 0.0, eta_start=1e-9)
-        with pytest.raises(ValueError):
-            continuation_to_boundary(mod, 0.0, eta_factor=1.0)
+    def test_eta_schedule_pinned(self):
+        # the benchmark's continuation check zips its reports with this list
+        want = tuple(0.5 ** k for k in range(27)) + (0.0,)
+        assert fp.ETA_SCHEDULE == want
+        reports = continuation_to_boundary(bench_point_mass(), 0.3)
+        assert len(reports) == 28
+        assert tuple(r.z.imag for r in reports) == want
+        assert all(r.z.real == 0.3 for r in reports)
 
     def test_breakdown_wraps_solver_failure(self, monkeypatch):
-        def stuck(model, point, initial=None, **kw):
+        def stuck(model, point, initial=None):
             raise NoConvergenceError("stuck", residual=1.0, iterations=5)
 
         monkeypatch.setattr(fp, "solve_forward", stuck)
@@ -389,7 +392,7 @@ class TestContinuation:
         assert ei.value.eta == 1.0
 
     def test_breakdown_on_lost_branch(self, monkeypatch):
-        def wrong_branch(model, point, initial=None, **kw):
+        def wrong_branch(model, point, initial=None):
             sol = np.array([[-1j]])
             return SolveReport(solution=sol, residual=0.0, iterations=1,
                                method="newton", z=point.z,

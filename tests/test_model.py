@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from bethestrip.errors import ConfigError, UnsupportedEnsembleError
+from bethestrip.errors import ConfigError
 from bethestrip.model import (
     GOE,
     BetheStripModel,
     DiagonalIID,
     PointMass,
     band_intersection,
-    deterministic_spectrum,
-    effective_spectrum_bounds,
     parse_ensemble_spec,
 )
 from bethestrip.rng import keyed_rng
@@ -67,53 +65,6 @@ class TestBandIntersection:
             for ak in a:
                 assert iv.lo >= ak - np.sqrt(K) - 1e-12
                 assert iv.hi <= ak + np.sqrt(K) + 1e-12
-
-
-class TestDeterministicSpectrum:
-    def test_point_mass_single_band(self):
-        mod = make_model(K=2, a=(0.0,), lam=1.0, ensemble=PointMass([[1.0]]))
-        bands = deterministic_spectrum(mod)
-        assert len(bands) == 1
-        assert bands[0].lo == pytest.approx(1 - np.sqrt(2))
-        assert bands[0].hi == pytest.approx(1 + np.sqrt(2))
-
-    def test_bernoulli_merges_when_overlapping(self):
-        mod = make_model(K=2, lam=0.2, ensemble=DiagonalIID("bernoulli"))
-        bands = deterministic_spectrum(mod)
-        assert len(bands) == 1
-        assert bands[0].lo == pytest.approx(-np.sqrt(2) - 0.2)
-        assert bands[0].hi == pytest.approx(np.sqrt(2) + 0.2)
-
-    def test_bernoulli_splits_when_far(self):
-        mod = make_model(K=2, lam=2.0, ensemble=DiagonalIID("bernoulli"))
-        bands = deterministic_spectrum(mod)
-        assert len(bands) == 2
-        assert bands[0].hi == pytest.approx(np.sqrt(2) - 2)
-        assert bands[1].lo == pytest.approx(-np.sqrt(2) + 2)
-
-    def test_uniform_interval(self):
-        mod = make_model(K=3, a=(0.5,), lam=0.25, ensemble=DiagonalIID("uniform"))
-        (band,) = deterministic_spectrum(mod)
-        assert band.lo == pytest.approx(0.25 - np.sqrt(3))
-        assert band.hi == pytest.approx(0.75 + np.sqrt(3))
-
-    def test_unbounded_raise(self):
-        for ens in (GOE(), DiagonalIID("gauss")):
-            with pytest.raises(UnsupportedEnsembleError):
-                deterministic_spectrum(make_model(lam=0.1, ensemble=ens))
-
-    def test_effective_bounds_bounded_match_exact(self):
-        mod = make_model(K=2, lam=0.3, ensemble=DiagonalIID("uniform"))
-        hull = effective_spectrum_bounds(mod)
-        bands = deterministic_spectrum(mod)
-        assert hull.lo == pytest.approx(bands[0].lo)
-        assert hull.hi == pytest.approx(bands[-1].hi)
-
-    def test_effective_bounds_goe_widens(self):
-        mod = make_model(K=2, a=(-0.5, 0.5), lam=0.1)
-        hull = effective_spectrum_bounds(mod)
-        assert hull.hi > np.sqrt(2) + 0.5 + 0.1  # carries a disorder margin
-        assert hull.hi == pytest.approx(np.sqrt(2) + 0.5 + 0.1 * 4 * np.sqrt(2))
 
 
 # every ensemble at m = 3 (odd, so a bernoulli draw ends mid-word)

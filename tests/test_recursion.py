@@ -9,7 +9,6 @@ from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 from bethestrip.recursion import (
     ac_indicator,
     batch_stats,
-    dos_density,
     eta_continuation,
     fixed_point_residual,
     forward_step,
@@ -214,7 +213,8 @@ class TestEstimators:
         full = free_full_green(sp, mod)
         np.testing.assert_allclose(eg.mean, full, atol=1e-12)
         np.testing.assert_allclose(eg2.mean, np.conj(full) @ full, atol=1e-12)
-        dos = dos_density(pool, mod, keyed_rng(0, 2, 98), 400)
+        dos = measure_stationary(pool, mod, 0, sweeps=1,
+                                 draws_per_sweep=400)[1].dos
         assert dos.mean == pytest.approx(free_dos(sp, mod), abs=1e-12)
         assert dos.std_error < 1e-12
 
