@@ -295,8 +295,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if raw["out"] is None:
         raise ConfigError("out is required")
     out = Path(str(raw["out"]))
-    if out.is_dir():
-        raise ConfigError(f"out: {out} is a directory")
+    for suffix in ("", ".manifest.json") + ((".verdict.json",) if sub == "ac-indicator" else ()):
+        if Path(f"{out}{suffix}").is_dir():
+            raise ConfigError(f"out: {out}{suffix} is a directory")
 
     resolved = {
         **counts,
@@ -565,12 +566,6 @@ def _write_manifest(cfg: RunConfig, result: CommandResult, wall: float) -> Path:
     path = Path(str(cfg.out) + ".manifest.json")
     _write_bytes(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
-
-
-def format_config(config: dict) -> str:
-    """Render a manifest config echo as a key=value file (round-trip aid)."""
-    lines = [f"{key}={config[key]}" for key in _KEYS if key in config]
-    return "\n".join(lines) + "\n"
 
 
 _VALUE_FLAGS = {"--config"} | {f"--{key}" for key in _KEYS}

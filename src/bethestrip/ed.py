@@ -16,8 +16,6 @@ them would move the Green's blocks at rounding level.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import SizeOverflowError
 from .linalg import SpectralPoint
@@ -92,6 +90,7 @@ def draw_site_potentials(model, tree, seed, realization=0):
 
 def _coo_operator(tree, blocks):
     """Strip operator as COO: (n, m, m) site blocks, I_m / 2 on each tree edge."""
+    import scipy.sparse  # here, so that importing the package skips scipy.sparse
     n, m = tree.n_sites, blocks.shape[-1]
     if m * n > MAX_DOF:
         raise SizeOverflowError(f"{m * n} degrees of freedom exceed {MAX_DOF}")
@@ -114,6 +113,7 @@ def assemble_operator(tree, model, potentials):
 
 
 def _factorize(sp: SpectralPoint, model, tree, potentials):
+    import scipy.sparse.linalg
     blocks = (model.a_matrix + model.lam * potentials) - sp.z * np.eye(model.m)
     shifted = _coo_operator(tree, blocks).tocsc()
     shifted.eliminate_zeros()  # a stored zero would change SuperLU's pattern

@@ -2,9 +2,9 @@
 
 Green's matrices on the strip are complex *symmetric* (not Hermitian).  Every
 recursion path inverts through :func:`resolvent`, batched over ``(..., m, m)``
-stacks with one error policy, in closed form at m = 2 and by LAPACK otherwise.
-Beside it: the upper-half-plane square root branch, the Herglotz indicator
-min eig Im M, and the PSD check for test matrices.
+stacks with one error policy: by LAPACK, or in closed form at m = 2, on packed
+(n,) columns when given A, lam, V and z.  Beside it: the upper-half-plane square
+root branch, the Herglotz indicator min eig Im M and the test-matrix PSD check.
 """
 
 from dataclasses import dataclass
@@ -39,9 +39,6 @@ class SpectralPoint:
     def z(self) -> complex:
         return complex(self.E, self.eta)
 
-    def __str__(self):
-        return f"{self.E:g}+{self.eta:g}i"
-
 
 def sym_part(M):
     """Symmetric part (M + M^T)/2.  Transpose, no conjugation."""
@@ -53,20 +50,41 @@ def symmetry_defect(M) -> float:
     return float(np.max(np.abs(M - np.swapaxes(M, -1, -2)), initial=0.0))
 
 
-def resolvent(shifted, neighbor_sum):
-    """sym_part(inv(shifted - neighbor_sum / 4)) over (..., m, m) stacks.
+def resolvent(onsite, neighbor_sum, V=None, lam=0.0, z=0.0):
+    """sym_part(inv(M)) over (..., m, m) stacks, M = ((A + lam V) - z) - neighbor_sum / 4.
 
-    ``shifted`` is A + lam V - z; ``neighbor_sum`` sums the K (forward) or
-    K + 1 (root) neighbor Green's matrices.  A singular member or a non-finite
-    entry raises :class:`SingularMatrixError`, a non-square stack ValueError.
-    For eta > 0 and Herglotz neighbors Im(-M) >= eta, so ||M^-1|| <= 1/eta
-    and no pivot floor is needed.  For m = 2, inv([[a, b], [c, d]]) is
-    [[d, -b], [-c, a]] / (ad - bc), so [[d, -(b+c)/2], [-(b+c)/2, a]] / det
-    is formed directly, without sym_part, on a (-1, 4) view (stacks and single
-    calls agree byte for byte); entries and det are checked before dividing,
-    so no RuntimeWarning precedes the error.
+    ``onsite`` is A given the potentials ``V``, else the shifted block A + lam V - z;
+    ``neighbor_sum`` sums the K (forward) or K + 1 (root) neighbor Green's matrices.
+    A singular member or a non-finite entry raises :class:`SingularMatrixError`, a
+    non-square stack ValueError.  For eta > 0 and Herglotz neighbors Im(-M) >= eta,
+    so ||M^-1|| <= 1/eta and no pivot floor is needed.  At m = 2 the closed form
+    [[d, -(b+c)/2], [-(b+c)/2, a]] / (ad - bc) runs on a (-1, 4) view of a shifted
+    block, or given V (symmetric stacks) on packed columns a, b = c, d.
     """
-    M = shifted - 0.25 * neighbor_sum
+    if V is not None and onsite.shape[-1] == 2:
+        v, s = V.reshape(-1, 4), neighbor_sum.reshape(-1, 4)
+        x = lam * v
+        x += onsite.reshape(4)  # A + lam V
+        a = x[:, 0] - z
+        a -= 0.25 * s[:, 0]
+        d = x[:, 3] - z
+        d -= 0.25 * s[:, 3]
+        b = x[:, 1] - 0.25 * s[:, 1]
+        if not all(np.isfinite(c).all() for c in (a, b, d)):
+            raise SingularMatrixError("non-finite entries in the recursion")
+        det = a * d
+        det -= b * b
+        if np.count_nonzero(det) < len(det):
+            raise SingularMatrixError("singular matrix in the recursion")
+        G = np.empty(s.shape, dtype=complex)
+        np.divide(d, det, out=G[:, 0])
+        np.divide(a, det, out=G[:, 3])
+        b = b / det
+        G[:, 1] = G[:, 2] = -0.5 * (b + b)  # not -b: zeros keep the (-1, 4) path's sign
+        return G.reshape(V.shape)
+    if V is not None:
+        onsite = (onsite + lam * V) - z * np.eye(onsite.shape[-1])
+    M = onsite - 0.25 * neighbor_sum
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError(f"resolvent expects (..., m, m) stacks, got {M.shape}")
     if M.shape[-1] == 2:

@@ -22,14 +22,6 @@ class RealInterval:
     lo: float
     hi: float
 
-    @property
-    def empty(self) -> bool:
-        return self.lo >= self.hi
-
-    @property
-    def width(self) -> float:
-        return max(self.hi - self.lo, 0.0)
-
     def contains(self, x) -> bool:
         return self.lo < x < self.hi
 
@@ -138,8 +130,11 @@ class GOE(DisorderEnsemble):
     sample = DisorderEnsemble.sample
 
     def sample_batch(self, m, rng, n):
-        X = rng.standard_normal((n, m, m))
-        return 0.5 * (X + np.swapaxes(X, -1, -2))
+        X = rng.standard_normal((n, m, m))  # (X + X^T)/2 in place; (x + x)/2 = x
+        for i in range(m):
+            for j in range(i + 1, m):
+                X[:, i, j] = X[:, j, i] = 0.5 * (X[:, i, j] + X[:, j, i])
+        return X
 
     def spec_string(self):
         return "goe"

@@ -9,7 +9,7 @@ neighbors.  Every path inverts through :func:`bethestrip.linalg.resolvent`,
 batched: a truncated tree one depth at a time, leaves first, and the
 resampling population that simulates the distributional fixed point a sweep
 at a time, each sweep rebuilding all N samples from K uniformly drawn
-predecessors plus a fresh potential.
+predecessors plus a fresh potential, at m = 2 on packed columns of M.
 
 All randomness is keyed (seed, purpose, sweep/realization, chunk), so pools
 and tree samples are reproducible bit-for-bit for any worker count.
@@ -29,17 +29,12 @@ from .rng import TAG_MEASURE, TAG_SWEEP, keyed_rng
 DEFAULT_BATCHES = 20
 
 
-def _shifted(model, V, z):
-    """A + lam V - z for one potential or a stack of them."""
-    return model.a_matrix + model.lam * np.asarray(V) - z * np.eye(model.m)
-
-
 def forward_step(sp: SpectralPoint, model, V, children):
     """One forward recursion step from K child Green's matrices."""
     children = list(children)
     if len(children) != model.K:
         raise ValueError(f"forward_step needs K={model.K} children")
-    return resolvent(_shifted(model, V, sp.z), sum(children))
+    return resolvent(model.a_matrix, sum(children), np.asarray(V), model.lam, sp.z)
 
 
 def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
@@ -62,7 +57,7 @@ def sample_tree_given(sp: SpectralPoint, model, tree, potentials):
     # of each site are contiguous, in site order, in the next depth, the same
     # number per site (K + 1 at the root, K below).  So the neighbor sums of
     # one depth are the Green's matrices of the next, grouped and summed.
-    shifted = _shifted(model, potentials, sp.z)
+    shifted = (model.a_matrix + model.lam * potentials) - sp.z * np.eye(model.m)
     edges = np.searchsorted(tree.depth_of, np.arange(tree.depth + 2))
     G = np.zeros((0, model.m, model.m))
     for d in range(tree.depth, -1, -1):
@@ -134,7 +129,7 @@ def _pool_draws(pool, model, rng, count, neighbors):
     neighbor_sum = pool.samples.take(idx[:, 0], axis=0)
     for k in range(1, neighbors):
         neighbor_sum += pool.samples.take(idx[:, k], axis=0)
-    return resolvent(_shifted(model, V, pool.point.z), neighbor_sum)
+    return resolvent(model.a_matrix, neighbor_sum, V, model.lam, pool.point.z)
 
 
 def population_sweep(pool: PopulationPool, model, workers=1) -> PopulationPool:
@@ -174,9 +169,6 @@ class MomentEstimate:
     mean: object  # complex scalar or (m, m) array
     std_error: object  # matching real scalar or array
     count: int
-
-    def __str__(self):
-        return f"{self.mean} +- {self.std_error} (n={self.count})"
 
 
 def batch_stats(values, batches=DEFAULT_BATCHES) -> MomentEstimate:
@@ -284,7 +276,7 @@ def measure_stationary(pool, model, context, sweeps=20, draws_per_sweep=500,
         G_blocks.append(root_draws(pool, model, rng, draws_per_sweep))
     G = np.concatenate(G_blocks, axis=0)
     batches = sweeps if sweeps > 1 else DEFAULT_BATCHES
-    tr = np.trace(np.conj(G) @ G, axis1=1, axis2=2).real
+    tr = (G.real**2 + G.imag**2).sum(axis=(1, 2))  # Tr(conj(G) G), G symmetric
     dos_vals = np.trace(G, axis1=1, axis2=2).imag / (model.m * np.pi)
     meas = StationaryMeasurement(
         green=batch_stats(G, batches),

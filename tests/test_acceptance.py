@@ -45,7 +45,7 @@ def verdict(capsys, num, name, ok, detail):
 
 def interior_energy(model, frac):
     window = band_intersection(model)
-    return window.lo + (frac + 1.0) / 2.0 * window.width
+    return window.lo + (frac + 1.0) / 2.0 * (window.hi - window.lo)
 
 
 def test_criterion_1_free_closed_form(capsys):

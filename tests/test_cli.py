@@ -410,7 +410,8 @@ class TestConfigPlumbing:
             config = manifest_of(out)["config"]
             config["out"] = str(again)
             cfg = tmp_path / f"{sub}.cfg"
-            cfg.write_text(cli.format_config(config))
+            cfg.write_text("".join(f"{key}={config[key]}\n"
+                                   for key in cli._KEYS if key in config))
             assert main([sub, "--config", str(cfg)]) == 0, sub
             assert manifest_of(again)["config"] == config, sub
             outputs = sorted(p.name[len(out.name):]
@@ -476,6 +477,22 @@ class TestConfigPlumbing:
                    "--out", str(tmp_path)])
         assert rc == 2
         assert str(tmp_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub, side", [("free-profile", ".manifest.json"),
+                                           ("ac-indicator", ".verdict.json")])
+    def test_side_file_directory_rejected_before_work(self, tmp_path, capsys,
+                                                      monkeypatch, sub, side):
+        def never(cfg):
+            raise AssertionError("the subcommand ran")
+
+        monkeypatch.setitem(cli._DISPATCH, sub, never)
+        out = tmp_path / "x.csv"
+        Path(f"{out}{side}").mkdir()
+        rc = main([sub, "--E-grid", "0:0:1", "--eta-schedule", "0.1,0.05,0.02",
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"{out}{side} is a directory" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_width_from_diagonal_and_mismatch(self, tmp_path):
         out = tmp_path / "fp.csv"
@@ -550,3 +567,12 @@ class TestConfigPlumbing:
         assert proc.returncode == 0
         assert "free-profile" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr
+
+    def test_import_skips_sparse_oracle(self):
+        # scipy.sparse is the crosscheck oracle's; other runs should not load it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = "import sys, bethestrip.cli; print('scipy.sparse' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -71,6 +71,40 @@ class TestResolvent:
                 with pytest.raises(SingularMatrixError):
                     resolvent(stack, 0.0)
 
+    def packed_case(self, rng, n):
+        # A, a symmetric neighbor sum and symmetric potentials for the
+        # packed m = 2 path, with the shifted block the same M comes from
+        A = np.diag([-0.5, 0.5])
+        nsum = np.array([random_herglotz(2, rng) for _ in range(n)])
+        V = np.array([random_symmetric(2, rng) for _ in range(n)])
+        return A, nsum, V, 0.7, complex(0.3, 0.05)
+
+    def test_packed_matches_shifted(self, rng):
+        A, nsum, V, lam, z = self.packed_case(rng, 50)
+        got = resolvent(A, nsum, V, lam, z)
+        ref = resolvent(A + lam * V - z * np.eye(2), nsum)
+        assert got.tobytes() == ref.tobytes()
+        for i in range(3):  # a single (2, 2) call and a stack of one
+            single = resolvent(A, nsum[i], V[i], lam, z)
+            assert single.shape == (2, 2)
+            assert single.tobytes() == resolvent(A, nsum[i:i + 1], V[i:i + 1],
+                                                 lam, z)[0].tobytes()
+            assert single.tobytes() == got[i].tobytes()
+
+    def test_packed_planted_errors_raise_without_warning(self, rng):
+        A, nsum, V, lam, z = self.packed_case(rng, 4)
+        nan = V.copy()
+        nan[2, 0, 1] = nan[2, 1, 0] = np.nan
+        # all four entries of M are 1: lam = 0, A = 0, z = 0, neighbors -4
+        ones = nsum.copy()
+        ones[1] = -4.0
+        for args, match in (((A, nsum, nan, lam, z), "non-finite"),
+                            ((np.zeros((2, 2)), ones, V, 0.0, 0j), "singular")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(SingularMatrixError, match=match):
+                    resolvent(*args)
+
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
             resolvent(np.zeros((3, 3), dtype=complex), 0.0)

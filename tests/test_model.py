@@ -47,12 +47,14 @@ class TestBandIntersection:
         iv = band_intersection(mod)
         assert iv.lo == pytest.approx(-np.sqrt(2) + 0.5, abs=1e-15)
         assert iv.hi == pytest.approx(np.sqrt(2) - 0.5, abs=1e-15)
-        assert not iv.empty
+        assert iv.lo < iv.hi
 
     def test_empty_iff_spread_reaches_two_sqrt_k(self):
         r = np.sqrt(2)
-        assert band_intersection(make_model(K=2, a=(-r, r))).empty
-        assert not band_intersection(make_model(K=2, a=(-r + 1e-6, r - 1e-6))).empty
+        iv = band_intersection(make_model(K=2, a=(-r, r)))
+        assert iv.hi <= iv.lo
+        iv = band_intersection(make_model(K=2, a=(-r + 1e-6, r - 1e-6)))
+        assert iv.lo < iv.hi
 
     def test_subset_of_every_band(self, rng):
         for _ in range(25):
@@ -60,7 +62,7 @@ class TestBandIntersection:
             m = int(rng.integers(1, 5))
             a = np.sort(rng.uniform(-1, 1, m))
             iv = band_intersection(make_model(K=K, a=tuple(a)))
-            if iv.empty:
+            if iv.hi <= iv.lo:
                 continue
             for ak in a:
                 assert iv.lo >= ak - np.sqrt(K) - 1e-12
@@ -90,6 +92,13 @@ class TestEnsembleSampling:
         var_off = V[:, 0, 1].var()
         assert var_diag == pytest.approx(1.0, rel=0.05)
         assert var_off == pytest.approx(0.5, rel=0.05)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_goe_is_symmetrized_normals(self, m):
+        # the batch is (X + X^T)/2 of the stream's normals, byte for byte
+        X = keyed_rng(3, m).standard_normal((40, m, m))
+        V = GOE().sample_batch(m, keyed_rng(3, m), 40)
+        assert V.tobytes() == (0.5 * (X + np.swapaxes(X, -1, -2))).tobytes()
 
     def test_diag_kinds_marginals(self):
         n = 40000

@@ -4,7 +4,7 @@ from scipy.stats import ks_2samp
 
 from bethestrip import ed, recursion
 from bethestrip.free import free_dos, free_forward_green, free_full_green
-from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
+from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue, resolvent
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 from bethestrip.recursion import (
     ac_indicator,
@@ -182,10 +182,35 @@ class TestPopulation:
         pool = population_run(population_init(SpectralPoint(0.4, 0.05), mod, 97,
                                                seed=5), mod, 3)
         # make _pool_draws hand back the neighbor sum it passes to the kernel
-        monkeypatch.setattr(recursion, "resolvent", lambda shifted, nsum: nsum)
+        monkeypatch.setattr(recursion, "resolvent", lambda onsite, nsum, *rest: nsum)
         got = recursion._pool_draws(pool, mod, keyed_rng(5, 1), 300, neighbors)
         idx = keyed_rng(5, 1).integers(0, pool.size, size=(300, neighbors))
         assert got.tobytes() == pool.samples[idx].sum(axis=1).tobytes()
+
+
+    @pytest.mark.parametrize("lam, ensemble", [
+        (0.1, GOE()), (0.0, GOE()), (-1.3, GOE()), (0.7, DiagonalIID("bernoulli")),
+        (1.3, PointMass([[0.3, 0.1], [0.1, -0.2]]))])
+    @pytest.mark.parametrize("E", [-0.7, 0.0, 0.4])
+    def test_packed_draws_match_shifted_composition(self, lam, ensemble, E):
+        # the m = 2 pool and root draws build M on packed columns; the
+        # reference composes the shifted block first and inverts that, from
+        # the same stream: the bytes must agree, signed zeros included
+        mod = make_model(K=2, a=(-0.5, 0.5), lam=lam, ensemble=ensemble)
+        pool = population_run(population_init(SpectralPoint(E, 0.05), mod, 400,
+                                               seed=7, chunking=3), mod, 3)
+        z = pool.point.z
+        for neighbors in (mod.K, mod.K + 1):
+            rng = keyed_rng(7, 9, neighbors)
+            idx = rng.integers(0, pool.size, size=(250, neighbors))
+            V = mod.ensemble.sample_batch(mod.m, rng, 250)
+            nsum = pool.samples[idx].sum(axis=1)
+            ref = resolvent(mod.a_matrix + mod.lam * V - z * np.eye(2), nsum)
+            got = recursion._pool_draws(pool, mod, keyed_rng(7, 9, neighbors), 250,
+                                        neighbors)
+            assert got.tobytes() == ref.tobytes()
+        got = root_draws(pool, mod, keyed_rng(7, 9, 3), 250)
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestEstimators:
