@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, recursion
 from .ed import build_tree, draw_site_potentials, root_green_block
 from .errors import (BetheStripError, ConfigError, OutOfBandError,
                      UnsupportedEnsembleError)
@@ -436,7 +436,7 @@ def _cmd_ac_indicator(cfg: RunConfig) -> CommandResult:
         "note": ("a ratio inside the window indicates a bounded second moment "
                  "(consistent with absolutely continuous spectrum); it is a "
                  "numerical indicator, not a proof"),
-        "window": [0.9, 1.1],
+        "window": [recursion.AC_RATIO_LO, recursion.AC_RATIO_HI],
         "results": results,
     }
     result = _csv_result(cfg, header, rows)

@@ -11,13 +11,13 @@ the map once per iterate: damped steps (robust far from the solution)
 until the residual drops below ``NEWTON_SWITCH``, then Newton steps on
 vec(G) (quadratic near it).  :func:`continuation_to_boundary` continues the
 solution in the spectral parameter down to the real axis, tracking the
-dissipative branch Im G >= 0.
+dissipative branch Im G >= 0, with a secant predictor between levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -50,6 +50,14 @@ DEFAULT_NEWTON_MAX_ITER = 60
 
 #: Continuation levels: eta = 1, 1/2, ..., 2^-26 (the last above 1e-8), then 0.
 ETA_SCHEDULE = tuple(0.5 ** k for k in range(27)) + (0.0,)
+
+
+@lru_cache(maxsize=16)
+def _onsite(model: BetheStripModel) -> np.ndarray:
+    """A + lam*V0 (read-only), the block free of z: built once per model."""
+    B = model.a_matrix + (model.lam * model.ensemble.matrix if model.lam else 0.0)
+    B.flags.writeable = False
+    return B
 
 
 @dataclass(frozen=True)
@@ -87,11 +95,10 @@ class FixedPointProblem:
 
     @cached_property
     def _shifted_onsite(self) -> np.ndarray:
-        """A + lam*V0 - z, the deterministic on-site block shifted by z."""
-        B = np.array(self.model.a_matrix, dtype=float)
-        if self.model.lam != 0.0:
-            B = B + self.model.lam * self.model.ensemble.matrix
-        return B - self.z * np.eye(self.model.m)
+        """A + lam*V0 - z: the model's on-site block, shifted on its diagonal."""
+        B = _onsite(self.model).astype(complex)
+        B.flat[::self.model.m + 1] -= self.z
+        return B
 
     def forward_map(self, G: np.ndarray) -> np.ndarray:
         """Apply G -> [A + lam*V0 - z - (K/4) G]^{-1} once."""
@@ -224,16 +231,20 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
 def continuation_to_boundary(model: BetheStripModel, E: float) -> list[SolveReport]:
     """Track the dissipative solution down ETA_SCHEDULE to eta = 0.
 
-    Solves once per level, warm-starting every step from the last solution.
-    For eta > 0 the tracked solution must stay dissipative (Im G >= 0 up to
-    slack); losing that branch, or any solver failure, raises
-    ContinuationBreakdownError tagged with the failing eta.  The final
-    boundary report may legitimately carry ``herglotz=False``: outside the
-    spectrum the boundary solution is real.
+    Level 0 starts from the free closed form, level 1 from its solution, level
+    k >= 2 from the secant predictor sym_part(G + r (G - G')), G and G' solving
+    levels k-1 and k-2, r = (eta_k - eta_{k-1})/(eta_{k-1} - eta_{k-2}).  For eta > 0
+    the tracked solution must stay dissipative (Im G >= 0 up to slack); losing
+    that branch, or any solver failure, raises ContinuationBreakdownError
+    tagged with the failing eta.  The final boundary report may legitimately
+    carry ``herglotz=False``: outside the spectrum the boundary solution is real.
     """
     reports: list[SolveReport] = []
-    guess = None
-    for eta in ETA_SCHEDULE:
+    for k, eta in enumerate(ETA_SCHEDULE):
+        guess = reports[-1].solution if reports else None
+        if k >= 2:  # r = 1/2 on the geometric schedule, 1 for the step to eta = 0
+            G0, (e0, e1) = reports[-2].solution, ETA_SCHEDULE[k - 2:k]
+            guess = sym_part(guess + (eta - e1) / (e1 - e0) * (guess - G0))
         point = SpectralPoint(E, eta)
         try:
             report = solve_forward(model, point, guess)
@@ -249,5 +260,4 @@ def continuation_to_boundary(model: BetheStripModel, E: float) -> list[SolveRepo
                 eta=eta,
             )
         reports.append(report)
-        guess = report.solution
     return reports

@@ -19,6 +19,7 @@ import pytest
 
 from bethestrip import cli
 from bethestrip import linearization as lin
+from bethestrip import recursion
 from bethestrip.cli import main
 from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
 from bethestrip.free import free_dos, free_full_green
@@ -197,6 +198,20 @@ class TestAcIndicator:
         assert "indicator" in verdict["note"]
         man = manifest_of(out)
         assert set(man["outputs"]) == {"ac.csv", "ac.csv.verdict.json"}
+
+    def test_verdict_reports_the_window_used(self, tmp_path, monkeypatch):
+        # the ratio at zero coupling is ~1, outside this window, so the
+        # verdict must say not bounded and name the window it was judged by
+        monkeypatch.setattr(recursion, "AC_RATIO_LO", 0.5)
+        monkeypatch.setattr(recursion, "AC_RATIO_HI", 0.75)
+        out = tmp_path / "ac.csv"
+        assert main(["ac-indicator", "--K", "2", "--m", "1", "--lambda", "0",
+                     "--E-grid", "0:0:1", "--eta-schedule", "0.2,0.1,0.05",
+                     "--pool", "64", "--sweeps", "2", "--burnin", "4",
+                     "--samples", "16", "--out", str(out)]) == 0
+        verdict = json.loads((tmp_path / "ac.csv.verdict.json").read_text())
+        assert verdict["window"] == [0.5, 0.75]
+        assert verdict["results"][0]["bounded"] is False
 
     def test_requires_three_eta_levels(self, tmp_path):
         rc = main(["ac-indicator", "--E-grid", "0:0:1",

@@ -365,13 +365,39 @@ class TestContinuation:
     @pytest.mark.parametrize("model", [bench_point_mass, m3_point_mass],
                              ids=["m2", "m3"])
     def test_matches_diagonalized_solution(self, model):
+        # every eta > 0 level, predicted or not, on 15 energies across and
+        # beyond the bands
         mod = model()
-        for E in (-2.2, -1.1, -0.35, 0.0, 0.6, 1.45, 2.3):
+        for E in np.linspace(-2.8, 2.8, 15):
             for rep in continuation_to_boundary(mod, E):
                 if rep.z.imag > 0:
                     np.testing.assert_allclose(
                         rep.solution, diagonalized_solution(mod, rep.z),
                         atol=1e-10, rtol=0)
+
+    def test_free_boundary_across_band_edges(self):
+        # the secant predictor must not jump branches near the edges +-sqrt 2,
+        # where G(E) has a square-root singularity
+        mod = make_model()
+        for E in np.linspace(-2.5, 2.5, 101):
+            last = continuation_to_boundary(mod, float(E))[-1]
+            assert last.z == complex(E, 0.0)
+            np.testing.assert_allclose(
+                last.solution, free_forward_green(SpectralPoint(E), mod),
+                atol=1e-9, rtol=0)
+            assert last.herglotz == (abs(E) < np.sqrt(2.0))
+
+    def test_predictor_saves_iterations(self):
+        # summed over the 28 levels of each continuation; warm-starting every
+        # level from the last solution took 942 on these energies
+        mod = bench_point_mass()
+        runs = {E: continuation_to_boundary(mod, E)
+                for E in (-2.1, -1.0, 0.0, 0.55, 1.7)}
+        assert sum(r.iterations for reps in runs.values() for r in reps) < 600
+        # at an interior energy the eta = 0 guess 2 G(i eta) - G(2 i eta)
+        # is within one step of the boundary solution
+        assert runs[0.0][-1].herglotz
+        assert runs[0.0][-1].iterations <= 1
 
     def test_eta_schedule_pinned(self):
         # the benchmark's continuation check zips its reports with this list
