@@ -36,8 +36,7 @@ import numpy as np
 
 from . import __version__, recursion
 from .ed import build_tree, draw_site_potentials, root_green_block
-from .errors import (BetheStripError, ConfigError, OutOfBandError,
-                     UnsupportedEnsembleError)
+from .errors import BetheStripError, ConfigError, OutOfBandError
 from .free import a_e_matrix, free_forward_green, free_full_green
 from .linalg import SpectralPoint
 from .linearization import build_ce_matrix, eigenvalue_gaps, enumerate_indices
@@ -259,7 +258,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     ensemble = parse_ensemble_spec(str(raw["ensemble"]), len(a))
     try:
         model = BetheStripModel(K=K, a=a, lam=lam, ensemble=ensemble)
-    except (ValueError, UnsupportedEnsembleError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     if raw["E-grid"] is None:

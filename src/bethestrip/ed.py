@@ -120,14 +120,6 @@ def _factorize(sp: SpectralPoint, model, tree, potentials):
     return scipy.sparse.linalg.splu(shifted)
 
 
-def green_column(sp: SpectralPoint, model, tree, potentials, site=0, orbital=0):
-    """One column of (H - z)^{-1} via sparse LU."""
-    lu = _factorize(sp, model, tree, potentials)
-    e = np.zeros(tree.n_sites * model.m, dtype=complex)
-    e[site * model.m + orbital] = 1.0
-    return lu.solve(e)
-
-
 def root_green_block(sp: SpectralPoint, model, tree, potentials):
     """The m x m Green's matrix block at the root, one LU for all m columns."""
     m = model.m

@@ -41,9 +41,10 @@ DAMPING = 0.5
 #: iteration to Newton.
 NEWTON_SWITCH = 1e-3
 #: A boundary (eta = 0) solution counts as dissipative only if every
-#: eigenvalue of Im G clears this floor; real solutions sit at rounding
-#: level and are flagged as non-dissipative.
-BOUNDARY_IMAG_FLOOR = 1e-8
+#: eigenvalue of Im G clears this floor.  At a band edge the fixed point is a
+#: double root, so a solve stopped at SOLVE_TOL leaves an error (and a spurious
+#: Im G) of order sqrt(SOLVE_TOL); the floor sits a decade above it.
+BOUNDARY_IMAG_FLOOR = 10 * SOLVE_TOL ** 0.5
 
 DEFAULT_PICARD_MAX_ITER = 500
 DEFAULT_NEWTON_MAX_ITER = 60
@@ -71,7 +72,6 @@ class FixedPointProblem:
 
     model: BetheStripModel
     point: SpectralPoint
-    initial: np.ndarray | None = None
 
     def __post_init__(self):
         if self.model.lam != 0.0 and not isinstance(self.model.ensemble, PointMass):
@@ -80,24 +80,12 @@ class FixedPointProblem:
                 "potential or lam = 0; got "
                 f"{self.model.ensemble.spec_string()} with lam={self.model.lam}"
             )
-        if self.initial is not None:
-            init = np.asarray(self.initial, dtype=complex)
-            if init.shape != (self.model.m, self.model.m):
-                raise ValueError(
-                    f"initial guess has shape {init.shape}, "
-                    f"expected {(self.model.m, self.model.m)}"
-                )
-            object.__setattr__(self, "initial", init)
-
-    @property
-    def z(self) -> complex:
-        return self.point.z
 
     @cached_property
     def _shifted_onsite(self) -> np.ndarray:
         """A + lam*V0 - z: the model's on-site block, shifted on its diagonal."""
         B = _onsite(self.model).astype(complex)
-        B.flat[::self.model.m + 1] -= self.z
+        B.flat[::self.model.m + 1] -= self.point.z
         return B
 
     def forward_map(self, G: np.ndarray) -> np.ndarray:
@@ -110,15 +98,9 @@ class FixedPointProblem:
         out = 1.0 / d if d != 0.0 else complex(np.inf)
         if not np.isfinite(out):
             raise SingularMatrixError(
-                f"forward map hit a singular matrix at z={self.z}"
+                f"forward map hit a singular matrix at z={self.point.z}"
             )
         return np.array([[out]])
-
-    def initial_guess(self) -> np.ndarray:
-        """The stored initial guess, or the lam=0 closed form at ``point``."""
-        if self.initial is not None:
-            return self.initial.copy()
-        return free_forward_green(self.point, self.model)
 
 
 @dataclass(frozen=True)
@@ -172,10 +154,18 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
     axis the slowest linearized mode approaches modulus one, which is where
     Newton takes over, and once it has it keeps the loop.  At most
     DEFAULT_PICARD_MAX_ITER damped and DEFAULT_NEWTON_MAX_ITER Newton steps
-    are taken.  These module constants are read at call time.
+    are taken.  These module constants are read at call time.  The iterate
+    starts from a copy of ``initial`` (an m x m array), else from the lam = 0
+    closed form at ``point``.
     """
-    problem = FixedPointProblem(model, point, initial)
-    G = problem.initial_guess()
+    problem = FixedPointProblem(model, point)
+    if initial is None:
+        G = free_forward_green(point, model)
+    else:
+        G = np.array(initial, dtype=complex)  # a copy: the report never aliases it
+        if G.shape != (model.m, model.m):
+            raise ValueError(f"initial guess has shape {G.shape}, "
+                             f"expected {(model.m, model.m)}")
     history = []
     picard_steps = newton_steps = 0
     while True:
@@ -190,7 +180,7 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
                 raise NoConvergenceError(
                     f"damped iteration stalled above NEWTON_SWITCH="
                     f"{NEWTON_SWITCH} after {picard_steps} steps at "
-                    f"z={problem.z} (last residual {residual:.3e})",
+                    f"z={point.z} (last residual {residual:.3e})",
                     residual=residual,
                     iterations=picard_steps,
                 )
@@ -200,7 +190,7 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
         if newton_steps == DEFAULT_NEWTON_MAX_ITER:
             raise NoConvergenceError(
                 f"Newton did not reach SOLVE_TOL={SOLVE_TOL} in {newton_steps} "
-                f"steps at z={problem.z} (last residual {residual:.3e})",
+                f"steps at z={point.z} (last residual {residual:.3e})",
                 residual=residual,
                 iterations=newton_steps,
             )
@@ -208,12 +198,12 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
             step = np.linalg.solve(_jacobian(problem, Phi), -R.ravel())
         except np.linalg.LinAlgError as exc:
             raise SingularJacobianError(
-                f"singular Newton Jacobian at z={problem.z} "
+                f"singular Newton Jacobian at z={point.z} "
                 f"(residual {residual:.3e})"
             ) from exc
         if not np.isfinite(step).all():
             raise SingularJacobianError(
-                f"non-finite Newton step at z={problem.z}"
+                f"non-finite Newton step at z={point.z}"
             )
         G = G + sym_part(step.reshape(G.shape))
         newton_steps += 1
@@ -222,7 +212,7 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
         residual=residual,
         iterations=picard_steps + newton_steps,
         method="newton" if newton_steps else "picard",
-        z=problem.z,
+        z=point.z,
         min_imag_eig=min_imag_eigenvalue(G),
         residual_history=tuple(history),
     )

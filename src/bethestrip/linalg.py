@@ -124,14 +124,13 @@ def min_imag_eigenvalue(M) -> float:
     return float(w[0] if w.ndim == 1 else w[..., 0].min())
 
 
-def require_psd(M, name="test matrix"):
-    """Check that M is a real symmetric PSD square matrix; return its symmetric part."""
+def require_psd(M):
+    """Check that the test matrix M is a real symmetric PSD square matrix."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix")
+        raise ValueError("test matrix must be a square matrix")
     if not np.allclose(M, M.T, atol=1e-12):
-        raise ValueError(f"{name} must be symmetric")
+        raise ValueError("test matrix must be symmetric")
     scale = max(float(np.max(np.abs(M))), 1.0)
     if np.linalg.eigvalsh(M)[0] < -1e-10 * scale:
-        raise ValueError(f"{name} must be positive semidefinite")
-    return 0.5 * (M + M.T)
+        raise ValueError("test matrix must be positive semidefinite")

@@ -29,14 +29,6 @@ from .rng import TAG_MEASURE, TAG_SWEEP, keyed_rng
 DEFAULT_BATCHES = 20
 
 
-def forward_step(sp: SpectralPoint, model, V, children):
-    """One forward recursion step from K child Green's matrices."""
-    children = list(children)
-    if len(children) != model.K:
-        raise ValueError(f"forward_step needs K={model.K} children")
-    return resolvent(model.a_matrix, sum(children), np.asarray(V), model.lam, sp.z)
-
-
 def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
     """Root Green's matrix on a depth-L truncated tree, by leaf-to-root elimination.
 
@@ -209,44 +201,34 @@ class FixedPointResidual:
         return bool(np.all(self.deltas <= 3.0 * self.errors))
 
 
-def fixed_point_residual(pool, model, rng, test_matrices, count,
-                         generations=1) -> FixedPointResidual:
+def fixed_point_residual(pool, model, rng, test_matrices, count) -> FixedPointResidual:
     """Compare pool characteristic weights against one forward-map pushforward.
 
     For each PSD test matrix M: the pool average of exp((i/4) Tr(G M))
-    versus the same average over fresh forward_step draws (K pool picks +
-    fresh V).  At the distributional fixed point both estimate the same
-    number.
+    versus the same average over fresh forward draws (K pool picks + fresh
+    V).  At the distributional fixed point both estimate the same number.
 
     A single generation's empirical law sits a random offset away from
     stationarity (resampling genealogy), which within-generation error bars
-    cannot see.  With ``generations > 1`` the complex differences are
-    averaged over that many consecutive generations -- the slowly rotating
-    offset cancels and the spread across generations gives an honest error.
+    cannot see.  So the complex differences are averaged over DEFAULT_BATCHES
+    consecutive generations of ``count // DEFAULT_BATCHES`` draws each: the
+    slowly rotating offset cancels and the spread across generations gives
+    an honest error.
     """
     for T in test_matrices:
         require_psd(T)
-    n_mats = len(test_matrices)
-    per_gen = max(count // generations, 1)
-    diffs = np.empty((generations, n_mats), dtype=complex)
-    within_err = np.empty(n_mats)
-    for g in range(generations):
+    per_gen = max(count // DEFAULT_BATCHES, 1)
+    diffs = np.empty((DEFAULT_BATCHES, len(test_matrices)), dtype=complex)
+    for g in range(DEFAULT_BATCHES):
+        if g:
+            pool = population_sweep(pool, model)
         pushed = _pool_draws(pool, model, rng, per_gen, model.K)
         for t, T in enumerate(test_matrices):
-            lhs = batch_stats(_char_values(pool.samples, T))
-            rhs = batch_stats(_char_values(pushed, T))
-            diffs[g, t] = lhs.mean - rhs.mean
-            if g == 0:
-                within_err[t] = float(np.hypot(lhs.std_error, rhs.std_error))
-        if g + 1 < generations:
-            pool = population_sweep(pool, model)
-    if generations > 1:
-        est = batch_stats(diffs, batches=min(generations, DEFAULT_BATCHES))
-        deltas = np.abs(np.asarray(est.mean))
-        errors = np.asarray(est.std_error, dtype=float)
-    else:
-        deltas = np.abs(diffs[0])
-        errors = within_err
+            diffs[g, t] = (batch_stats(_char_values(pool.samples, T)).mean
+                           - batch_stats(_char_values(pushed, T)).mean)
+    est = batch_stats(diffs)
+    deltas = np.abs(np.asarray(est.mean))
+    errors = np.asarray(est.std_error, dtype=float)
     k = int(np.argmax(deltas))
     return FixedPointResidual(residual=float(deltas[k]), combined_se=float(errors[k]),
                               deltas=deltas, errors=errors)

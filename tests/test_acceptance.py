@@ -19,15 +19,15 @@ from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
 from bethestrip.errors import OutOfBandError
 from bethestrip.fixedpoint import continuation_to_boundary, solve_forward
 from bethestrip.free import free_dos, free_forward_green
-from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
+from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue, resolvent
 from bethestrip.linearization import (build_ce_matrix, enumerate_indices,
                                       gap_kce, lambda_j)
 from bethestrip.model import (GOE, BetheStripModel, DiagonalIID, PointMass,
                               band_intersection)
 from bethestrip.recursion import (ac_indicator, eta_continuation,
-                                  fixed_point_residual, forward_step,
-                                  measure_stationary, population_init,
-                                  population_run, sample_tree_given)
+                                  fixed_point_residual, measure_stationary,
+                                  population_init, population_run,
+                                  sample_tree_given)
 from bethestrip.rng import child_seed, keyed_rng
 
 GOE2 = GOE()
@@ -171,7 +171,7 @@ def test_criterion_5_herglotz_and_norm_invariants(capsys):
         V = model.ensemble.sample(model.m, rng)
         children = [random_herglotz(m, rng, eta=float(rng.uniform(0.0, 0.5)))
                     for _ in range(K)]
-        G = forward_step(sp, model, V, children)
+        G = resolvent(model.a_matrix, sum(children), V, model.lam, sp.z)
         worst_imag = min(worst_imag, min_imag_eigenvalue(G))
         worst_norm_margin = min(worst_norm_margin,
                                 1.0 / eta - float(np.linalg.norm(G, 2)))
@@ -263,8 +263,7 @@ def test_criterion_8_population_fixed_point(capsys):
     pool = population_run(pool, model, 300)
     rng = np.random.default_rng(83)
     mats = [random_psd(2, rng) for _ in range(10)]
-    res = fixed_point_residual(pool, model, keyed_rng(84, 0), mats, 2000,
-                               generations=20)
+    res = fixed_point_residual(pool, model, keyed_rng(84, 0), mats, 2000)
     elapsed = time.perf_counter() - start
     ok = (spread < 1e-9 and point_dev < 1e-8 and res.within_noise
           and elapsed < 300.0)

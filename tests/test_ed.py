@@ -8,7 +8,6 @@ from bethestrip.ed import (
     build_tree,
     dos_histogram,
     draw_site_potentials,
-    green_column,
     root_green_block,
     tree_site_count,
 )
@@ -173,18 +172,20 @@ class TestAssembly:
         )
 
 
+def dense_root_block(sp, tree, model, potentials):
+    """The root m x m block of a dense inv(H - z)."""
+    H = dense_operator(tree, model, potentials)
+    return np.linalg.inv(H - sp.z * np.eye(len(H)))[:model.m, :model.m]
+
+
 class TestGreenSolves:
-    def test_column_residual(self):
+    def test_root_block_k3_matches_dense_inverse(self):
         mod = make_model(K=3, a=(-0.2, 0.4), lam=0.5)
         t = build_tree(3, 3)
         V = draw_site_potentials(mod, t, seed=2)
         sp = SpectralPoint(0.3, 0.05)
-        H = assemble_operator(t, mod, V).astype(complex)
-        u = green_column(sp, mod, t, V, site=0, orbital=1)
-        e = np.zeros(t.n_sites * mod.m, dtype=complex)
-        e[1] = 1.0
-        resid = np.max(np.abs(H @ u - sp.z * u - e))
-        assert resid < 1e-10
+        np.testing.assert_allclose(root_green_block(sp, mod, t, V),
+                                   dense_root_block(sp, t, mod, V), atol=1e-10)
 
     def test_root_block_matches_columns_and_symmetry(self):
         mod = make_model(K=2, a=(-0.5, 0.5), lam=0.8)
@@ -192,8 +193,7 @@ class TestGreenSolves:
         V = draw_site_potentials(mod, t, seed=3)
         sp = SpectralPoint(-0.2, 0.1)
         blk = root_green_block(sp, mod, t, V)
-        col0 = green_column(sp, mod, t, V, site=0, orbital=0)
-        np.testing.assert_allclose(blk[:, 0], col0[: mod.m], atol=1e-12)
+        np.testing.assert_allclose(blk, dense_root_block(sp, t, mod, V), atol=1e-12)
         assert np.max(np.abs(blk - blk.T)) < 1e-10
         # Herglotz: positive imaginary part at eta > 0
         assert np.linalg.eigvalsh(blk.imag)[0] > 0
@@ -207,8 +207,7 @@ class TestGreenSolves:
         t = build_tree(2, 3, m)
         V = draw_site_potentials(mod, t, seed=6)
         sp = SpectralPoint(0.3, 0.05)
-        H = dense_operator(t, mod, V)
-        want = np.linalg.inv(H - sp.z * np.eye(len(H)))[:m, :m]
+        want = dense_root_block(sp, t, mod, V)
         got = root_green_block(sp, mod, t, V)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))

@@ -93,10 +93,14 @@ class TestProblem:
         assert prob.forward_map(np.zeros((1, 1))) == pytest.approx(
             np.array([[1j]]))
 
-    def test_initial_shape_checked(self):
-        with pytest.raises(ValueError):
-            FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0),
-                              np.zeros((2, 2)))
+    def test_initial_shape_checked(self, monkeypatch):
+        # solve_forward rejects a wrong-shape guess before any map evaluation
+        calls = []
+        monkeypatch.setattr(FixedPointProblem, "forward_map",
+                            lambda self, G: calls.append(G))
+        with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(1, 1\)"):
+            solve_forward(make_model(), SpectralPoint(0.0, 1.0), np.zeros((2, 2)))
+        assert calls == []
 
     def test_onsite_includes_shifted_point_mass(self):
         V0 = ((0.2, 0.1), (0.1, -0.3))
@@ -107,15 +111,24 @@ class TestProblem:
                                    np.linalg.inv(onsite - 1j * np.eye(2)),
                                    rtol=1e-14)
 
-    def test_default_guess_is_free_solution(self):
+    def test_default_guess_is_free_solution(self, monkeypatch):
+        # without an initial guess, solve_forward's first iterate is the free
+        # closed form at the point, eta = 0 included
+        first = []
+        real = FixedPointProblem.forward_map
+
+        def recording(self, G):
+            first.append(G.copy())
+            return real(self, G)
+
+        monkeypatch.setattr(FixedPointProblem, "forward_map", recording)
         mod = make_model(a=(-0.5, 0.5))
         sp = SpectralPoint(0.3, 0.7)
-        prob = FixedPointProblem(mod, sp)
-        np.testing.assert_allclose(prob.initial_guess(),
-                                   free_forward_green(sp, mod))
-        prob0 = FixedPointProblem(mod, SpectralPoint(0.3, 0.0))
-        np.testing.assert_allclose(prob0.initial_guess(),
-                                   -4.0 * a_e_matrix(0.3, mod))
+        solve_forward(mod, sp)
+        np.testing.assert_allclose(first[0], free_forward_green(sp, mod))
+        first.clear()
+        solve_forward(mod, SpectralPoint(0.3, 0.0))
+        np.testing.assert_allclose(first[0], -4.0 * a_e_matrix(0.3, mod))
 
 
 class TestPicard:
@@ -283,6 +296,17 @@ class TestSolveForward:
         assert rep.iterations == 0
         assert rep.residual <= fp.SOLVE_TOL
 
+    def test_converged_start_is_copied(self):
+        # a guess that already meets SOLVE_TOL comes back as a copy, so the
+        # report never aliases the caller's array
+        mod = make_model(a=(-0.5, 0.5))
+        sp = SpectralPoint(0.2, 0.3)
+        start = free_forward_green(sp, mod)
+        rep = solve_forward(mod, sp, start)
+        assert rep.iterations == 0
+        assert not np.shares_memory(rep.solution, start)
+        np.testing.assert_array_equal(rep.solution, start)
+
     def test_diagonalization_oracle_m3(self):
         mod = m3_point_mass()
         sp = SpectralPoint(0.4, 0.2)
@@ -386,6 +410,18 @@ class TestContinuation:
                 last.solution, free_forward_green(SpectralPoint(E), mod),
                 atol=1e-9, rtol=0)
             assert last.herglotz == (abs(E) < np.sqrt(2.0))
+
+    @pytest.mark.parametrize("K, a, edge, inside", [
+        (2, (0.0,), np.sqrt(2.0), 1.4142), (4, (-0.5, 0.5), 1.5, 1.49)],
+        ids=["K2m1", "K4m2"])
+    def test_band_edge_boundary_not_dissipative(self, K, a, edge, inside):
+        # at a window edge the fixed point is a double root, so the eta = 0
+        # solve leaves Im G of order sqrt(SOLVE_TOL) (1e-6 here) where the
+        # limit is real; just inside, min eig Im G is 6e-3 and 0.1
+        mod = make_model(K=K, a=a)
+        for sign in (1.0, -1.0):
+            assert not continuation_to_boundary(mod, sign * edge)[-1].herglotz
+            assert continuation_to_boundary(mod, sign * inside)[-1].herglotz
 
     def test_predictor_saves_iterations(self):
         # summed over the 28 levels of each continuation; warm-starting every

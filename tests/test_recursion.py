@@ -11,7 +11,6 @@ from bethestrip.recursion import (
     batch_stats,
     eta_continuation,
     fixed_point_residual,
-    forward_step,
     measure_stationary,
     population_init,
     population_run,
@@ -29,19 +28,15 @@ def make_model(K=2, a=(0.0,), lam=0.0, ensemble=None):
 
 
 class TestForwardStep:
+    """One forward step, resolvent(A, sum of K children, V, lam, z)."""
+
     def test_free_fixed_point(self):
         mod = make_model()
         sp = SpectralPoint(0.3, 0.7)
         g0 = free_forward_green(sp, mod)
-        out = forward_step(sp, mod, np.zeros((1, 1)), [g0] * mod.K)
+        out = resolvent(mod.a_matrix, sum([g0] * mod.K), np.zeros((1, 1)),
+                        mod.lam, sp.z)
         np.testing.assert_allclose(out, g0, atol=1e-13)
-
-    def test_wrong_arity(self):
-        mod = make_model(K=2)
-        sp = SpectralPoint(0.0, 0.1)
-        g = free_forward_green(sp, mod)
-        with pytest.raises(ValueError):
-            forward_step(sp, mod, np.zeros((1, 1)), [g] * 3)
 
     def test_herglotz_preserved(self, rng):
         for _ in range(100):
@@ -53,7 +48,7 @@ class TestForwardStep:
             sp = SpectralPoint(float(rng.uniform(-2, 2)), eta)
             children = [random_herglotz(m, rng, eta=0.0) for _ in range(K)]
             V = mod.ensemble.sample(mod.m, rng)
-            G = forward_step(sp, mod, V, children)
+            G = resolvent(mod.a_matrix, sum(children), V, mod.lam, sp.z)
             assert min_imag_eigenvalue(G) >= -1e-10
             assert np.linalg.norm(G, 2) <= 1.0 / eta + 1e-9
 
@@ -273,8 +268,7 @@ class TestWeakFixedPoint:
         sp = SpectralPoint(0.2, 0.05)
         pool = population_run(population_init(sp, mod, 5000, seed=12), mod, 100)
         mats = [random_psd(2, rng) for _ in range(4)]
-        res = fixed_point_residual(pool, mod, keyed_rng(12, 2, 1), mats, 2000,
-                                   generations=20)
+        res = fixed_point_residual(pool, mod, keyed_rng(12, 2, 1), mats, 2000)
         assert res.within_noise
         assert res.deltas.shape == (4,)
 
