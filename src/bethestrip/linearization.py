@@ -30,9 +30,12 @@ walk-product identity
     C_E[J', J] = C_1[J', J] * prod_u binv_u^{(deg_u J + deg_u J') / 2},
 
 with C_1 the expansion at binv = 1 and deg_u J the row sum at u of
-J + J^T (a diagonal slot counts twice).  So :func:`build_ce_matrix` runs the jets once per (m, degree)
-and scales them per energy by exact integer powers of binv, while
-:func:`ce_apply_symbol` keeps the direct per-energy expansion as oracle.
+J + J^T (a diagonal slot counts twice).  One expansion of exp(W),
+truncated at total degree d, gives the image of every X^J zeta with
+|J| <= d at once.  :func:`build_ce_matrix` reads every column from that
+expansion at binv = 1 and scales it per energy by exact integer powers of
+binv, while :func:`ce_apply_symbol` reads the same expansion at its own
+binv, as the direct per-energy oracle.
 """
 
 from __future__ import annotations
@@ -248,118 +251,77 @@ class OperatorMatrix:
     entries: np.ndarray
 
 
-def _spoly_mul(a: dict, b: dict, cap: tuple) -> dict:
-    """Multiply polynomials in the jet parameters, dropping s^k > cap."""
-    out = {}
-    for ka, va in a.items():
-        for kb, vb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            if any(x > c for x, c in zip(key, cap)):
-                continue
-            out[key] = out.get(key, 0.0) + va * vb
-    return out
+def _jet_images(binv: np.ndarray, degree: int) -> dict:
+    """Images under C_E of every X^J zeta with |J| <= degree, from one jet.
 
-
-def _matmul_spoly(N, R, cap, m):
-    out = [[{} for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for c in range(m):
-            acc = {}
-            for b in range(m):
-                for key, val in _spoly_mul(N[a][b], R[b][c], cap).items():
-                    acc[key] = acc.get(key, 0.0) + val
-            out[a][c] = acc
-    return out
-
-
-def _apply_monomial(binv_diag: np.ndarray, J: MonomialIndex) -> dict:
-    """Image coefficients of C_E on X^J zeta, keyed by MonomialIndex.
-
-    Extracts the s^J jet of exp(W(s, X)) and multiplies by the
-    polarization prefactor prod_alpha J_alpha! / (i c_alpha)^{J_alpha},
-    with c_alpha = 1 on diagonal slots and 2 off the diagonal.
+    Expands W(s, X) = (i/4) sum_{n=1..degree} Tr((binv M)^n binv X), with M
+    the symmetric matrix holding the jet parameter s_alpha at both ends of
+    slot alpha, and then exp(W), once, dropping total s-degree > degree.
+    The s^J coefficient of exp(W) times the polarization prefactor
+    prod_alpha J_alpha! / (i c_alpha)^{J_alpha}, with c_alpha = 1 on
+    diagonal slots and 2 off the diagonal, is the image of X^J zeta.
+    Returns {J: {J': coefficient}}.
     """
-    m = J.m
+    m = len(binv)
     slots = upper_slots(m)
     p = len(slots)
-    cap = J.powers
-    total = J.degree
-    if total == 0:
-        return {J: 1.0 + 0.0j}
+    unit = [tuple(int(a == b) for b in range(p)) for a in range(p)]
+    slot_of = {}
+    for idx, (j, k) in enumerate(slots):
+        slot_of[j, k] = slot_of[k, j] = idx
 
-    W = _build_w(binv_diag, slots, cap)
+    # N = (binv M)^n binv, entry-wise polynomials in s homogeneous of degree n
+    N = [[{unit[slot_of[a, b]]: complex(binv[a] * binv[b])} for b in range(m)]
+         for a in range(m)]
+    W: dict = {}
+    for n in range(degree):
+        if n:  # N <- N M binv
+            prev, N = N, [[{} for _ in range(m)] for _ in range(m)]
+            for a, c, b in itertools.product(range(m), repeat=3):
+                acc = N[a][c]
+                for key, val in prev[a][b].items():
+                    key = tuple(x + y for x, y in zip(key, unit[slot_of[b, c]]))
+                    acc[key] = acc.get(key, 0.0) + val * complex(binv[c])
+        for idx, (j, k) in enumerate(slots):
+            entry = dict(N[j][k])
+            if j != k:
+                for key, val in N[k][j].items():
+                    entry[key] = entry.get(key, 0.0) + val
+            for s_pow, val in entry.items():
+                coeff = 0.25j * val
+                if coeff != 0.0:
+                    W[s_pow, unit[idx]] = W.get((s_pow, unit[idx]), 0.0) + coeff
 
-    # exp(W) truncated at jet order |J|
+    # W is filled by rising s-degree, so its terms of degree <= k are a prefix
+    terms = list(W.items())
+    ends = [sum(sum(s) <= k for (s, _), _ in terms) for k in range(degree + 1)]
     zero = ((0,) * p, (0,) * p)
     series = {zero: 1.0 + 0.0j}
-    term = {zero: 1.0 + 0.0j}
-    for n in range(1, total + 1):
+    term = dict(series)
+    for n in range(1, degree + 1):
         nxt = {}
         for (sa, xa), va in term.items():
-            for (sb, xb), vb in W.items():
-                s_key = tuple(x + y for x, y in zip(sa, sb))
-                if any(x > c for x, c in zip(s_key, cap)):
-                    continue
-                x_key = tuple(x + y for x, y in zip(xa, xb))
-                key = (s_key, x_key)
+            for (sb, xb), vb in terms[:ends[degree - sum(sa)]]:
+                key = (tuple(x + y for x, y in zip(sa, sb)),
+                       tuple(x + y for x, y in zip(xa, xb)))
                 nxt[key] = nxt.get(key, 0.0) + va * vb / n
         term = nxt
         for key, val in term.items():
             series[key] = series.get(key, 0.0) + val
 
-    prefactor = 1.0 + 0.0j
-    for power, (j, k) in zip(J.powers, slots):
-        c_alpha = 1.0 if j == k else 2.0
-        prefactor *= math.factorial(power) / (1j * c_alpha) ** power
-
-    out = {}
+    images: dict = {}
     for (s_pow, x_pow), val in series.items():
-        if s_pow != cap:
-            continue
+        if s_pow not in images:
+            prefactor = 1.0 + 0.0j
+            for power, (j, k) in zip(s_pow, slots):
+                c_alpha = 1.0 if j == k else 2.0
+                prefactor *= math.factorial(power) / (1j * c_alpha) ** power
+            images[s_pow] = (prefactor, {})
+        prefactor, image = images[s_pow]
         coeff = prefactor * val
         if coeff != 0.0:
-            out[MonomialIndex(m=m, powers=x_pow)] = coeff
-    return out
-
-
-def _build_w(binv_diag: np.ndarray, slots, cap: tuple) -> dict:
-    """W(s, X) as a jet dict keyed by (s_powers, x_powers); linear in X."""
-    m = len(binv_diag)
-    p = len(slots)
-    total = sum(cap)
-    zero_s = (0,) * p
-
-    def unit(slot_index):
-        key = list(zero_s)
-        key[slot_index] = 1
-        return tuple(key)
-
-    slot_of = {}
-    for idx, (j, k) in enumerate(slots):
-        slot_of[(j, k)] = idx
-        slot_of[(k, j)] = idx
-    R = [[{unit(slot_of[(a, b)]): complex(binv_diag[b])} for b in range(m)]
-         for a in range(m)]
-    N = [[{unit(slot_of[(a, b)]): complex(binv_diag[a] * binv_diag[b])}
-          for b in range(m)] for a in range(m)]
-
-    W: dict = {}
-    for _ in range(total):
-        for idx, (j, k) in enumerate(slots):
-            if j == k:
-                entry = N[j][j]
-            else:
-                entry = dict(N[j][k])
-                for key, val in N[k][j].items():
-                    entry[key] = entry.get(key, 0.0) + val
-            for s_pow, val in entry.items():
-                coeff = 0.25j * val
-                if coeff == 0.0:
-                    continue
-                key = (s_pow, unit(idx))
-                W[key] = W.get(key, 0.0) + coeff
-        N = _matmul_spoly(N, R, cap, m)
-    return W
+            image[MonomialIndex(m=m, powers=x_pow)] = coeff
+    return {MonomialIndex(m=m, powers=s): image for s, (_, image) in images.items()}
 
 
 def ce_apply_symbol(E: float, model: BetheStripModel, symbol: PolyGaussSymbol,
@@ -381,12 +343,12 @@ def ce_apply_symbol(E: float, model: BetheStripModel, symbol: PolyGaussSymbol,
         raise TruncationOverflowError(
             f"symbol degree {symbol.degree} exceeds max_degree {max_degree}"
         )
-    binv = -4.0 * diag
+    images = _jet_images(-4.0 * diag, symbol.degree)
     out: dict = {}
     for J, c in symbol.coeffs.items():
         if c == 0:
             continue
-        for J2, w in _apply_monomial(binv, J).items():
+        for J2, w in images[J].items():
             out[J2] = out.get(J2, 0.0) + c * w
     return PolyGaussSymbol(coeffs=out, gauss=working)
 
@@ -397,32 +359,36 @@ def build_ce_matrix(E, model: BetheStripModel,
 
     E is a scalar, giving (n, n) entries, or a 1-D sequence, giving the
     (n_E, n, n) stack of one matrix per energy; any energy outside the band
-    window raises OutOfBandError before the jets run.  The jets run once,
-    at binv = 1, and each energy is an integer-power scaling of them (see
-    the module docstring).  Verifies on the fly the degree filtration, an
-    even degree sum at every vertex for each nonzero entry, and every
-    diagonal entry against lambda_j to 1e-8; violations raise
+    window raises OutOfBandError before the jets run, and a basis over
+    MAX_BASIS raises TruncationOverflowError before it is enumerated.  The
+    jets run once, at binv = 1, and each energy is an integer-power scaling
+    of them (see the module docstring).  Verifies on the fly the degree
+    filtration, an even degree sum at every vertex for each nonzero entry,
+    and every diagonal entry against lambda_j to 1e-8; violations raise
     EigenvalueLawError (they would mean the jet expansion and the
     eigenvalue law disagree).
     """
     energies = np.asarray(E, dtype=float)
     if energies.ndim > 1:
         raise ValueError(f"E must be a scalar or 1-D, got shape {energies.shape}")
-    basis = enumerate_indices(model.m, max_degree)
-    if len(basis) > MAX_BASIS:
+    # counted, not enumerated: an oversize basis is refused before it is built
+    size = math.comb(slot_count(model.m) + max_degree, slot_count(model.m))
+    if size > MAX_BASIS:
         raise TruncationOverflowError(
-            f"basis of {len(basis)} monomials exceeds MAX_BASIS={MAX_BASIS}; "
+            f"basis of {size} monomials exceeds MAX_BASIS={MAX_BASIS}; "
             "reduce max_degree or m"
         )
+    basis = enumerate_indices(model.m, max_degree)
     grid = energies.reshape(-1)
     diag = np.array([_interior_ae_diag(e, model) for e in grid],
                     dtype=complex).reshape(len(grid), model.m)
     binv = -4.0 * diag
 
     row = {J: i for i, J in enumerate(basis)}
+    images = _jet_images(np.ones(model.m), max_degree)
     unit = np.zeros((len(basis), len(basis)), dtype=complex)
     for col, J in enumerate(basis):
-        for J2, coeff in _apply_monomial(np.ones(model.m), J).items():
+        for J2, coeff in images[J].items():
             if J2.degree > J.degree:
                 raise EigenvalueLawError(
                     f"degree filtration violated: {J} -> {J2}")

@@ -10,6 +10,12 @@ to an absolute 1e-12.  Its ``worst_case`` is the argmax over such numbers, so
 a reordered sum can flip it: it is compared only while the top per-case
 deviation, recomputed here, leads the runner-up by PINNED_LEAD.
 
+``continuation.out`` pins the deterministic solver, which no subcommand runs:
+``fixedpoint.continuation_to_boundary`` on CONTINUATION_RUNS, with each
+energy's eta = 0 solution, ``min_imag_eig`` and ``herglotz``, and every
+level's ``iterations`` and ``method``.  Its numbers are held to the same
+relative 1e-10; counts and labels must match exactly.
+
 A change that alters stream use on purpose regenerates the set with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 """
@@ -23,8 +29,9 @@ import pytest
 
 from bethestrip.cli import main as cli_main
 from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
+from bethestrip.fixedpoint import continuation_to_boundary
 from bethestrip.linalg import SpectralPoint
-from bethestrip.model import GOE, BetheStripModel
+from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 from bethestrip.recursion import sample_tree_given
 from bethestrip.rng import child_seed
 from test_acceptance import CLI_RUNS
@@ -36,6 +43,26 @@ RTOL = 1e-10
 ATOL = {("crosscheck", "max_deviation"): 1e-12}
 # top over runner-up deviation above which crosscheck's worst_case is pinned
 PINNED_LEAD = 2.0
+# (label, model, energies): grids inside and outside each band window, and
+# the window edges +-sqrt(2) (K = 2) and +-1.5 (K = 4, a = -+0.5), where the
+# eta = 0 fixed point is a double root
+CONTINUATION_RUNS = [
+    ("K2m1_free", BetheStripModel(K=2, a=(0.0,), lam=0.0,
+                                  ensemble=DiagonalIID("uniform")),
+     (-2.2, -1.0, 0.0, 0.7, 1.9, -math.sqrt(2.0), math.sqrt(2.0))),
+    ("K4m2_free", BetheStripModel(K=4, a=(-0.5, 0.5), lam=0.0,
+                                  ensemble=DiagonalIID("uniform")),
+     (-1.5, 1.5)),
+    ("K2m2_point_mass", BetheStripModel(
+        K=2, a=(-0.5, 0.5), lam=0.7,
+        ensemble=PointMass(((0.3, 0.1), (0.1, -0.2)))),
+     (-2.1, -1.0, 0.0, 0.55, 1.7)),
+    ("K3m3_point_mass", BetheStripModel(
+        K=3, a=(-0.5, 0.0, 0.5), lam=0.5,
+        ensemble=PointMass(((0.2, 0.1, 0.0), (0.1, -0.1, 0.05),
+                            (0.0, 0.05, 0.3)))),
+     (-2.5, -0.8, 0.0, 0.6, 2.5)),
+]
 
 
 def run(sub, out_dir):
@@ -46,6 +73,26 @@ def run(sub, out_dir):
     assert rc == 0, f"{sub} exited {rc}"
     return {p.name: p.read_text() for p in sorted(out_dir.glob(f"{sub}.out*"))
             if not p.name.endswith(".manifest.json")}
+
+
+def continuation_record():
+    """The continuation golden as a JSON-ready dict, keyed by run label."""
+    out = {}
+    for label, model, energies in CONTINUATION_RUNS:
+        out[label] = []
+        for E in energies:
+            reports = continuation_to_boundary(model, E)
+            last = reports[-1]
+            out[label].append({
+                "E": E,
+                "solution": [[[z.real, z.imag] for z in row]
+                             for row in last.solution.tolist()],
+                "min_imag_eig": last.min_imag_eig,
+                "herglotz": last.herglotz,
+                "iterations": [r.iterations for r in reports],
+                "method": [r.method for r in reports],
+            })
+    return out
 
 
 def close(got, want, atol=0.0):
@@ -123,9 +170,16 @@ def test_outputs_match_golden(sub, tmp_path):
             compare_csv(sub, got[name], text)
 
 
+def test_continuation_matches_golden():
+    want = json.loads((GOLDEN / "continuation.out").read_text())
+    compare_json("continuation", continuation_record(), want)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for sub in CLI_RUNS:
         run(sub, GOLDEN)
+    (GOLDEN / "continuation.out").write_text(
+        json.dumps(continuation_record(), indent=1) + "\n")
     for manifest in GOLDEN.glob("*.manifest.json"):
         manifest.unlink()

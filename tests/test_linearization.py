@@ -443,6 +443,27 @@ class TestBuildMatrix:
         with pytest.raises(TruncationOverflowError):
             build_ce_matrix(0.0, make_model(a=(-0.2, 0.0, 0.2)), 7)
 
+    def test_oversize_basis_refused_before_enumeration(self, monkeypatch):
+        # at m = 4, degree 40 would be C(50, 10) ~ 1e10 index objects
+        def no_enumeration(m, max_degree):
+            raise AssertionError("basis enumerated before the size check")
+
+        monkeypatch.setattr(lin, "enumerate_indices", no_enumeration)
+        with pytest.raises(TruncationOverflowError, match="exceeds MAX_BASIS"):
+            build_ce_matrix(0.0, make_model(a=(-0.3, -0.1, 0.1, 0.3)), 40)
+
+    @pytest.mark.parametrize("m, degree", [(1, 5), (2, 4), (3, 2)])
+    def test_degree_d_is_leading_block_of_d_plus_one(self, m, degree):
+        # one total-degree expansion per call: truncating it one degree
+        # lower must cut the matrix, not change it
+        mod = make_model(a=PROFILES[m])
+        energies = interior_energies(mod)
+        low = build_ce_matrix(energies, mod, degree)
+        high = build_ce_matrix(energies, mod, degree + 1)
+        n = len(low.basis)
+        assert high.basis[:n] == low.basis
+        assert low.entries.tobytes() == high.entries[:, :n, :n].tobytes()
+
     def test_out_of_band_propagates(self):
         with pytest.raises(OutOfBandError):
             build_ce_matrix(2.0, make_model(), 1)
@@ -496,10 +517,10 @@ class TestWalkProductScaling:
             assert single.entries.tobytes() == entries.tobytes()
 
     def test_out_of_band_in_stack_raises_before_expansion(self, monkeypatch):
-        def no_expansion(binv, J):
+        def no_expansion(binv, degree):
             raise AssertionError("expansion ran before the band check")
 
-        monkeypatch.setattr(lin, "_apply_monomial", no_expansion)
+        monkeypatch.setattr(lin, "_jet_images", no_expansion)
         with pytest.raises(OutOfBandError):
             build_ce_matrix([0.0, 0.5, 2.0, 0.1], make_model(), 2)
 
@@ -522,16 +543,15 @@ class TestWalkProductScaling:
                                            pattern):
         # corrupt the image of X_12: an entry of higher degree, one at an
         # odd vertex degree sum (X_11), or a wrong diagonal value
-        real = lin._apply_monomial
+        real = lin._jet_images
         target = MonomialIndex(m=2, powers=(0, 1, 0))
 
-        def corrupted(binv, J):
-            out = real(binv, J)
-            if J == target:
-                bad = MonomialIndex(m=2, powers=planted)
-                out[bad] = out.get(bad, 0.0) + 0.1
-            return out
+        def corrupted(binv, degree):
+            images = real(binv, degree)
+            bad = MonomialIndex(m=2, powers=planted)
+            images[target][bad] = images[target].get(bad, 0.0) + 0.1
+            return images
 
-        monkeypatch.setattr(lin, "_apply_monomial", corrupted)
+        monkeypatch.setattr(lin, "_jet_images", corrupted)
         with pytest.raises(EigenvalueLawError, match=pattern):
             build_ce_matrix([-0.1, 0.2], make_model(a=(-0.3, 0.3)), 2)
