@@ -70,7 +70,7 @@ class _Key(NamedTuple):
     help: str
     # None (no default), a string, or {subcommand: string} with "*" as fallback
     default: str | dict | None = None
-    # integer keys only: the least allowed value
+    # the integer fields of RunConfig only: the least allowed value
     lo: int | None = None
     # subcommands whose manifest echoes the resolved value
     echo: tuple = tuple(_SUBCOMMANDS)
@@ -78,8 +78,8 @@ class _Key(NamedTuple):
 
 # Every config key: one --flag and one config-file key each, in help order.
 _KEYS = {
-    "K": _Key("INT", "branching number (>= 2)", "2", lo=2),
-    "m": _Key("INT", "strip width (number of orbitals)", lo=1),
+    "K": _Key("INT", "branching number (>= 2)", "2"),
+    "m": _Key("INT", "strip width (number of orbitals)"),
     "A": _Key("SPEC", 'diagonal onsite matrix, e.g. "diag:-0.5,0.5"'),
     "lambda": _Key("FLOAT", "disorder coupling strength", "0.0"),
     "ensemble": _Key("SPEC", "goe | diag:<kind> | point:<matrix-or-path>",
@@ -135,11 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        lines = p.read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}
@@ -186,9 +183,7 @@ def _parse_grid(raw: str):
         raise ConfigError(f'E-grid: expected "lo:hi:n", got {raw!r}')
     lo = _parse_float("E-grid", parts[0])
     hi = _parse_float("E-grid", parts[1])
-    n = _parse_int("E-grid", parts[2], lo=0)
-    if n == 0:
-        raise ConfigError("E-grid: empty grid (n = 0)")
+    n = _parse_int("E-grid", parts[2], lo=1)
     if lo > hi:
         raise ConfigError(f"E-grid: lo > hi ({lo:g} > {hi:g})")
     if n == 1 and lo != hi:
@@ -196,11 +191,11 @@ def _parse_grid(raw: str):
     return lo, hi, n, tuple(float(x) for x in np.linspace(lo, hi, n))
 
 
-def _parse_etas(raw: str) -> tuple:
+def _parse_floats(key: str, raw: str) -> tuple:
     toks = [t for t in str(raw).strip().split(",") if t.strip()]
     if not toks:
-        raise ConfigError("eta-schedule: empty schedule")
-    return tuple(_parse_float("eta-schedule", t) for t in toks)
+        raise ConfigError(f"{key}: empty list")
+    return tuple(_parse_float(key, t) for t in toks)
 
 
 @dataclass(frozen=True)
@@ -237,63 +232,51 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     def count(key):
         return _parse_int(key, raw[key], _KEYS[key].lo)
 
+    def required(key):
+        if raw[key] is None:
+            raise ConfigError(f"{key} is required")
+        return raw[key]
+
     K = count("K")
     a_raw, m_raw = raw["A"], raw["m"]
     if a_raw is not None:
         if not str(a_raw).startswith("diag:"):
             raise ConfigError(f'A: expected "diag:v1,v2,...", got {a_raw!r}')
-        body = str(a_raw)[len("diag:"):]
-        toks = [t for t in body.split(",") if t.strip()]
-        if not toks:
-            raise ConfigError("A: empty diagonal")
-        a = tuple(_parse_float("A", t) for t in toks)
+        a = _parse_floats("A", str(a_raw)[len("diag:"):])
         if m_raw is not None and count("m") != len(a):
             raise ConfigError(
                 f"m={m_raw} disagrees with the {len(a)} entries of A"
             )
-    else:
-        a = (0.0,) * (count("m") if m_raw is not None else 1)
+    else:  # a zero-stride view: the model checks the width before copying
+        a = np.broadcast_to(0.0, max(count("m"), 0) if m_raw is not None else 1)
 
     lam = _parse_float("lambda", raw["lambda"])
-    ensemble = parse_ensemble_spec(str(raw["ensemble"]), len(a))
+    # the model and its ensemble own every model rule; their errors are config errors
     try:
-        model = BetheStripModel(K=K, a=a, lam=lam, ensemble=ensemble)
-    except ValueError as exc:
+        model = BetheStripModel(K=K, a=a, lam=lam,
+                                ensemble=parse_ensemble_spec(str(raw["ensemble"])))
+    except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
-    if raw["E-grid"] is None:
-        raise ConfigError("E-grid is required")
-    lo, hi, n, e_values = _parse_grid(raw["E-grid"])
+    lo, hi, n, e_values = _parse_grid(required("E-grid"))
 
-    etas_raw = raw["eta-schedule"]
-    if sub in _POOL_SUBS:
-        if etas_raw is None:
-            raise ConfigError("eta-schedule is required")
-        etas = _parse_etas(etas_raw)
-        if any(e <= 0 for e in etas):
+    etas = ()
+    if sub in _KEYS["eta-schedule"].echo:  # the subcommands that read a schedule
+        etas = _parse_floats("eta-schedule", required("eta-schedule"))
+        etas = etas[:1] if sub == "crosscheck" else etas  # its first level only
+        if sub == "free-profile" and any(e < 0 for e in etas):
+            raise ConfigError("eta-schedule: levels must be >= 0")
+        if sub != "free-profile" and any(e <= 0 for e in etas):
             raise ConfigError("eta-schedule: all levels must be positive")
-        if any(b >= a_ for a_, b in zip(etas, etas[1:])):
+        if sub in _POOL_SUBS and any(b >= a_ for a_, b in zip(etas, etas[1:])):
             raise ConfigError("eta-schedule: levels must be strictly decreasing")
         if sub == "ac-indicator" and len(etas) < 3:
             raise ConfigError("ac-indicator needs at least 3 eta levels")
-    elif sub == "free-profile":
-        etas = _parse_etas(etas_raw)
-        if any(e < 0 for e in etas):
-            raise ConfigError("eta-schedule: levels must be >= 0")
-    elif sub == "crosscheck":
-        etas = _parse_etas(etas_raw)[:1]
-        if etas[0] <= 0:
-            raise ConfigError("crosscheck needs a positive eta")
-    else:
-        etas = ()
 
-    # the integer fields of RunConfig; K and m went into the model above
     counts = {key: count(key) for key, spec in _KEYS.items()
-              if spec.lo is not None and key not in ("K", "m")}
+              if spec.lo is not None}
 
-    if raw["out"] is None:
-        raise ConfigError("out is required")
-    out = Path(str(raw["out"]))
+    out = Path(str(required("out")))
     for suffix in ("", ".manifest.json") + ((".verdict.json",) if sub == "ac-indicator" else ()):
         if Path(f"{out}{suffix}").is_dir():
             raise ConfigError(f"out: {out}{suffix} is a directory")

@@ -59,21 +59,12 @@ def build_tree(K, depth, m=1) -> TruncatedTree:
         raise SizeOverflowError(
             f"m * |sites| = {m * n} exceeds the {MAX_DOF} direct-solve cap"
         )
-    parents = np.full(n, -1, dtype=np.int64)
-    depth_of = np.zeros(n, dtype=np.int64)
-    nxt = 1
-    frontier = [0]
-    for d in range(1, depth + 1):
-        new_frontier = []
-        for p in frontier:
-            deg = K + 1 if p == 0 else K
-            for _ in range(deg):
-                parents[nxt] = p
-                depth_of[nxt] = d
-                new_frontier.append(nxt)
-                nxt += 1
-        frontier = new_frontier
-    assert nxt == n
+    # level d >= 1 holds (K+1) K^(d-1) sites; the root has K+1 children, the rest K
+    sizes = [1] + [(K + 1) * K ** (d - 1) for d in range(1, depth + 1)]
+    depth_of = np.repeat(np.arange(depth + 1, dtype=np.int64), sizes)
+    fanout = np.full(n - sizes[-1], K)
+    fanout[:1] = K + 1
+    parents = np.concatenate([[-1], np.repeat(np.arange(n - sizes[-1]), fanout)])
     return TruncatedTree(K=K, depth=depth, parents=parents, depth_of=depth_of)
 
 

@@ -58,6 +58,10 @@ from .model import BetheStripModel
 MODULUS_RTOL = 1e-12
 #: Largest monomial basis build_ce_matrix will assemble.
 MAX_BASIS = 500
+#: Largest index set enumerate_indices will build.  An index holds about
+#: 400 bytes (tracemalloc at m = 4), so this is about 80 MB; m = 4 at
+#: degree 10 (184,756 indices) fits, m = 16 at degree 10 (~1e15) does not.
+MAX_INDICES = 200_000
 
 
 def upper_slots(m: int) -> list[tuple[int, int]]:
@@ -121,10 +125,25 @@ class MonomialIndex:
         return "J[" + ",".join(str(x) for x in self.powers) + "]"
 
 
+def _basis_size(m: int, max_degree: int, cap: int, name: str) -> int:
+    """|{J : |J| <= max_degree}|, counted, not enumerated; above cap raises."""
+    size = math.comb(slot_count(m) + max_degree, slot_count(m))
+    if size > cap:
+        raise TruncationOverflowError(
+            f"basis of {size} monomials exceeds {name}={cap}; "
+            "reduce max_degree or m"
+        )
+    return size
+
+
 def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
-    """All J with |J| <= max_degree, ordered by (degree, lexicographic)."""
+    """All J with |J| <= max_degree, ordered by (degree, lexicographic).
+
+    A set over MAX_INDICES raises TruncationOverflowError before it is built.
+    """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    size = _basis_size(m, max_degree, MAX_INDICES, "MAX_INDICES")
     p = slot_count(m)
     out = []
     for degree in range(max_degree + 1):
@@ -133,8 +152,7 @@ def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
             for slot in combo:
                 powers[slot] += 1
             out.append(MonomialIndex(m=m, powers=tuple(powers)))
-    expected = math.comb(p + max_degree, max_degree)
-    assert len(out) == expected, (len(out), expected)
+    assert len(out) == size, (len(out), size)
     return out
 
 
@@ -371,13 +389,7 @@ def build_ce_matrix(E, model: BetheStripModel,
     energies = np.asarray(E, dtype=float)
     if energies.ndim > 1:
         raise ValueError(f"E must be a scalar or 1-D, got shape {energies.shape}")
-    # counted, not enumerated: an oversize basis is refused before it is built
-    size = math.comb(slot_count(model.m) + max_degree, slot_count(model.m))
-    if size > MAX_BASIS:
-        raise TruncationOverflowError(
-            f"basis of {size} monomials exceeds MAX_BASIS={MAX_BASIS}; "
-            "reduce max_degree or m"
-        )
+    _basis_size(model.m, max_degree, MAX_BASIS, "MAX_BASIS")
     basis = enumerate_indices(model.m, max_degree)
     grid = energies.reshape(-1)
     diag = np.array([_interior_ae_diag(e, model) for e in grid],

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-
 MAX_WIDTH = 16  # supported strip widths; dense m x m algebra throughout
 
 
@@ -57,11 +55,14 @@ class PointMass(DisorderEnsemble):
     def __init__(self, V0):
         V0 = np.asarray(V0, dtype=float)
         if V0.ndim != 2 or V0.shape[0] != V0.shape[1]:
-            raise ValueError("V0 must be a square matrix")
-        if not np.allclose(V0, V0.T, atol=1e-12):
-            raise ValueError("V0 must be symmetric")
-        V0 = 0.5 * (V0 + V0.T)
-        object.__setattr__(self, "V0", tuple(map(tuple, V0.tolist())))
+            raise ValueError("point matrix must be square")
+        with np.errstate(over="ignore", invalid="ignore"):  # caught as non-finite
+            sym = 0.5 * (V0 + V0.T)
+            if not np.isfinite(sym).all():
+                raise ValueError("point matrix must be finite")
+            if not np.allclose(V0, V0.T, atol=1e-12):
+                raise ValueError("point matrix must be symmetric")
+        object.__setattr__(self, "V0", tuple(map(tuple, sym.tolist())))
 
     @property
     def matrix(self):
@@ -77,7 +78,8 @@ class PointMass(DisorderEnsemble):
 
     def _check_m(self, m):
         if m != self.m:
-            raise ValueError(f"PointMass is {self.m}x{self.m}, model has m={m}")
+            raise ValueError(f"point matrix has shape ({self.m}, {self.m}), "
+                             f"model needs ({m}, {m})")
 
     def spec_string(self):
         return "point:" + json.dumps(self.V0)
@@ -98,7 +100,10 @@ class DiagonalIID(DisorderEnsemble):
 
     def __post_init__(self):
         if self.kind not in _DIAG_KINDS:
-            raise ValueError(f"unknown diagonal kind {self.kind!r}")
+            raise ValueError(
+                f"unknown diagonal disorder kind {self.kind!r}; "
+                f"expected one of {', '.join(_DIAG_KINDS)}"
+            )
 
     def _draw(self, rng, shape):
         if self.kind == "uniform":
@@ -153,14 +158,14 @@ class BetheStripModel:
         if int(self.K) != self.K or self.K < 2:
             raise ValueError("K must be an integer >= 2")
         object.__setattr__(self, "K", int(self.K))
-        a = tuple(float(x) for x in np.atleast_1d(self.a))
+        a = np.atleast_1d(np.asarray(self.a, dtype=float))
         if not 1 <= len(a) <= MAX_WIDTH:
             raise ValueError(f"strip width must be 1..{MAX_WIDTH}")
-        if any(not np.isfinite(x) for x in a):
+        if not np.isfinite(a).all():
             raise ValueError("a must be finite")
-        if any(a[i] > a[i + 1] for i in range(len(a) - 1)):
+        if (np.diff(a) < 0).any():
             raise ValueError("a must be sorted ascending")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", tuple(a.tolist()))
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
         object.__setattr__(self, "lam", float(self.lam))
@@ -189,44 +194,33 @@ def band_intersection(model) -> RealInterval:
     return RealInterval(-model.sqrt_k + model.a[-1], model.sqrt_k + model.a[0])
 
 
-def parse_ensemble_spec(spec, m):
-    """Parse an ensemble string: point:<json-or-path>, diag:<kind>, goe."""
+def parse_ensemble_spec(spec):
+    """Parse point:<json-or-path>, diag:<kind> or goe; the syntax only.
+
+    The ensemble checks its values.  Raises ValueError, or OSError on a read.
+    """
     spec = spec.strip()
     if spec == "goe":
         return GOE()
     if spec.startswith("diag:"):
-        kind = spec[len("diag:"):]
-        if kind not in _DIAG_KINDS:
-            raise ConfigError(
-                f"unknown diagonal disorder kind {kind!r}; "
-                f"expected one of {', '.join(_DIAG_KINDS)}"
-            )
-        return DiagonalIID(kind)
+        return DiagonalIID(spec[len("diag:"):])
     if spec.startswith("point:"):
         payload = spec[len("point:"):].strip()
         if not payload:
-            raise ConfigError("point: requires an inline matrix or a path")
+            raise ValueError("point: requires an inline matrix or a path")
         try:
             if payload.startswith("["):
                 data = json.loads(payload)
             elif os.path.exists(payload):
                 with open(payload) as fh:
                     data = json.load(fh)
-            else:
-                # bare comma-separated diagonal, e.g. point:0.3,-0.1
-                data = np.diag([float(x) for x in payload.split(",")]).tolist()
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot parse point ensemble {payload!r}: {exc}")
-        V0 = np.asarray(data, dtype=float)
-        if V0.ndim == 1:
-            V0 = np.diag(V0)
-        if V0.shape != (m, m):
-            raise ConfigError(
-                f"point matrix has shape {V0.shape}, model needs ({m}, {m})"
-            )
-        if not np.allclose(V0, V0.T, atol=1e-12):
-            raise ConfigError("point matrix must be symmetric")
-        return PointMass(V0)
-    raise ConfigError(
+            else:  # bare comma-separated diagonal, e.g. point:0.3,-0.1
+                data = [float(x) for x in payload.split(",")]
+            V0 = np.asarray(data, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(
+                f"cannot parse point ensemble {payload!r}: {exc}") from None
+        return PointMass(np.diag(V0) if V0.ndim == 1 else V0)
+    raise ValueError(
         f"unknown ensemble spec {spec!r}; expected goe, diag:<kind>, or point:<...>"
     )

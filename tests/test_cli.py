@@ -6,12 +6,16 @@ manifest contract, byte-determinism (reruns, worker counts), config-file
 merging, and the exit-code contract (0/2/3/4).
 """
 
+import ast
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +29,7 @@ from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
 from bethestrip.free import free_dos, free_full_green
 from bethestrip.linalg import SpectralPoint
 from bethestrip.linearization import OperatorMatrix, enumerate_indices
-from bethestrip.model import GOE, BetheStripModel
+from bethestrip.model import GOE, BetheStripModel, parse_ensemble_spec
 from bethestrip.recursion import sample_tree
 from test_acceptance import CLI_RUNS
 
@@ -346,6 +350,51 @@ class TestCeSpectrum:
         assert rc == 3
 
 
+class TestConfigBoundary:
+    """The model layer owns model input; only the CLI speaks ConfigError."""
+
+    PACKAGE = Path(cli.__file__).resolve().parent
+
+    def test_only_the_cli_raises_config_error(self):
+        raisers, importers = set(), set()
+        for path in sorted(self.PACKAGE.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    if getattr(exc, "id", getattr(exc, "attr", None)) == "ConfigError":
+                        raisers.add(path.stem)
+                if isinstance(node, ast.ImportFrom) and any(
+                        alias.name == "ConfigError" for alias in node.names):
+                    importers.add(path.stem)
+                if isinstance(node, ast.Attribute) and node.attr == "ConfigError":
+                    importers.add(path.stem)
+        assert raisers == {"cli"}
+        assert importers <= {"cli", "errors", "__init__"}
+
+    def test_parser_takes_the_spec_only(self):
+        assert list(inspect.signature(parse_ensemble_spec).parameters) == ["spec"]
+
+
+class TestGapScanCap:
+    def test_oversize_basis_refused_before_enumeration(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # m = 16 at degree 10 is C(146, 10) ~ 1e15 indices: refused by count
+        class NoEnumeration:
+            def combinations_with_replacement(self, *args):
+                raise AssertionError("basis enumerated before the size check")
+
+        monkeypatch.setattr(lin, "itertools", NoEnumeration())
+        out = tmp_path / "gap.csv"
+        start = time.perf_counter()
+        rc = main(["gap-scan", "--m", "16", "--E-grid", "0:0:1",
+                   "--degree", "10", "--out", str(out)])
+        assert time.perf_counter() - start < 0.1
+        assert rc == 3
+        assert "exceeds MAX_INDICES" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCrosscheck:
     ARGS = ["crosscheck", "--K", "2", "--A", "diag:-0.5,0.5",
             "--lambda", "0.5", "--E-grid", "0.3:0.3:1", "--depth", "4",
@@ -545,6 +594,38 @@ class TestConfigPlumbing:
                    "--burnin", "4", "--samples", "16", "--out", str(out)])
         assert rc == 0
         assert manifest_of(out)["config"]["ensemble"].startswith("point:")
+
+    @pytest.mark.parametrize("spec", [
+        "point:inf", "point:[[1e308]]", "point:[[1, [2]]]",
+        'file:{"a": 1}', 'file:[[1, "a"]]'],
+        ids=["inf", "overflow", "ragged", "file-dict", "file-string"])
+    def test_malformed_point_mass_is_config_error(self, spec, tmp_path,
+                                                  capsys):
+        # non-finite after symmetrization, ragged, or not numeric at all:
+        # exit 2 with no traceback, no warning and nothing written
+        if spec.startswith("file:"):
+            path = tmp_path / "v0.json"
+            path.write_text(spec[len("file:"):])
+            spec = f"point:{path}"
+        out = tmp_path / "dos.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["dos-scan", "--ensemble", spec, "--lambda", "0.1",
+                       "--E-grid", "0:0:1", "--eta-schedule", "0.1",
+                       "--pool", "64", "--burnin", "1", "--sweeps", "1",
+                       "--samples", "4", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert list(tmp_path.glob("dos.csv*")) == []
+
+    @pytest.mark.parametrize("m", ["0", "-3", "17", "1000000000000000"])
+    def test_strip_width_is_the_models_rule(self, m, tmp_path, capsys):
+        # the width bound lives in the model; a huge --m is refused there
+        # without first allocating m diagonal entries
+        rc = main(["free-profile", "--m", m, "--E-grid", "0:0:1",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert "strip width must be 1..16" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,code", [
         (["free-profile", "--K", "1", "--E-grid", "0:0:1", "--out", "x"], 2),

@@ -76,6 +76,45 @@ class TestTree:
         assert t.parents.tolist() == [-1]
         assert np.bincount(t.parents[1:], minlength=t.n_sites).tolist() == [0]
 
+    @pytest.mark.parametrize("K, depth, parents, depth_of", [
+        (7, 0, [-1], [0]),
+        (4, 1, [-1, 0, 0, 0, 0, 0], [0, 1, 1, 1, 1, 1]),
+        (2, 2, [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 1, 1] + [2] * 6),
+        (3, 2, [-1, 0, 0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4],
+         [0] + [1] * 4 + [2] * 12),
+        (2, 3, [-1, 0, 0, 0, 1, 1, 2, 2, 3, 3,
+                4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9],
+         [0, 1, 1, 1] + [2] * 6 + [3] * 12),
+    ])
+    def test_arrays_hard_coded(self, K, depth, parents, depth_of):
+        # the exact arrays, values and int64 dtype, that the breadth-first
+        # layout fixes and every tree-elimination path indexes into
+        t = build_tree(K, depth)
+        assert t.parents.dtype == t.depth_of.dtype == np.int64
+        assert t.parents.tolist() == parents
+        assert t.depth_of.tolist() == depth_of
+
+    @pytest.mark.parametrize("K", [2, 3, 4, 7])
+    def test_arrays_match_frontier_loop(self, K):
+        # reference: the breadth-first frontier walk, one site at a time
+        for depth in range(6 if K == 7 else 7):
+            n = tree_site_count(K, depth)
+            parents = np.full(n, -1, dtype=np.int64)
+            depth_of = np.zeros(n, dtype=np.int64)
+            nxt, frontier = 1, [0]
+            for d in range(1, depth + 1):
+                new_frontier = []
+                for p in frontier:
+                    for _ in range(K + 1 if p == 0 else K):
+                        parents[nxt], depth_of[nxt] = p, d
+                        new_frontier.append(nxt)
+                        nxt += 1
+                frontier = new_frontier
+            t = build_tree(K, depth)
+            assert t.parents.dtype == t.depth_of.dtype == np.int64
+            assert t.parents.tobytes() == parents.tobytes()
+            assert t.depth_of.tobytes() == depth_of.tobytes()
+
     def test_size_cap(self):
         with pytest.raises(SizeOverflowError):
             build_tree(2, 18, m=3)

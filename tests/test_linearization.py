@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,26 @@ class TestEnumerate:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             enumerate_indices(2, -1)
+
+    def test_oversize_set_refused_before_enumeration(self, monkeypatch):
+        # m = 16 at degree 10 would be C(146, 10) ~ 1e15 index objects; the
+        # count refuses it in the library and so in gap_kce and gap-scan
+        class NoEnumeration:
+            def combinations_with_replacement(self, *args):
+                raise AssertionError("basis enumerated before the size check")
+
+        monkeypatch.setattr(lin, "itertools", NoEnumeration())
+        wide = make_model(a=tuple(np.linspace(-0.3, 0.3, 16)))
+        start = time.perf_counter()
+        with pytest.raises(TruncationOverflowError, match="exceeds MAX_INDICES"):
+            enumerate_indices(16, 10)
+        with pytest.raises(TruncationOverflowError, match="exceeds MAX_INDICES"):
+            gap_kce(0.0, wide, 10)
+        assert time.perf_counter() - start < 0.1
+
+    def test_cap_admits_m4_degree_10(self):
+        # the largest gap-scan basis measured in use: 184,756 indices
+        assert math.comb(10 + 10, 10) <= lin.MAX_INDICES < math.comb(146, 10)
 
 
 class TestLambdaJ:

@@ -1,7 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from bethestrip.errors import ConfigError
 from bethestrip.model import (
     GOE,
     BetheStripModel,
@@ -135,37 +136,83 @@ class TestEnsembleSampling:
 
 class TestEnsembleSpecParsing:
     def test_goe(self):
-        assert isinstance(parse_ensemble_spec("goe", 2), GOE)
+        assert isinstance(parse_ensemble_spec("goe"), GOE)
 
     def test_diag(self):
-        ens = parse_ensemble_spec("diag:bernoulli", 1)
+        ens = parse_ensemble_spec("diag:bernoulli")
         assert ens == DiagonalIID("bernoulli")
 
     def test_point_inline_json(self):
-        ens = parse_ensemble_spec("point:[[0.5, 0.1], [0.1, -0.5]]", 2)
+        ens = parse_ensemble_spec("point:[[0.5, 0.1], [0.1, -0.5]]")
         np.testing.assert_allclose(ens.matrix, [[0.5, 0.1], [0.1, -0.5]])
 
     def test_point_inline_diagonal(self):
-        ens = parse_ensemble_spec("point:0.3,-0.1", 2)
+        ens = parse_ensemble_spec("point:0.3,-0.1")
         np.testing.assert_allclose(ens.matrix, np.diag([0.3, -0.1]))
 
     def test_point_from_file(self, tmp_path):
         p = tmp_path / "v0.json"
         p.write_text("[[1.0, 0.0], [0.0, 2.0]]")
-        ens = parse_ensemble_spec(f"point:{p}", 2)
+        ens = parse_ensemble_spec(f"point:{p}")
         np.testing.assert_allclose(ens.matrix, np.diag([1.0, 2.0]))
 
     def test_errors(self):
-        with pytest.raises(ConfigError):
-            parse_ensemble_spec("diag:cauchy", 1)
-        with pytest.raises(ConfigError):
-            parse_ensemble_spec("point:[[1.0, 0.5], [0.4, 1.0]]", 2)  # asymmetric
-        with pytest.raises(ConfigError):
-            parse_ensemble_spec("point:[[1.0]]", 2)  # wrong size
-        with pytest.raises(ConfigError):
-            parse_ensemble_spec("wishart", 2)
+        with pytest.raises(ValueError, match="uniform, gauss, bernoulli"):
+            parse_ensemble_spec("diag:cauchy")
+        with pytest.raises(ValueError, match="symmetric"):
+            parse_ensemble_spec("point:[[1.0, 0.5], [0.4, 1.0]]")
+        with pytest.raises(ValueError, match="unknown ensemble spec"):
+            parse_ensemble_spec("wishart")
+        # the shape against m is the model's rule: the parser does not know m
+        point = parse_ensemble_spec("point:[[1.0]]")
+        with pytest.raises(ValueError, match=r"shape \(1, 1\), model needs \(2, 2\)"):
+            make_model(a=(0.0, 0.0), ensemble=point)
+
+    @pytest.mark.parametrize("payload", [
+        "[[1, [2]]]", "[[1, \"a\"]]", "{\"a\": 1}", "[[1, 2]]", "[[[1]]]"],
+        ids=["ragged", "string", "dict", "not-square", "three-d"])
+    def test_malformed_point_raises_value_error(self, payload, tmp_path):
+        # inline, and the same JSON from a file: the array conversion
+        # raises ValueError too, never TypeError
+        path = tmp_path / "v0.json"
+        path.write_text(payload)
+        for spec in (f"point:{payload}", f"point:{path}"):
+            with pytest.raises(ValueError):
+                parse_ensemble_spec(spec)
+
+    def test_unreadable_point_path_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            parse_ensemble_spec(f"point:{tmp_path}")
 
     def test_round_trip(self):
         for spec in ("goe", "diag:uniform", "point:[[0.25]]"):
-            ens = parse_ensemble_spec(spec, 1)
-            assert parse_ensemble_spec(ens.spec_string(), 1) == ens
+            ens = parse_ensemble_spec(spec)
+            assert parse_ensemble_spec(ens.spec_string()) == ens
+
+
+class TestPointMassValues:
+    @pytest.mark.parametrize("V0", [
+        [[np.inf]], [[np.nan]], [[0.0, np.inf], [np.inf, 0.0]],
+        [[1e308]], [[1e308, 1e308], [1e308, 1e308]]],
+        ids=["inf", "nan", "inf-off-diagonal", "overflow", "overflow-2x2"])
+    def test_non_finite_rejected(self, V0):
+        # 1e308 itself is finite; the symmetrization 0.5 (V0 + V0^T) is not
+        with pytest.raises(ValueError, match="finite"):
+            PointMass(V0)
+
+    @pytest.mark.parametrize("V0", [[[1e308]], [[0.0, np.inf], [-np.inf, 0.0]]],
+                             ids=["overflow", "inf-minus-inf"])
+    def test_no_warning(self, V0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                PointMass(V0)
+
+    def test_stores_the_symmetrized_matrix(self):
+        V0 = np.array([[0.5, 0.1], [0.1 + 1e-13, -0.5]])
+        assert PointMass(V0).matrix.tobytes() == (0.5 * (V0 + V0.T)).tobytes()
+
+    def test_not_square_rejected(self):
+        for V0 in ([1.0, 2.0], [[1.0, 2.0]], [[[1.0]]]):
+            with pytest.raises(ValueError, match="square"):
+                PointMass(V0)
