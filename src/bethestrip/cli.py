@@ -12,8 +12,8 @@ crosscheck     forward recursion vs sparse-LU solve on shared realizations
 Every run writes a JSON manifest next to its outputs: config echo, column
 schema, sha256 digest per output, wall clock, warnings.  CSV floats use the
 shortest round-trip decimal form, so outputs are byte-deterministic for a
-fixed (config, seed) pair and independent of the worker count (the population
-chunking is fixed by config, not by the machine).
+fixed (config, seed) pair and independent of the worker count (a run opens
+one thread pool, and the population chunk layout is ``recursion.CHUNKS``).
 
 Exit codes: 0 success, 2 config error, 3 domain error, 4 verification failure.
 """
@@ -44,12 +44,15 @@ from .model import BetheStripModel, parse_ensemble_spec
 from .recursion import eta_continuation, ac_indicator, sample_tree_given
 from .rng import child_seed
 
-# Fixed by config (recorded in the manifest), never by machine topology, so
-# that different --workers values reproduce identical output bytes.
-CLI_CHUNKING = 8
 # Generations averaged per measurement inside eta_continuation.
 MEASURE_SWEEPS = 20
 CROSSCHECK_TOL = 1e-8
+# Size caps, checked before any work.  An E-grid point is a CSV row held until
+# the write, up to 6m + 2 floats (about 3 KB at m = 16): 0.3 GB at the cap.
+MAX_GRID = 100_000
+# 16-byte complex entries: a sweep holds two pools of pool * m^2, a measurement
+# MEASURE_SWEEPS * samples * m^2 root draws; 2^24 entries is 256 MiB.
+MAX_ENTRIES = 2**24
 
 _SUBCOMMANDS = {
     "free-profile": "tabulate the disorder-free Green's functions on an energy grid",
@@ -74,6 +77,7 @@ class _Key(NamedTuple):
     lo: int | None = None
     # subcommands whose manifest echoes the resolved value
     echo: tuple = tuple(_SUBCOMMANDS)
+    hi: int | None = None  # the greatest allowed value, if fixed
 
 
 # Every config key: one --flag and one config-file key each, in help order.
@@ -103,7 +107,7 @@ _KEYS = {
                    ("gap-scan", "ce-spectrum")),
     "seed": _Key("INT", "master seed", "0", 0),
     "workers": _Key("INT", "thread count (default: $BETHE_STRIP_THREADS or 1)",
-                    lo=1),
+                    lo=1, hi=recursion.CHUNKS),  # a sweep has CHUNKS tasks
     "out": _Key("PATH", "primary output path (required)"),
 }
 
@@ -157,13 +161,15 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _parse_int(key: str, raw: str, lo: int | None = None) -> int:
+def _parse_int(key: str, raw: str, lo: int | None = None, hi: int | None = None) -> int:
     try:
         value = int(str(raw).strip(), 10)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
     if lo is not None and value < lo:
         raise ConfigError(f"{key}: must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigError(f"{key}: must be <= {hi}, got {value}")
     return value
 
 
@@ -183,7 +189,7 @@ def _parse_grid(raw: str):
         raise ConfigError(f'E-grid: expected "lo:hi:n", got {raw!r}')
     lo = _parse_float("E-grid", parts[0])
     hi = _parse_float("E-grid", parts[1])
-    n = _parse_int("E-grid", parts[2], lo=1)
+    n = _parse_int("E-grid", parts[2], lo=1, hi=MAX_GRID)
     if lo > hi:
         raise ConfigError(f"E-grid: lo > hi ({lo:g} > {hi:g})")
     if n == 1 and lo != hi:
@@ -230,7 +236,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raw["workers"] = os.environ.get("BETHE_STRIP_THREADS") or "1"
 
     def count(key):
-        return _parse_int(key, raw[key], _KEYS[key].lo)
+        return _parse_int(key, raw[key], _KEYS[key].lo, _KEYS[key].hi)
 
     def required(key):
         if raw[key] is None:
@@ -275,6 +281,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
     counts = {key: count(key) for key, spec in _KEYS.items()
               if spec.lo is not None}
+    for key, arrays in (("pool", 1), ("samples", MEASURE_SWEEPS)):
+        entries = counts[key] * arrays * model.m**2
+        if entries > MAX_ENTRIES:
+            raise ConfigError(f"{key}: {counts[key]} needs {entries} entries, cap {MAX_ENTRIES}")
 
     out = Path(str(required("out")))
     for suffix in ("", ".manifest.json") + ((".verdict.json",) if sub == "ac-indicator" else ()):
@@ -295,7 +305,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     echo = {key: resolved[key] for key, spec in _KEYS.items() if sub in spec.echo}
     echo["subcommand"] = sub
     if sub in _POOL_SUBS:
-        echo.update({"chunking": CLI_CHUNKING,
+        echo.update({"chunking": recursion.CHUNKS,
                      "measure-sweeps": MEASURE_SWEEPS})
 
     return RunConfig(subcommand=sub, model=model, e_values=e_values, etas=etas,
@@ -346,7 +356,7 @@ def _reim(diag) -> list:
 # subcommands
 
 
-def _cmd_free_profile(cfg: RunConfig) -> CommandResult:
+def _cmd_free_profile(cfg: RunConfig, pmap) -> CommandResult:
     model, m = cfg.model, cfg.model.m
     header = ["E", "eta"]
     for tag in ("g0", "gfull", "ae"):
@@ -376,7 +386,7 @@ def _cmd_free_profile(cfg: RunConfig) -> CommandResult:
     return _csv_result(cfg, header, rows, warnings)
 
 
-def _continuation_records(cfg: RunConfig):
+def _continuation_records(cfg: RunConfig, pmap):
     """One eta-continuation per grid energy, each on its own child seed."""
     for i, E in enumerate(cfg.e_values):
         records = eta_continuation(
@@ -384,15 +394,15 @@ def _continuation_records(cfg: RunConfig):
             pool_size=cfg.pool, seed=child_seed(cfg.seed, i),
             burn_in=cfg.burnin, relax_sweeps=cfg.sweeps,
             measure_sweeps=MEASURE_SWEEPS, draws_per_sweep=cfg.samples,
-            chunking=CLI_CHUNKING, workers=cfg.workers,
+            pmap=pmap,
         )
         yield float(E), records
 
 
-def _cmd_dos_scan(cfg: RunConfig) -> CommandResult:
+def _cmd_dos_scan(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "eta", "dos", "dos_stderr", "ETrG2", "ETrG2_stderr"]
     rows = []
-    for E, records in _continuation_records(cfg):
+    for E, records in _continuation_records(cfg, pmap):
         for rec in records:
             ms = rec.measurement
             rows.append([E, rec.eta,
@@ -402,10 +412,10 @@ def _cmd_dos_scan(cfg: RunConfig) -> CommandResult:
     return _csv_result(cfg, header, rows)
 
 
-def _cmd_ac_indicator(cfg: RunConfig) -> CommandResult:
+def _cmd_ac_indicator(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "eta", "etrg2", "etrg2_stderr"]
     rows, results = [], []
-    for E, records in _continuation_records(cfg):
+    for E, records in _continuation_records(cfg, pmap):
         for rec in records:
             ms = rec.measurement
             rows.append([E, rec.eta, float(ms.trace_abs_sq.mean),
@@ -429,7 +439,7 @@ def _cmd_ac_indicator(cfg: RunConfig) -> CommandResult:
     return result
 
 
-def _cmd_gap_scan(cfg: RunConfig) -> CommandResult:
+def _cmd_gap_scan(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "gap_kce", "gap_tensor", "min_dist_inv_k"]
     rows = []
     skipped = 0
@@ -457,7 +467,7 @@ def _triangularity_residual(op) -> list:
     return [float(np.abs(entries[mask]).max(initial=0.0)) for entries in op.entries]
 
 
-def _cmd_ce_spectrum(cfg: RunConfig) -> CommandResult:
+def _cmd_ce_spectrum(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "J", "degree", "lambda_re", "lambda_im", "modulus",
               "k_power", "tri_residual"]
     energies = [float(E) for E in cfg.e_values]
@@ -474,7 +484,7 @@ def _cmd_ce_spectrum(cfg: RunConfig) -> CommandResult:
     return _csv_result(cfg, header, rows)
 
 
-def _cmd_crosscheck(cfg: RunConfig) -> CommandResult:
+def _cmd_crosscheck(cfg: RunConfig, pmap) -> CommandResult:
     model = cfg.model
     eta = cfg.etas[0]
     tree = build_tree(model.K, cfg.depth, model.m)
@@ -490,12 +500,7 @@ def _cmd_crosscheck(cfg: RunConfig) -> CommandResult:
         direct = root_green_block(sp, model, tree, potentials)
         return float(np.max(np.abs(recursed - direct)))
 
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            devs = list(pool.map(deviation, cases))
-    else:
-        devs = [deviation(case) for case in cases]
-
+    devs = list(pmap(deviation, cases))
     worst = int(np.argmax(devs))
     max_dev = devs[worst]
     ok = max_dev <= CROSSCHECK_TOL
@@ -581,7 +586,8 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         start = time.perf_counter()
-        result = _DISPATCH[cfg.subcommand](cfg)
+        with ThreadPoolExecutor(cfg.workers) as ex:  # threads start on first use
+            result = _DISPATCH[cfg.subcommand](cfg, ex.map if cfg.workers > 1 else map)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -11,11 +11,10 @@ resampling population that simulates the distributional fixed point a sweep
 at a time, each sweep rebuilding all N samples from K uniformly drawn
 predecessors plus a fresh potential, at m = 2 on packed columns of M.
 
-All randomness is keyed (seed, purpose, sweep/realization, chunk), so pools
-and tree samples are reproducible bit-for-bit for any worker count.
+All randomness is keyed (seed, purpose, sweep/realization, chunk), and a sweep
+is always CHUNKS chunks, so pools are reproducible bit-for-bit under any map.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,6 +26,9 @@ from .linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
 from .rng import TAG_MEASURE, TAG_SWEEP, keyed_rng
 
 DEFAULT_BATCHES = 20
+# Chunks per sweep: the layout is part of the stream contract (each chunk draws
+# from its own stream), and a sweep is CHUNKS tasks, so more threads never run.
+CHUNKS = 8
 
 
 def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
@@ -64,15 +66,14 @@ class PopulationPool:
     """Resampling population of forward Green's matrices.
 
     The samples array is a deterministic function of
-    (model, point, size, seed, sweeps_done, chunking); worker counts and
-    call patterns never change it.
+    (model, point, size, seed, sweeps_done); worker counts and call
+    patterns never change it.
     """
 
     samples: np.ndarray  # (N, m, m) complex
     point: SpectralPoint
     seed: int
     sweeps_done: int = 0
-    chunking: int = 1
 
     @property
     def size(self) -> int:
@@ -97,20 +98,13 @@ class PopulationPool:
         return True
 
 
-def population_init(sp: SpectralPoint, model, size, seed, chunking=1) -> PopulationPool:
+def population_init(sp: SpectralPoint, model, size, seed) -> PopulationPool:
     """Pool seeded at the free forward solution for the same z (warm start)."""
     if size < 2:
         raise ValueError("population size must be >= 2")
-    if chunking < 1:
-        raise ValueError("chunking must be >= 1")
     g0 = free_forward_green(sp, model)
     samples = np.broadcast_to(g0, (size, model.m, model.m)).astype(complex).copy()
-    return PopulationPool(samples=samples, point=sp, seed=int(seed), chunking=int(chunking))
-
-
-def _chunk_slices(n, chunks):
-    edges = np.linspace(0, n, chunks + 1).astype(int)
-    return [slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    return PopulationPool(samples=samples, point=sp, seed=int(seed))
 
 
 def _pool_draws(pool, model, rng, count, neighbors):
@@ -124,28 +118,24 @@ def _pool_draws(pool, model, rng, count, neighbors):
     return resolvent(model.a_matrix, neighbor_sum, V, model.lam, pool.point.z)
 
 
-def population_sweep(pool: PopulationPool, model, workers=1) -> PopulationPool:
-    """One resampling generation; chunk streams keyed (seed, sweep, chunk)."""
+def population_sweep(pool: PopulationPool, model, pmap=map) -> PopulationPool:
+    """One resampling generation; pmap may run its chunks (disjoint slices) at once."""
     out = np.empty_like(pool.samples)
-    slices = _chunk_slices(pool.size, pool.chunking)
+    edges = np.linspace(0, pool.size, CHUNKS + 1).astype(int)
+    slices = [slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
 
     def work(c_sl):
         c, sl = c_sl
         rng = keyed_rng(pool.seed, TAG_SWEEP, pool.sweeps_done, c)
         out[sl] = _pool_draws(pool, model, rng, sl.stop - sl.start, model.K)
 
-    if workers > 1 and len(slices) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(work, enumerate(slices)))
-    else:
-        for item in enumerate(slices):
-            work(item)
+    list(pmap(work, enumerate(slices)))
     return replace(pool, samples=out, sweeps_done=pool.sweeps_done + 1)
 
 
-def population_run(pool, model, sweeps, workers=1) -> PopulationPool:
+def population_run(pool, model, sweeps, pmap=map) -> PopulationPool:
     for _ in range(sweeps):
-        pool = population_sweep(pool, model, workers=workers)
+        pool = population_sweep(pool, model, pmap)
     return pool
 
 
@@ -244,7 +234,7 @@ class StationaryMeasurement:
 
 
 def measure_stationary(pool, model, context, sweeps=20, draws_per_sweep=500,
-                       workers=1):
+                       pmap=map):
     """Advance `sweeps` generations, measuring root draws after each.
 
     One batch per generation in the batch-means errors, so slow sweep-scale
@@ -253,7 +243,7 @@ def measure_stationary(pool, model, context, sweeps=20, draws_per_sweep=500,
     """
     G_blocks = []
     for s in range(sweeps):
-        pool = population_sweep(pool, model, workers=workers)
+        pool = population_sweep(pool, model, pmap)
         rng = keyed_rng(pool.seed, TAG_MEASURE, int(context), pool.sweeps_done)
         G_blocks.append(root_draws(pool, model, rng, draws_per_sweep))
     G = np.concatenate(G_blocks, axis=0)
@@ -276,7 +266,7 @@ class EtaRecord:
 
 def eta_continuation(model, E, eta_schedule, pool_size=10_000, seed=0,
                      burn_in=100, relax_sweeps=50, measure_sweeps=20,
-                     draws_per_sweep=500, chunking=1, workers=1):
+                     draws_per_sweep=500, pmap=map):
     """Decreasing-eta continuation of the population at fixed energy.
 
     Re-equilibrates the warm-started pool at each eta and measures over
@@ -287,15 +277,14 @@ def eta_continuation(model, E, eta_schedule, pool_size=10_000, seed=0,
         raise ValueError("eta schedule must be positive")
     if any(b >= a for a, b in zip(etas, etas[1:])):
         raise ValueError("eta schedule must be strictly decreasing")
-    pool = population_init(SpectralPoint(E, etas[0]), model, pool_size, seed,
-                           chunking)
+    pool = population_init(SpectralPoint(E, etas[0]), model, pool_size, seed)
     records = []
     for j, eta in enumerate(etas):
         pool = replace(pool, point=SpectralPoint(E, eta))
         pool = population_run(pool, model, burn_in if j == 0 else relax_sweeps,
-                              workers=workers)
+                              pmap)
         pool, meas = measure_stationary(pool, model, j, measure_sweeps,
-                                        draws_per_sweep, workers=workers)
+                                        draws_per_sweep, pmap)
         records.append(EtaRecord(eta=eta, measurement=meas))
     return records
 

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,20 @@ class TestDosScan:
         main(self.ARGS + ["--workers", "1", "--out", str(outs[1])])
         main(self.ARGS + ["--workers", "3", "--out", str(outs[2])])
         assert sha(outs[0]) == sha(outs[1]) == sha(outs[2])
+
+    def test_one_thread_pool_per_run(self, tmp_path, monkeypatch):
+        built = []
+        init = ThreadPoolExecutor.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", counting)
+        # 2 energies x 2 etas, 52 sweeps each: one executor for the whole run
+        rc = main(self.ARGS + ["--workers", "2", "--out", str(tmp_path / "d.csv")])
+        assert rc == 0
+        assert len(built) == 1
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -568,6 +583,36 @@ class TestConfigPlumbing:
         rc = main(["free-profile", "--m", "3", "--A", "diag:-0.5,0.5",
                    "--E-grid", "0:0:1", "--out", str(tmp_path / "y.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("sub, key, value", [
+        ("free-profile", "E-grid", f"0:1:{cli.MAX_GRID + 1}"),
+        ("free-profile", "E-grid", "0:1:1000000000000000"),
+        ("dos-scan", "pool", str(cli.MAX_ENTRIES // 4 + 1)),  # m = 2: 4 entries each
+        ("dos-scan", "pool", "1000000000000000"),
+        ("ac-indicator", "samples", str(cli.MAX_ENTRIES // (4 * cli.MEASURE_SWEEPS) + 1)),
+        ("crosscheck", "workers", str(recursion.CHUNKS + 1)),
+    ])
+    def test_sizes_capped_before_work(self, sub, key, value, tmp_path, capsys,
+                                      monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the subcommand or a thread pool started")
+
+        monkeypatch.setitem(cli._DISPATCH, sub, never)
+        monkeypatch.setattr(ThreadPoolExecutor, "__init__", never)
+        flags = {"m": "2", "E-grid": "0:0:1", "eta-schedule": "0.1,0.05,0.02",
+                 "out": str(tmp_path / "x.csv"), key: value}
+        rc = main([sub, *(t for k, v in flags.items() for t in (f"--{k}", v))])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    def test_sizes_at_the_caps_accepted(self, tmp_path):
+        cfg = cli._resolve_config(cli._build_parser().parse_args([
+            "dos-scan", "--m", "2", "--E-grid", f"0:1:{cli.MAX_GRID}",
+            "--eta-schedule", "0.1", "--pool", str(cli.MAX_ENTRIES // 4),
+            "--samples", str(cli.MAX_ENTRIES // (4 * cli.MEASURE_SWEEPS)),
+            "--workers", str(recursion.CHUNKS), "--out", str(tmp_path / "x.csv")]))
+        assert len(cfg.e_values) == cli.MAX_GRID
+        assert cfg.workers == recursion.CHUNKS
 
     def test_workers_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BETHE_STRIP_THREADS", "2")

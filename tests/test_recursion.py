@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -98,7 +100,7 @@ class TestSampleTree:
 class TestPopulation:
     def test_init_and_validate(self):
         mod = make_model(K=2, a=(-0.5, 0.5), lam=0.1)
-        pool = population_init(SpectralPoint(0.2, 0.1), mod, 128, seed=1, chunking=3)
+        pool = population_init(SpectralPoint(0.2, 0.1), mod, 128, seed=1)
         assert pool.size == 128
         assert pool.validate()
         with pytest.raises(ValueError):
@@ -107,11 +109,11 @@ class TestPopulation:
     def test_sweep_deterministic_across_workers(self):
         mod = make_model(K=2, a=(-0.5, 0.5), lam=0.1)
         sp = SpectralPoint(0.2, 0.01)
-        p1 = population_init(sp, mod, 301, seed=42, chunking=4)
-        p2 = population_init(sp, mod, 301, seed=42, chunking=4)
-        for _ in range(3):
-            p1 = population_sweep(p1, mod, workers=1)
-            p2 = population_sweep(p2, mod, workers=3)
+        p1 = p2 = population_init(sp, mod, 301, seed=42)
+        with ThreadPoolExecutor(3) as ex:
+            for _ in range(3):
+                p1 = population_sweep(p1, mod)
+                p2 = population_sweep(p2, mod, ex.map)
         np.testing.assert_array_equal(p1.samples, p2.samples)
         assert p1.sweeps_done == 3
 
@@ -193,7 +195,7 @@ class TestPopulation:
         # the same stream: the bytes must agree, signed zeros included
         mod = make_model(K=2, a=(-0.5, 0.5), lam=lam, ensemble=ensemble)
         pool = population_run(population_init(SpectralPoint(E, 0.05), mod, 400,
-                                               seed=7, chunking=3), mod, 3)
+                                               seed=7), mod, 3)
         z = pool.point.z
         for neighbors in (mod.K, mod.K + 1):
             rng = keyed_rng(7, 9, neighbors)
