@@ -70,7 +70,7 @@ def a_e_matrix(E, model):
     on the closure of the band intersection window.
     """
     x = float(E) - np.asarray(model.a, dtype=float)
-    if np.any(x * x > model.K):
+    if not (x * x <= model.K).all():  # NaN fails the inside test too
         raise OutOfBandError(
             f"E={E:g} leaves |E - a_k| <= sqrt(K) for some orbital"
         )

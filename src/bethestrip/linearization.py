@@ -31,11 +31,11 @@ walk-product identity
 
 with C_1 the expansion at binv = 1 and deg_u J the row sum at u of
 J + J^T (a diagonal slot counts twice).  One expansion of exp(W),
-truncated at total degree d, gives the image of every X^J zeta with
-|J| <= d at once.  :func:`build_ce_matrix` reads every column from that
-expansion at binv = 1 and scales it per energy by exact integer powers of
-binv, while :func:`ce_apply_symbol` reads the same expansion at its own
-binv, as the direct per-energy oracle.
+truncated at total degree d, gives the whole matrix of C_E on
+{X^J zeta : |J| <= d}.  :func:`build_ce_matrix` expands at binv = 1 and
+scales that matrix per energy by exact integer powers of binv;
+:func:`ce_apply_symbol`, the direct per-energy oracle, expands at its own
+binv and applies the matrix to a coefficient vector.
 """
 
 from __future__ import annotations
@@ -90,6 +90,9 @@ class MonomialIndex:
     powers: tuple
 
     def __post_init__(self):
+        if any(x < 0 or int(x) != x for x in self.powers):
+            raise ValueError(
+                f"exponents must be non-negative integers, got {self.powers}")
         powers = tuple(int(x) for x in self.powers)
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
@@ -98,8 +101,6 @@ class MonomialIndex:
                 f"need {slot_count(self.m)} exponents for m={self.m}, "
                 f"got {len(powers)}"
             )
-        if any(x < 0 for x in powers):
-            raise ValueError(f"exponents must be >= 0, got {powers}")
         object.__setattr__(self, "powers", powers)
         object.__setattr__(
             self, "sort_index",
@@ -159,7 +160,7 @@ def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
 def _interior_ae_diag(E: float, model: BetheStripModel) -> np.ndarray:
     """Diagonal of A_E, requiring E strictly inside the band window."""
     x = float(E) - np.asarray(model.a, dtype=float)
-    if np.any(x * x >= model.K):
+    if not (x * x < model.K).all():  # NaN fails the inside test too
         raise OutOfBandError(
             f"E={E:g} is not strictly inside |E - a_k| < sqrt(K) "
             "for every orbital"
@@ -226,35 +227,6 @@ def gap_kce(E: float, model: BetheStripModel, max_degree: int) -> float:
     return eigenvalue_gaps(E, model, basis)[0]
 
 
-@dataclass
-class PolyGaussSymbol:
-    """Polynomial-times-Gaussian symbol sum_J coeffs[J] X^J exp(i Tr(gauss X)).
-
-    The working basis for C_E uses gauss = -A_E.
-    """
-
-    coeffs: dict
-    gauss: np.ndarray
-
-    def __post_init__(self):
-        self.gauss = np.asarray(self.gauss, dtype=complex)
-        for J in self.coeffs:
-            if not isinstance(J, MonomialIndex):
-                raise TypeError(f"coeffs keys must be MonomialIndex, got {J!r}")
-
-    @classmethod
-    def monomial(cls, J: MonomialIndex, gauss) -> "PolyGaussSymbol":
-        return cls(coeffs={J: 1.0 + 0.0j}, gauss=gauss)
-
-    @property
-    def degree(self) -> int:
-        degrees = [J.degree for J, c in self.coeffs.items() if c != 0]
-        return max(degrees, default=0)
-
-    def coefficient(self, J: MonomialIndex) -> complex:
-        return complex(self.coeffs.get(J, 0.0))
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix of C_E on the ordered monomial basis {X^J zeta : |J| <= d}.
@@ -269,18 +241,19 @@ class OperatorMatrix:
     entries: np.ndarray
 
 
-def _jet_images(binv: np.ndarray, degree: int) -> dict:
-    """Images under C_E of every X^J zeta with |J| <= degree, from one jet.
+def _jet_matrix(binv: np.ndarray, basis) -> np.ndarray:
+    """Matrix of C_E on basis = enumerate_indices(m, d), from one jet.
 
-    Expands W(s, X) = (i/4) sum_{n=1..degree} Tr((binv M)^n binv X), with M
-    the symmetric matrix holding the jet parameter s_alpha at both ends of
-    slot alpha, and then exp(W), once, dropping total s-degree > degree.
-    The s^J coefficient of exp(W) times the polarization prefactor
+    Expands W(s, X) = (i/4) sum_{n=1..d} Tr((binv M)^n binv X), with M the
+    symmetric matrix holding the jet parameter s_alpha at both ends of slot
+    alpha, and then exp(W), once, dropping total s-degree > d.  The s^J
+    coefficient of exp(W) times the polarization prefactor
     prod_alpha J_alpha! / (i c_alpha)^{J_alpha}, with c_alpha = 1 on
-    diagonal slots and 2 off the diagonal, is the image of X^J zeta.
-    Returns {J: {J': coefficient}}.
+    diagonal slots and 2 off the diagonal, is the image of X^J zeta: column
+    c of the (n, n) result is the image of basis[c].
     """
     m = len(binv)
+    degree = basis[-1].degree
     slots = upper_slots(m)
     p = len(slots)
     unit = [tuple(int(a == b) for b in range(p)) for a in range(p)]
@@ -313,8 +286,7 @@ def _jet_images(binv: np.ndarray, degree: int) -> dict:
     # W is filled by rising s-degree, so its terms of degree <= k are a prefix
     terms = list(W.items())
     ends = [sum(sum(s) <= k for (s, _), _ in terms) for k in range(degree + 1)]
-    zero = ((0,) * p, (0,) * p)
-    series = {zero: 1.0 + 0.0j}
+    series = {((0,) * p, (0,) * p): 1.0 + 0.0j}
     term = dict(series)
     for n in range(1, degree + 1):
         nxt = {}
@@ -327,48 +299,37 @@ def _jet_images(binv: np.ndarray, degree: int) -> dict:
         for key, val in term.items():
             series[key] = series.get(key, 0.0) + val
 
-    images: dict = {}
+    row = {J.powers: i for i, J in enumerate(basis)}
+    c_alpha = [1.0 if j == k else 2.0 for j, k in slots]
+    prefactors = [math.prod((math.factorial(x) / (1j * c) ** x
+                             for x, c in zip(J.powers, c_alpha)), start=1.0 + 0.0j)
+                  for J in basis]
+    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
     for (s_pow, x_pow), val in series.items():
-        if s_pow not in images:
-            prefactor = 1.0 + 0.0j
-            for power, (j, k) in zip(s_pow, slots):
-                c_alpha = 1.0 if j == k else 2.0
-                prefactor *= math.factorial(power) / (1j * c_alpha) ** power
-            images[s_pow] = (prefactor, {})
-        prefactor, image = images[s_pow]
-        coeff = prefactor * val
+        coeff = prefactors[row[s_pow]] * val
         if coeff != 0.0:
-            image[MonomialIndex(m=m, powers=x_pow)] = coeff
-    return {MonomialIndex(m=m, powers=s): image for s, (_, image) in images.items()}
+            matrix[row[x_pow], row[s_pow]] = coeff
+    return matrix
 
 
-def ce_apply_symbol(E: float, model: BetheStripModel, symbol: PolyGaussSymbol,
-                    max_degree: int) -> PolyGaussSymbol:
-    """Apply C_E to a symbol over the working Gaussian, exactly in jets.
+def ce_apply_symbol(E: float, model: BetheStripModel, coeffs: dict) -> dict:
+    """Apply C_E to sum_J coeffs[J] X^J zeta, zeta = exp(-i Tr(A_E X)), in jets.
 
-    The symbol must use gauss = -A_E (the fixed-point family) and have
-    degree at most ``max_degree``; the image is returned over the same
-    Gaussian.  Degrees never increase, so no truncation loss occurs.
+    Keys must be MonomialIndex of width model.m; the image {J: coefficient}
+    is over the same Gaussian, and degrees never increase, so no truncation
+    loss occurs.  The jets run at this energy's own binv, the direct oracle
+    of build_ce_matrix's walk-product scaling; a basis up to the top degree
+    over MAX_BASIS raises TruncationOverflowError before they run.
     """
-    diag = _interior_ae_diag(E, model)
-    working = -np.diag(diag)
-    if symbol.gauss.shape != working.shape or \
-            not np.allclose(symbol.gauss, working, atol=1e-12):
-        raise ValueError(
-            "symbol Gaussian parameter must equal -A_E for this E and model"
-        )
-    if symbol.degree > max_degree:
-        raise TruncationOverflowError(
-            f"symbol degree {symbol.degree} exceeds max_degree {max_degree}"
-        )
-    images = _jet_images(-4.0 * diag, symbol.degree)
-    out: dict = {}
-    for J, c in symbol.coeffs.items():
-        if c == 0:
-            continue
-        for J2, w in images[J].items():
-            out[J2] = out.get(J2, 0.0) + c * w
-    return PolyGaussSymbol(coeffs=out, gauss=working)
+    bad = [J for J in coeffs if not isinstance(J, MonomialIndex) or J.m != model.m]
+    if bad:
+        raise ValueError(f"keys must be MonomialIndex of m={model.m}, got {bad[0]!r}")
+    binv = -4.0 * _interior_ae_diag(E, model)
+    degree = max((J.degree for J in coeffs), default=0)
+    _basis_size(model.m, degree, MAX_BASIS, "MAX_BASIS")
+    basis = enumerate_indices(model.m, degree)
+    image = _jet_matrix(binv, basis) @ [coeffs.get(J, 0.0) for J in basis]
+    return {J: complex(c) for J, c in zip(basis, image) if c != 0}
 
 
 def build_ce_matrix(E, model: BetheStripModel,
@@ -396,15 +357,13 @@ def build_ce_matrix(E, model: BetheStripModel,
                     dtype=complex).reshape(len(grid), model.m)
     binv = -4.0 * diag
 
-    row = {J: i for i, J in enumerate(basis)}
-    images = _jet_images(np.ones(model.m), max_degree)
-    unit = np.zeros((len(basis), len(basis)), dtype=complex)
-    for col, J in enumerate(basis):
-        for J2, coeff in images[J].items():
-            if J2.degree > J.degree:
-                raise EigenvalueLawError(
-                    f"degree filtration violated: {J} -> {J2}")
-            unit[row[J2], col] = coeff
+    unit = _jet_matrix(np.ones(model.m), basis)
+    degree = np.array([J.degree for J in basis])
+    rising = (unit != 0) & (degree[:, None] > degree[None, :])
+    if rising.any():
+        r, c = np.argwhere(rising)[0]
+        raise EigenvalueLawError(
+            f"degree filtration violated: {basis[c]} -> {basis[r]}")
 
     # twice[r, c, u] = deg_u J_r + deg_u J_c, with deg_u J = row u of J + J^T
     deg = np.array([J.entries().sum(axis=0) + J.entries().sum(axis=1)

@@ -18,7 +18,6 @@ from bethestrip.errors import (
 from bethestrip.free import a_e_matrix
 from bethestrip.linearization import (
     MonomialIndex,
-    PolyGaussSymbol,
     build_ce_matrix,
     ce_apply_symbol,
     eigenvalue_gaps,
@@ -32,10 +31,6 @@ from bethestrip.model import BetheStripModel, DiagonalIID
 
 def make_model(K=2, a=(0.0,)):
     return BetheStripModel(K=K, a=a, lam=0.0, ensemble=DiagonalIID("uniform"))
-
-
-def working_gauss(E, model):
-    return -a_e_matrix(E, model)
 
 
 PROFILES = {1: (0.1,), 2: (-0.4, 0.3), 3: (-0.5, 0.0, 0.4)}
@@ -82,6 +77,14 @@ class TestMonomialIndex:
             MonomialIndex(m=2, powers=(1, 0))
         with pytest.raises(ValueError):
             MonomialIndex(m=1, powers=(-1,))
+
+    def test_non_integral_exponent_rejected(self):
+        # truncating 1.5 to 1 would name a different monomial
+        for powers in [(1.5,), (0.5,), (-0.5,)]:
+            with pytest.raises(ValueError, match="integers"):
+                MonomialIndex(m=1, powers=powers)
+        J = MonomialIndex(m=2, powers=(1.0, np.int64(0), 2))
+        assert J.powers == (1, 0, 2) and all(type(x) is int for x in J.powers)
 
     def test_accessors(self):
         J = MonomialIndex(m=2, powers=(2, 1, 0))
@@ -324,65 +327,63 @@ def m2_jet_oracle(K, a, E, J_powers, dps=40):
 class TestApplySymbol:
     def test_identity_on_gaussian(self):
         mod = make_model()
-        zeta = PolyGaussSymbol.monomial(MonomialIndex.zero(1),
-                                        working_gauss(0.0, mod))
-        out = ce_apply_symbol(0.0, mod, zeta, 2)
-        assert out.coeffs == {MonomialIndex.zero(1): 1.0 + 0.0j}
+        out = ce_apply_symbol(0.0, mod, {MonomialIndex.zero(1): 1.0})
+        assert out == {MonomialIndex.zero(1): 1.0 + 0.0j}
 
     def test_scalar_degree_one(self):
         mod = make_model()
         X = MonomialIndex(m=1, powers=(1,))
-        out = ce_apply_symbol(0.0, mod, PolyGaussSymbol.monomial(
-            X, working_gauss(0.0, mod)), 2)
-        assert set(out.coeffs) == {X}
-        assert out.coefficient(X) == pytest.approx(-0.5, abs=1e-14)
+        out = ce_apply_symbol(0.0, mod, {X: 1.0})
+        assert set(out) == {X}
+        assert out[X] == pytest.approx(-0.5, abs=1e-14)
 
     def test_scalar_degree_two_frozen(self):
         mod = make_model()
         X1 = MonomialIndex(m=1, powers=(1,))
         X2 = MonomialIndex(m=1, powers=(2,))
-        out = ce_apply_symbol(0.0, mod, PolyGaussSymbol.monomial(
-            X2, working_gauss(0.0, mod)), 2)
-        assert out.coefficient(X2) == pytest.approx(0.25, abs=1e-12)
-        assert out.coefficient(X1) == pytest.approx(-np.sqrt(2.0), abs=1e-12)
-        assert out.coefficient(MonomialIndex.zero(1)) == 0
+        out = ce_apply_symbol(0.0, mod, {X2: 1.0})
+        assert out[X2] == pytest.approx(0.25, abs=1e-12)
+        assert out[X1] == pytest.approx(-np.sqrt(2.0), abs=1e-12)
+        assert out.get(MonomialIndex.zero(1), 0) == 0
 
     def test_linearity(self):
         mod = make_model()
-        gauss = working_gauss(0.0, mod)
         X1 = MonomialIndex(m=1, powers=(1,))
         X2 = MonomialIndex(m=1, powers=(2,))
-        combo = PolyGaussSymbol(coeffs={X1: 2.0, X2: 3.0j}, gauss=gauss)
-        out = ce_apply_symbol(0.0, mod, combo, 2)
-        img1 = ce_apply_symbol(0.0, mod, PolyGaussSymbol.monomial(X1, gauss), 2)
-        img2 = ce_apply_symbol(0.0, mod, PolyGaussSymbol.monomial(X2, gauss), 2)
-        for J in set(img1.coeffs) | set(img2.coeffs):
-            assert out.coefficient(J) == pytest.approx(
-                2.0 * img1.coefficient(J) + 3.0j * img2.coefficient(J),
-                abs=1e-13)
+        out = ce_apply_symbol(0.0, mod, {X1: 2.0, X2: 3.0j})
+        img1 = ce_apply_symbol(0.0, mod, {X1: 1.0})
+        img2 = ce_apply_symbol(0.0, mod, {X2: 1.0})
+        for J in set(img1) | set(img2):
+            assert out.get(J, 0) == pytest.approx(
+                2.0 * img1.get(J, 0) + 3.0j * img2.get(J, 0), abs=1e-13)
 
-    def test_wrong_gaussian_rejected(self):
+    def test_key_of_wrong_width_rejected(self):
+        # a key outside the model's basis would otherwise be dropped silently
         mod = make_model()
-        bad = PolyGaussSymbol.monomial(MonomialIndex.zero(1),
-                                       np.array([[0.25j]]))
-        with pytest.raises(ValueError):
-            ce_apply_symbol(0.0, mod, bad, 2)
+        for key in [MonomialIndex.zero(2), MonomialIndex(m=2, powers=(1, 0, 0)),
+                    (1,)]:
+            with pytest.raises(ValueError, match="m=1"):
+                ce_apply_symbol(0.0, mod, {MonomialIndex.zero(1): 1.0, key: 1.0})
 
-    def test_degree_overflow(self):
-        mod = make_model()
-        s = PolyGaussSymbol.monomial(MonomialIndex(m=1, powers=(3,)),
-                                     working_gauss(0.0, mod))
-        with pytest.raises(TruncationOverflowError):
-            ce_apply_symbol(0.0, mod, s, 2)
+    def test_degree_overflow(self, monkeypatch):
+        # m = 4 at degree 4 spans C(14, 4) = 1,001 monomials, over MAX_BASIS
+        def no_expansion(binv, basis):
+            raise AssertionError("expansion ran before the basis cap")
+
+        monkeypatch.setattr(lin, "_jet_matrix", no_expansion)
+        mod = make_model(a=(-0.3, -0.1, 0.1, 0.3))
+        J = MonomialIndex(m=4, powers=(4,) + (0,) * 9)
+        assert math.comb(10 + 4, 4) == 1001 > lin.MAX_BASIS
+        with pytest.raises(TruncationOverflowError, match="exceeds MAX_BASIS"):
+            ce_apply_symbol(0.0, mod, {J: 1.0})
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_scalar_sympy_oracle(self, n):
         K, a, E = 3, sp.Rational(1, 10), sp.Rational(1, 3)
         mod = make_model(K=K, a=(float(a),))
         want = scalar_series_oracle(K, a, E, n)
-        out = ce_apply_symbol(float(E), mod, PolyGaussSymbol.monomial(
-            MonomialIndex(m=1, powers=(n,)), working_gauss(float(E), mod)), n)
-        got = {J.degree: c for J, c in out.coeffs.items() if abs(c) > 1e-15}
+        out = ce_apply_symbol(float(E), mod, {MonomialIndex(m=1, powers=(n,)): 1.0})
+        got = {J.degree: c for J, c in out.items() if abs(c) > 1e-15}
         assert set(got) == set(want)
         for k, c in want.items():
             assert got[k] == pytest.approx(c, abs=1e-10)
@@ -395,10 +396,9 @@ class TestApplySymbol:
         E = sp.Rational(1, 5)
         mod = make_model(K=K, a=tuple(float(x) for x in a))
         want = m2_jet_oracle(K, a, E, J_powers)
-        out = ce_apply_symbol(float(E), mod, PolyGaussSymbol.monomial(
-            MonomialIndex(m=2, powers=J_powers),
-            working_gauss(float(E), mod)), sum(J_powers))
-        got = {J.powers: c for J, c in out.coeffs.items() if abs(c) > 1e-12}
+        out = ce_apply_symbol(float(E), mod,
+                              {MonomialIndex(m=2, powers=J_powers): 1.0})
+        got = {J.powers: c for J, c in out.items() if abs(c) > 1e-12}
         assert set(got) == set(want)
         for key, c in want.items():
             assert got[key] == pytest.approx(c, abs=1e-10)
@@ -512,9 +512,8 @@ class TestWalkProductScaling:
             binv = -4.0 * np.diagonal(a_e_matrix(E, mod))
             assert np.all(np.abs(binv.imag) > 0.1)  # a genuinely complex scaling
             for col, J in enumerate(stack.basis):
-                image = ce_apply_symbol(E, mod, PolyGaussSymbol.monomial(
-                    J, working_gauss(E, mod)), degree)
-                want = np.array([image.coefficient(J2) for J2 in stack.basis])
+                image = ce_apply_symbol(E, mod, {J: 1.0})
+                want = np.array([image.get(J2, 0.0) for J2 in stack.basis])
                 scale = np.abs(want).max()
                 assert np.abs(entries[:, col] - want).max() <= 1e-12 * scale
 
@@ -538,10 +537,10 @@ class TestWalkProductScaling:
             assert single.entries.tobytes() == entries.tobytes()
 
     def test_out_of_band_in_stack_raises_before_expansion(self, monkeypatch):
-        def no_expansion(binv, degree):
+        def no_expansion(binv, basis):
             raise AssertionError("expansion ran before the band check")
 
-        monkeypatch.setattr(lin, "_jet_images", no_expansion)
+        monkeypatch.setattr(lin, "_jet_matrix", no_expansion)
         with pytest.raises(OutOfBandError):
             build_ce_matrix([0.0, 0.5, 2.0, 0.1], make_model(), 2)
 
@@ -564,15 +563,36 @@ class TestWalkProductScaling:
                                            pattern):
         # corrupt the image of X_12: an entry of higher degree, one at an
         # odd vertex degree sum (X_11), or a wrong diagonal value
-        real = lin._jet_images
-        target = MonomialIndex(m=2, powers=(0, 1, 0))
+        real = lin._jet_matrix
 
-        def corrupted(binv, degree):
-            images = real(binv, degree)
-            bad = MonomialIndex(m=2, powers=planted)
-            images[target][bad] = images[target].get(bad, 0.0) + 0.1
-            return images
+        def corrupted(binv, basis):
+            matrix = real(binv, basis)
+            col = basis.index(MonomialIndex(m=2, powers=(0, 1, 0)))
+            matrix[basis.index(MonomialIndex(m=2, powers=planted)), col] += 0.1
+            return matrix
 
-        monkeypatch.setattr(lin, "_jet_images", corrupted)
+        monkeypatch.setattr(lin, "_jet_matrix", corrupted)
         with pytest.raises(EigenvalueLawError, match=pattern):
             build_ce_matrix([-0.1, 0.2], make_model(a=(-0.3, 0.3)), 2)
+
+
+class TestNonFiniteEnergy:
+    """A NaN energy fails every band check, as an infinite one does."""
+
+    CALLS = {
+        "lambda_j": lambda E, mod: lambda_j(E, mod, MonomialIndex.zero(1)),
+        "gap_kce": lambda E, mod: gap_kce(E, mod, 2),
+        "a_e_matrix": lambda E, mod: a_e_matrix(E, mod),
+        "build_ce_matrix": lambda E, mod: build_ce_matrix(E, mod, 2),
+        "build_ce_matrix_list": lambda E, mod: build_ce_matrix([0.0, E, 0.1],
+                                                               mod, 2),
+        "ce_apply_symbol": lambda E, mod: ce_apply_symbol(
+            E, mod, {MonomialIndex.zero(1): 1.0}),
+    }
+
+    @pytest.mark.parametrize("E", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", sorted(CALLS))
+    def test_refused(self, entry, E):
+        with pytest.raises(OutOfBandError):
+            self.CALLS[entry](E, make_model())
