@@ -1,11 +1,13 @@
-"""Deterministic forward fixed point: damped Picard, Newton, continuation.
+"""Deterministic forward fixed point: Newton, and continuation to the real axis.
 
 For a point-mass potential the forward recursion has a deterministic fixed
-point G = [A + lam*V0 - z - (K/4) G]^{-1}.  This demo solves it at a complex
-spectral point, then continues the solution down to the real axis and shows
-how the dissipative (Herglotz) branch is tracked: each eta level after the
-second starts from a secant predictor, the linear extrapolation of the last
-two solutions, so most levels need only a few Newton steps (or none).
+point G = [A + lam*V0 - z - (K/4) G]^{-1}.  This demo solves it by Newton's
+method at a complex spectral point, then continues the solution down to the
+real axis and shows how the dissipative (Herglotz) branch is tracked: each
+eta level after the second starts from a secant predictor, the linear
+extrapolation of the last two solutions, so most levels need only a few
+Newton steps (or none).  The continuation is what makes the locally
+convergent Newton corrector reach small eta.
 """
 
 import numpy as np
@@ -17,9 +19,9 @@ V0 = np.array([[0.3, 0.1], [0.1, -0.2]])
 model = BetheStripModel(K=2, a=(-0.5, 0.5), lam=0.7, ensemble=PointMass(V0))
 
 report = solve_forward(model, SpectralPoint(0.2, 0.2))
-print(f"solve at z = {report.z}: method = {report.method}, "
+print(f"Newton solve at z = {report.z}: "
       f"{report.iterations} iterations, residual {report.residual:.2e}")
-print("residual history (damped Picard until 1e-3, then Newton):")
+print("residual history (quadratic convergence near the root):")
 for i, r in enumerate(report.residual_history):
     print(f"  step {i:2d}: {r:.3e}")
 print(f"solution Herglotz (Im part positive definite): {report.herglotz}")

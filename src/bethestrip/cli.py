@@ -75,8 +75,8 @@ class _Key(NamedTuple):
     default: str | dict | None = None
     # the integer fields of RunConfig only: the least allowed value
     lo: int | None = None
-    # subcommands whose manifest echoes the resolved value
-    echo: tuple = tuple(_SUBCOMMANDS)
+    # the subcommands that read the key: their flag, config file and echo
+    read_by: tuple = tuple(_SUBCOMMANDS)
     hi: int | None = None  # the greatest allowed value, if fixed
 
 
@@ -91,7 +91,7 @@ _KEYS = {
     "E-grid": _Key("LO:HI:N", "inclusive energy grid with N points"),
     "eta-schedule": _Key("E1,E2,...", "comma-separated eta levels",
                          {"free-profile": "0", "crosscheck": "0.05"},
-                         echo=("free-profile", *_POOL_SUBS, "crosscheck")),
+                         read_by=("free-profile", *_POOL_SUBS, "crosscheck")),
     "pool": _Key("INT", "population size", "1000", 16, _POOL_SUBS),
     "sweeps": _Key("INT", "relaxation sweeps per eta level after the first",
                    "50", 1, _POOL_SUBS),
@@ -113,14 +113,6 @@ _KEYS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    g = shared.add_argument_group("configuration")
-    g.add_argument("--config", metavar="PATH",
-                   help="key=value file supplying defaults; flags take precedence")
-    for key, spec in _KEYS.items():
-        g.add_argument(f"--{key}", dest=key, metavar=spec.metavar,
-                       help=spec.help)
-
     parser = argparse.ArgumentParser(
         prog="bethestrip",
         description="Reproducible experiments for random operators on the Bethe strip.",
@@ -130,7 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True,
                                 metavar="SUBCOMMAND")
     for name, blurb in _SUBCOMMANDS.items():
-        sub.add_parser(name, parents=[shared], help=blurb, description=blurb)
+        cmd = sub.add_parser(name, help=blurb, description=blurb)
+        g = cmd.add_argument_group("configuration")
+        g.add_argument("--config", metavar="PATH",
+                       help="key=value file supplying defaults; flags take precedence")
+        for key, spec in _KEYS.items():
+            if name in spec.read_by:
+                g.add_argument(f"--{key}", dest=key, metavar=spec.metavar,
+                               help=spec.help)
     return parser
 
 
@@ -210,23 +209,25 @@ class RunConfig:
     model: BetheStripModel
     e_values: tuple
     etas: tuple
-    pool: int
-    sweeps: int
-    burnin: int
-    samples: int
-    depth: int
-    degree: int
     seed: int
     workers: int
     out: Path
     echo: dict = field(repr=False)
+    pool: int | None = None  # None where the subcommand does not read it
+    sweeps: int | None = None
+    burnin: int | None = None
+    samples: int | None = None
+    depth: int | None = None
+    degree: int | None = None
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     sub = args.subcommand
     file_values = _read_config_file(args.config) if args.config else {}
-    raw = {}
+    raw = {}  # the keys sub reads: a file key it does not read is skipped
     for key, spec in _KEYS.items():
+        if sub not in spec.read_by:
+            continue
         default = spec.default
         if isinstance(default, dict):
             default = default.get(sub, default.get("*"))
@@ -267,7 +268,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     lo, hi, n, e_values = _parse_grid(required("E-grid"))
 
     etas = ()
-    if sub in _KEYS["eta-schedule"].echo:  # the subcommands that read a schedule
+    if "eta-schedule" in raw:
         etas = _parse_floats("eta-schedule", required("eta-schedule"))
         etas = etas[:1] if sub == "crosscheck" else etas  # its first level only
         if sub == "free-profile" and any(e < 0 for e in etas):
@@ -279,10 +280,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if sub == "ac-indicator" and len(etas) < 3:
             raise ConfigError("ac-indicator needs at least 3 eta levels")
 
-    counts = {key: count(key) for key, spec in _KEYS.items()
-              if spec.lo is not None}
+    counts = {key: count(key) for key in raw if _KEYS[key].lo is not None}
     for key, arrays in (("pool", 1), ("samples", MEASURE_SWEEPS)):
-        entries = counts[key] * arrays * model.m**2
+        entries = counts.get(key, 0) * arrays * model.m**2
         if entries > MAX_ENTRIES:
             raise ConfigError(f"{key}: {counts[key]} needs {entries} entries, cap {MAX_ENTRIES}")
 
@@ -302,7 +302,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         "eta-schedule": ",".join(repr(e) for e in etas),
         "out": str(out),
     }
-    echo = {key: resolved[key] for key, spec in _KEYS.items() if sub in spec.echo}
+    echo = {key: resolved[key] for key in raw}
     echo["subcommand"] = sub
     if sub in _POOL_SUBS:
         echo.update({"chunking": recursion.CHUNKS,

@@ -18,7 +18,7 @@ class UnsupportedEnsembleError(BetheStripError):
 
 
 class NoConvergenceError(BetheStripError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """A solver hit its iteration cap, or converged off the dissipative branch."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

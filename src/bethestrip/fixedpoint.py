@@ -6,12 +6,11 @@ of the infinite tree satisfies the matrix equation
     G = [A + lam*V0 - z - (K/4) G]^{-1},
 
 a finite-dimensional fixed-point problem on complex symmetric m x m
-matrices.  :func:`solve_forward` solves it in one loop that evaluates
-the map once per iterate: damped steps (robust far from the solution)
-until the residual drops below ``NEWTON_SWITCH``, then Newton steps on
-vec(G) (quadratic near it).  :func:`continuation_to_boundary` continues the
-solution in the spectral parameter down to the real axis, tracking the
-dissipative branch Im G >= 0, with a secant predictor between levels.
+matrices.  :func:`solve_forward` solves it by Newton's method on vec(G),
+evaluating the map once per iterate.  Newton converges only near a root;
+:func:`continuation_to_boundary` is its globalization, a predictor-corrector
+continuation in the spectral parameter from eta = 1 down to the real axis
+along the dissipative branch Im G >= 0.
 """
 
 from __future__ import annotations
@@ -35,18 +34,12 @@ from .model import BetheStripModel, PointMass
 
 #: Residual tolerance (max-norm of G - map(G)) for a converged solve.
 SOLVE_TOL = 1e-11
-#: Damping for the fixed-point iteration.
-DAMPING = 0.5
-#: Residual below which the combined solver hands over from damped
-#: iteration to Newton.
-NEWTON_SWITCH = 1e-3
 #: A boundary (eta = 0) solution counts as dissipative only if every
 #: eigenvalue of Im G clears this floor.  At a band edge the fixed point is a
 #: double root, so a solve stopped at SOLVE_TOL leaves an error (and a spurious
 #: Im G) of order sqrt(SOLVE_TOL); the floor sits a decade above it.
 BOUNDARY_IMAG_FLOOR = 10 * SOLVE_TOL ** 0.5
 
-DEFAULT_PICARD_MAX_ITER = 500
 DEFAULT_NEWTON_MAX_ITER = 60
 
 #: Continuation levels: eta = 1, 1/2, ..., 2^-26 (the last above 1e-8), then 0.
@@ -117,7 +110,6 @@ class SolveReport:
     solution: np.ndarray
     residual: float
     iterations: int
-    method: str
     z: complex
     min_imag_eig: float
     residual_history: tuple = ()
@@ -146,53 +138,40 @@ def _jacobian(problem: FixedPointProblem, Phi: np.ndarray) -> np.ndarray:
 
 def solve_forward(model: BetheStripModel, point: SpectralPoint,
                   initial: np.ndarray | None = None) -> SolveReport:
-    """Damped steps while the residual exceeds NEWTON_SWITCH, then Newton.
+    """Newton's method on vec(G) for G = map(G), from the first iterate on.
 
     One loop evaluates Phi = map(G) once per iterate and stops as soon as
-    max|G - Phi| <= SOLVE_TOL.  The damped step G <- (1-DAMPING) G +
-    DAMPING * Phi converges globally for eta not too small; near the real
-    axis the slowest linearized mode approaches modulus one, which is where
-    Newton takes over, and once it has it keeps the loop.  At most
-    DEFAULT_PICARD_MAX_ITER damped and DEFAULT_NEWTON_MAX_ITER Newton steps
-    are taken.  These module constants are read at call time.  The iterate
-    starts from a copy of ``initial`` (an m x m array), else from the lam = 0
-    closed form at ``point``.
+    max|G - Phi| <= SOLVE_TOL, after at most DEFAULT_NEWTON_MAX_ITER steps
+    (module constants, read at call time).  The iterate starts from the
+    symmetric part of ``initial`` (an m x m array; a new array, so the report
+    never aliases it), else from the lam = 0 closed form at ``point``.  At
+    eta > 0 a root off the dissipative branch (min eig Im G < -HERGLOTZ_SLACK)
+    raises NoConvergenceError: Newton converges only locally, so small eta is
+    reached by continuation_to_boundary or from a warm start.
     """
     problem = FixedPointProblem(model, point)
     if initial is None:
         G = free_forward_green(point, model)
     else:
-        G = np.array(initial, dtype=complex)  # a copy: the report never aliases it
-        if G.shape != (model.m, model.m):
-            raise ValueError(f"initial guess has shape {G.shape}, "
+        if np.shape(initial) != (model.m, model.m):
+            raise ValueError(f"initial guess has shape {np.shape(initial)}, "
                              f"expected {(model.m, model.m)}")
+        # every step is symmetric, so a skew part of the start would stay
+        G = sym_part(np.asarray(initial, dtype=complex))
     history = []
-    picard_steps = newton_steps = 0
-    while True:
+    for steps in range(DEFAULT_NEWTON_MAX_ITER + 1):
         Phi = problem.forward_map(G)
         R = G - Phi
         residual = float(np.abs(R).max())
         history.append(residual)
         if residual <= SOLVE_TOL:
             break
-        if newton_steps == 0 and residual > NEWTON_SWITCH:
-            if picard_steps == DEFAULT_PICARD_MAX_ITER:
-                raise NoConvergenceError(
-                    f"damped iteration stalled above NEWTON_SWITCH="
-                    f"{NEWTON_SWITCH} after {picard_steps} steps at "
-                    f"z={point.z} (last residual {residual:.3e})",
-                    residual=residual,
-                    iterations=picard_steps,
-                )
-            G = (1.0 - DAMPING) * G + DAMPING * Phi
-            picard_steps += 1
-            continue
-        if newton_steps == DEFAULT_NEWTON_MAX_ITER:
+        if steps == DEFAULT_NEWTON_MAX_ITER:
             raise NoConvergenceError(
-                f"Newton did not reach SOLVE_TOL={SOLVE_TOL} in {newton_steps} "
+                f"Newton did not reach SOLVE_TOL={SOLVE_TOL} in {steps} "
                 f"steps at z={point.z} (last residual {residual:.3e})",
                 residual=residual,
-                iterations=newton_steps,
+                iterations=steps,
             )
         try:
             step = np.linalg.solve(_jacobian(problem, Phi), -R.ravel())
@@ -206,26 +185,33 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint,
                 f"non-finite Newton step at z={point.z}"
             )
         G = G + sym_part(step.reshape(G.shape))
-        newton_steps += 1
+    min_imag_eig = min_imag_eigenvalue(G)
+    if point.eta > 0.0 and min_imag_eig < -HERGLOTZ_SLACK:
+        raise NoConvergenceError(
+            f"Newton converged off the dissipative branch at z={point.z}: "
+            f"min eig(Im G) = {min_imag_eig:.3e}; reach small eta through "
+            "continuation_to_boundary or a warm start",
+            residual=residual,
+            iterations=steps,
+        )
     return SolveReport(
         solution=G,
         residual=residual,
-        iterations=picard_steps + newton_steps,
-        method="newton" if newton_steps else "picard",
+        iterations=steps,
         z=point.z,
-        min_imag_eig=min_imag_eigenvalue(G),
+        min_imag_eig=min_imag_eig,
         residual_history=tuple(history),
     )
 
 
 def continuation_to_boundary(model: BetheStripModel, E: float) -> list[SolveReport]:
-    """Track the dissipative solution down ETA_SCHEDULE to eta = 0.
+    """Newton's globalization: track the dissipative root down ETA_SCHEDULE to eta = 0.
 
-    Level 0 starts from the free closed form, level 1 from its solution, level
-    k >= 2 from the secant predictor sym_part(G + r (G - G')), G and G' solving
-    levels k-1 and k-2, r = (eta_k - eta_{k-1})/(eta_{k-1} - eta_{k-2}).  For eta > 0
-    the tracked solution must stay dissipative (Im G >= 0 up to slack); losing
-    that branch, or any solver failure, raises ContinuationBreakdownError
+    Level 0 starts from the free closed form, level 1 from its solution,
+    level k >= 2 from the secant predictor G + r (G - G'), G and G' solving
+    levels k-1 and k-2, r = (eta_k - eta_{k-1})/(eta_{k-1} - eta_{k-2});
+    solve_forward takes its symmetric part.  Any solver failure, leaving the
+    dissipative branch at eta > 0 included, raises ContinuationBreakdownError
     tagged with the failing eta.  The final boundary report may legitimately
     carry ``herglotz=False``: outside the spectrum the boundary solution is real.
     """
@@ -234,20 +220,13 @@ def continuation_to_boundary(model: BetheStripModel, E: float) -> list[SolveRepo
         guess = reports[-1].solution if reports else None
         if k >= 2:  # r = 1/2 on the geometric schedule, 1 for the step to eta = 0
             G0, (e0, e1) = reports[-2].solution, ETA_SCHEDULE[k - 2:k]
-            guess = sym_part(guess + (eta - e1) / (e1 - e0) * (guess - G0))
+            guess = guess + (eta - e1) / (e1 - e0) * (guess - G0)
         point = SpectralPoint(E, eta)
         try:
-            report = solve_forward(model, point, guess)
+            reports.append(solve_forward(model, point, guess))
         except (NoConvergenceError, SingularJacobianError,
                 SingularMatrixError) as exc:
             raise ContinuationBreakdownError(
                 f"continuation failed at eta={eta}: {exc}", eta=eta
             ) from exc
-        if eta > 0.0 and report.min_imag_eig < -HERGLOTZ_SLACK:
-            raise ContinuationBreakdownError(
-                f"lost the dissipative branch at eta={eta}: "
-                f"min eig(Im G) = {report.min_imag_eig:.3e}",
-                eta=eta,
-            )
-        reports.append(report)
     return reports

@@ -521,6 +521,25 @@ class TestConfigPlumbing:
             "subcommand", "K", "m", "A", "lambda", "ensemble", "E-grid",
             "seed", "workers", "out", *self.ECHO_EXTRA[sub]}
 
+    def test_shared_file_key_skipped_where_unread(self, tmp_path, capsys):
+        # one file can serve several subcommands: a key that a subcommand
+        # does not read is neither parsed, bounded nor echoed there
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("K=2\nm=1\nE-grid=0:0:1\npool=3\ndegree=-1\n")
+        out = tmp_path / "fp.csv"
+        assert main(["free-profile", "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        assert not {"pool", "degree"} & set(manifest_of(out)["config"])
+        assert main(["dos-scan", "--config", str(cfg), "--eta-schedule", "0.1",
+                     "--out", str(tmp_path / "dos.csv")]) == 2
+        assert "pool: must be >= 16" in capsys.readouterr().err
+
+    def test_help_lists_only_keys_read(self, capsys):
+        assert main(["free-profile", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--E-grid" in text and "--eta-schedule" in text
+        assert "--pool" not in text and "--degree" not in text
+
     def test_unknown_key_and_missing_file(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("K=2\nbogus=1\n")
@@ -687,6 +706,11 @@ class TestConfigPlumbing:
         (["free-profile", "--E-grid", "0:0:1", "--out", "x", "--bogus"], 2),
         (["gap-scan", "--K", "2", "--E-grid", "0:0:1", "--seed", "-1",
           "--out", "x"], 2),
+        # a flag of a key the subcommand does not read
+        (["free-profile", "--E-grid", "0:0:1", "--out", "x", "--pool", "1000"], 2),
+        (["gap-scan", "--E-grid", "0:0:1", "--out", "x", "--eta-schedule", "0.1"], 2),
+        (["ce-spectrum", "--E-grid", "0:0:1", "--out", "x", "--depth", "4"], 2),
+        (["crosscheck", "--E-grid", "0:0:1", "--out", "x", "--degree", "9"], 2),
     ])
     def test_config_exit_codes(self, argv, code, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,7 +1,5 @@
 """Tests for the deterministic forward fixed-point solver."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,12 +12,11 @@ from bethestrip.errors import (
 )
 from bethestrip.fixedpoint import (
     FixedPointProblem,
-    SolveReport,
     continuation_to_boundary,
     solve_forward,
 )
 from bethestrip.free import a_e_matrix, free_forward_green
-from bethestrip.linalg import SpectralPoint, min_imag_eigenvalue
+from bethestrip.linalg import HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue
 from bethestrip.linearization import upper_slots
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 
@@ -67,6 +64,17 @@ def bench_point_mass():
     """The m = 2 point mass of the benchmark's continuation workload."""
     V0 = ((0.3, 0.1), (0.1, -0.2))
     return make_model(K=2, a=(-0.5, 0.5), lam=0.7, ensemble=PointMass(V0))
+
+
+def off_branch_point_mass():
+    """A K = 3, m = 2 point mass whose cold solve at E + 0.01i leaves the branch."""
+    V0 = ((1.3086357086483342, -0.9180633699746104),
+          (-0.9180633699746104, 0.8365690029317673))
+    return make_model(K=3, a=(-0.7943980882289585, 0.04003403116346105),
+                      lam=1.4223578652192967, ensemble=PointMass(V0))
+
+
+OFF_BRANCH_E = 2.9582599241880905
 
 
 def diagonalized_solution(model, z):
@@ -132,17 +140,12 @@ class TestProblem:
 
 
 class TestPicard:
-    """Damped iteration alone: a zero NEWTON_SWITCH never hands over."""
-
-    @pytest.fixture(autouse=True)
-    def damped_only(self, monkeypatch):
-        monkeypatch.setattr(fp, "NEWTON_SWITCH", 0.0)
+    """Fixed points with closed forms, solved from cold starts."""
 
     def test_scalar_free_from_zero(self, monkeypatch):
         monkeypatch.setattr(fp, "SOLVE_TOL", 1e-12)
         rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
                             np.zeros((1, 1)))
-        assert rep.method == "picard"
         assert rep.residual <= 1e-12
         assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
                                                    abs=1e-11)
@@ -151,37 +154,20 @@ class TestPicard:
         mod = make_model(K=3, a=(-0.7, 0.1, 0.4))
         sp = SpectralPoint(0.2, 0.8)
         rep = solve_forward(mod, sp, np.zeros((3, 3)))
-        assert rep.method == "picard"
         np.testing.assert_allclose(rep.solution, free_forward_green(sp, mod),
                                    atol=1e-10)
 
     def test_point_mass_quadratic_oracle(self):
         mod = make_model(lam=1.0, ensemble=PointMass(((1.0,),)))
         rep = solve_forward(mod, SpectralPoint(2.0, 0.1))
-        assert rep.method == "picard"
         want = herglotz_quadratic_root(2, 2 + 0.1j, 1.0)
         assert rep.solution[0, 0] == pytest.approx(want, abs=1e-10)
 
-    def test_no_convergence_reports_residual(self, monkeypatch):
-        monkeypatch.setattr(fp, "DEFAULT_PICARD_MAX_ITER", 2)
-        with pytest.raises(NoConvergenceError) as ei:
-            solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                          np.zeros((1, 1)))
-        assert ei.value.iterations == 2
-        assert ei.value.residual > 0
-
 
 class TestNewton:
-    """Newton from the start: an infinite NEWTON_SWITCH hands over at once."""
-
-    @pytest.fixture(autouse=True)
-    def newton_only(self, monkeypatch):
-        monkeypatch.setattr(fp, "NEWTON_SWITCH", math.inf)
-
     def test_scalar_case_fast(self):
         rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
                             np.array([[1j]]))
-        assert rep.method == "newton"
         assert rep.iterations <= 6
         assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
                                                    abs=1e-11)
@@ -193,7 +179,6 @@ class TestNewton:
         start = free + 0.05 * (random_symmetric(2, np.random.default_rng(3))
                                + 0.3j * np.eye(2))
         rep = solve_forward(mod, sp, start)
-        assert rep.method == "newton"
         np.testing.assert_allclose(rep.solution, free, atol=1e-12)
 
     def test_jacobian_scalar_value(self):
@@ -276,6 +261,7 @@ class TestNewton:
             solve_forward(make_model(), SpectralPoint(0.0, 1.0),
                           np.array([[1j]]))
         assert ei.value.iterations == 1
+        assert ei.value.residual > 0
 
 
 class TestSolveForward:
@@ -283,17 +269,18 @@ class TestSolveForward:
         mod = make_model(lam=1.0, ensemble=PointMass(((1.0,),)))
         rep = solve_forward(mod, SpectralPoint(2.0, 0.1),
                             np.zeros((1, 1), dtype=complex))
-        assert rep.method == "newton"
         assert rep.residual <= 1e-11
         want = herglotz_quadratic_root(2, 2 + 0.1j, 1.0)
         assert rep.solution[0, 0] == pytest.approx(want, abs=1e-11)
 
     def test_exact_start_stays_picard(self):
+        # the exact solution as a start is accepted on its first map
+        # evaluation: no Newton step is taken
         mod = make_model(a=(-0.5, 0.5))
         sp = SpectralPoint(0.2, 0.3)
         rep = solve_forward(mod, sp, free_forward_green(sp, mod))
-        assert rep.method == "picard"
         assert rep.iterations == 0
+        assert rep.residual_history == (rep.residual,)
         assert rep.residual <= fp.SOLVE_TOL
 
     def test_converged_start_is_copied(self):
@@ -307,6 +294,40 @@ class TestSolveForward:
         assert not np.shares_memory(rep.solution, start)
         np.testing.assert_array_equal(rep.solution, start)
 
+    @pytest.mark.parametrize("skewed", [
+        lambda free: np.array([[0.1j, 0.2], [0.0, 0.1j]]),
+        lambda free: free + np.array([[0.0, 1e-6], [0.0, 0.0]])],
+        ids=["upper", "free_plus_1e-6"])
+    def test_non_symmetric_start_converges(self, skewed):
+        # every Newton step is symmetric, so the skew part of a start would
+        # stay in the iterate and stall the residual at its size
+        mod = bench_point_mass()
+        sp = SpectralPoint(0.3, 0.4)
+        start = skewed(free_forward_green(sp, mod))
+        kept = start.copy()
+        rep = solve_forward(mod, sp, start)
+        assert rep.residual <= fp.SOLVE_TOL
+        np.testing.assert_array_equal(start, kept)
+        np.testing.assert_allclose(rep.solution, diagonalized_solution(mod, sp.z),
+                                   atol=1e-10, rtol=0)
+
+    def test_cold_start_off_branch_raises(self):
+        # Newton converges only locally: this cold start at eta = 0.01 lands
+        # on a root with an eigenvalue of Im G below zero
+        with pytest.raises(NoConvergenceError, match="dissipative"):
+            solve_forward(off_branch_point_mass(),
+                          SpectralPoint(OFF_BRANCH_E, 0.01))
+
+    def test_warm_start_from_continuation_recovers_branch(self):
+        mod = off_branch_point_mass()
+        level = continuation_to_boundary(mod, OFF_BRANCH_E)[6]
+        assert level.z.imag == 2.0 ** -6
+        sp = SpectralPoint(OFF_BRANCH_E, 0.01)
+        rep = solve_forward(mod, sp, level.solution)
+        np.testing.assert_allclose(rep.solution, diagonalized_solution(mod, sp.z),
+                                   atol=1e-10, rtol=0)
+        assert rep.min_imag_eig > 0
+
     def test_diagonalization_oracle_m3(self):
         mod = m3_point_mass()
         sp = SpectralPoint(0.4, 0.2)
@@ -316,10 +337,7 @@ class TestSolveForward:
                                    atol=1e-10)
         assert rep.herglotz
 
-    @pytest.mark.parametrize("switch, method", [
-        (fp.SOLVE_TOL, "picard"), (fp.NEWTON_SWITCH, "newton"),
-        (math.inf, "newton")], ids=["damped", "mixed", "newton"])
-    def test_history_one_entry_per_iterate(self, switch, method, monkeypatch):
+    def test_history_one_entry_per_iterate(self, monkeypatch):
         seen = []
         real = FixedPointProblem.forward_map
 
@@ -329,17 +347,12 @@ class TestSolveForward:
             return Phi
 
         monkeypatch.setattr(FixedPointProblem, "forward_map", recording)
-        monkeypatch.setattr(fp, "NEWTON_SWITCH", switch)
         rep = solve_forward(bench_point_mass(), SpectralPoint(0.3, 0.4),
                             np.zeros((2, 2), dtype=complex))
-        assert rep.method == method
         assert len(seen) == len(rep.residual_history) == rep.iterations + 1
         assert list(rep.residual_history) == [r for _, r in seen]
         np.testing.assert_array_equal(seen[-1][0], rep.solution)
         assert rep.residual == rep.residual_history[-1] <= fp.SOLVE_TOL
-        if method == "newton" and switch < math.inf:
-            # the first step was damped, and a later one Newton
-            assert rep.residual_history[0] > switch
 
     def test_report_certificate(self):
         mod = make_model()
@@ -444,6 +457,15 @@ class TestContinuation:
         assert tuple(r.z.imag for r in reports) == want
         assert all(r.z.real == 0.3 for r in reports)
 
+    def test_every_level_dissipative_on_seeded_energies(self):
+        # the continuation is the only globalization of the Newton corrector
+        mod = bench_point_mass()
+        for E in np.random.default_rng(2011).uniform(-2.5, 2.5, 200):
+            reports = continuation_to_boundary(mod, float(E))
+            assert len(reports) == len(fp.ETA_SCHEDULE)
+            for rep in reports[:-1]:
+                assert min_imag_eigenvalue(rep.solution) >= -HERGLOTZ_SLACK
+
     def test_breakdown_wraps_solver_failure(self, monkeypatch):
         def stuck(model, point, initial=None):
             raise NoConvergenceError("stuck", residual=1.0, iterations=5)
@@ -454,13 +476,8 @@ class TestContinuation:
         assert ei.value.eta == 1.0
 
     def test_breakdown_on_lost_branch(self, monkeypatch):
-        def wrong_branch(model, point, initial=None):
-            sol = np.array([[-1j]])
-            return SolveReport(solution=sol, residual=0.0, iterations=1,
-                               method="newton", z=point.z,
-                               min_imag_eig=-1.0, residual_history=(0.0,))
-
-        monkeypatch.setattr(fp, "solve_forward", wrong_branch)
+        # every solve finds min eig(Im G) = -1: a root off the dissipative branch
+        monkeypatch.setattr(fp, "min_imag_eigenvalue", lambda G: -1.0)
         with pytest.raises(ContinuationBreakdownError) as ei:
             continuation_to_boundary(make_model(), 0.0)
         assert ei.value.eta == 1.0

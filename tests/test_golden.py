@@ -13,8 +13,8 @@ deviation, recomputed here, leads the runner-up by PINNED_LEAD.
 ``continuation.out`` pins the deterministic solver, which no subcommand runs:
 ``fixedpoint.continuation_to_boundary`` on CONTINUATION_RUNS, with each
 energy's eta = 0 solution, ``min_imag_eig`` and ``herglotz``, and every
-level's ``iterations`` and ``method``.  Its numbers are held to the same
-relative 1e-10; counts and labels must match exactly.
+level's ``iterations``.  Its numbers are held to the same relative 1e-10;
+counts and flags must match exactly.
 
 A change that alters stream use on purpose regenerates the set with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
@@ -90,7 +90,6 @@ def continuation_record():
                 "min_imag_eig": last.min_imag_eig,
                 "herglotz": last.herglotz,
                 "iterations": [r.iterations for r in reports],
-                "method": [r.method for r in reports],
             })
     return out
 
