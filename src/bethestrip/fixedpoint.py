@@ -82,18 +82,8 @@ class FixedPointProblem:
         return B
 
     def forward_map(self, G: np.ndarray) -> np.ndarray:
-        """Apply G -> [A + lam*V0 - z - (K/4) G]^{-1} once."""
-        if len(G) > 1:
-            return resolvent(self._shifted_onsite, self.model.K * G)
-        # Scalar path: continuation makes tens of thousands of 1x1 calls, and
-        # any numpy call costs about twice this whole step there.
-        d = (self._shifted_onsite - 0.25 * self.model.K * G)[0, 0]
-        out = 1.0 / d if d != 0.0 else complex(np.inf)
-        if not np.isfinite(out):
-            raise SingularMatrixError(
-                f"forward map hit a singular matrix at z={self.point.z}"
-            )
-        return np.array([[out]])
+        """G -> [A + lam*V0 - z - (K/4) G]^{-1}: one resolvent call, any m or stack."""
+        return resolvent(self._shifted_onsite, self.model.K * G)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Green's matrices on the strip are complex *symmetric* (not Hermitian).  Every
 recursion path inverts through :func:`resolvent`, batched over ``(..., m, m)``
-stacks with one error policy: by LAPACK, or in closed form at m = 2, on packed
-(n,) columns when given A, lam, V and z.  Beside it: the upper-half-plane square
-root branch, the Herglotz indicator min eig Im M and the test-matrix PSD check.
+stacks with one error policy: by LAPACK, or in closed form at m = 1 (1 / M) and
+m = 2 (on packed (n,) columns given A, lam, V and z).  Beside it: the Herglotz
+indicator min eig Im M, the upper-half-plane root branch and the PSD check.
 """
 
 from dataclasses import dataclass
@@ -59,7 +59,8 @@ def resolvent(onsite, neighbor_sum, V=None, lam=0.0, z=0.0):
     non-square stack ValueError.  For eta > 0 and Herglotz neighbors Im(-M) >= eta,
     so ||M^-1|| <= 1/eta and no pivot floor is needed.  At m = 2 the closed form
     [[d, -(b+c)/2], [-(b+c)/2, a]] / (ad - bc) runs on a (-1, 4) view of a shifted
-    block, or given V (symmetric stacks) on packed columns a, b = c, d.
+    block, or given V (symmetric stacks) on packed columns a, b = c, d; at m = 1 the
+    reciprocal 1 / M.  Both raise on a zero pivot or non-finite entry before dividing.
     """
     if V is not None and onsite.shape[-1] == 2:
         v, s = V.reshape(-1, 4), neighbor_sum.reshape(-1, 4)
@@ -97,6 +98,12 @@ def resolvent(onsite, neighbor_sum, V=None, lam=0.0, z=0.0):
         G = f[:, ::-1] / det[:, None]  # d, c, b, a
         G[:, 1:3] = -0.5 * (G[:, 1] + G[:, 2])[:, None]
         return G.reshape(M.shape)
+    if M.shape[-1] == 1:
+        if not np.isfinite(M).all():
+            raise SingularMatrixError("non-finite entries in the recursion")
+        if np.count_nonzero(M) < M.size:
+            raise SingularMatrixError("singular matrix in the recursion")
+        return 1.0 / M
     try:
         G = np.linalg.inv(M)
     except np.linalg.LinAlgError as exc:
@@ -121,7 +128,7 @@ def min_imag_eigenvalue(M) -> float:
     """Smallest eigenvalue of Im M over a (..., m, m) stack; >= 0 is Herglotz."""
     im = np.asarray(M, dtype=complex).imag
     w = np.linalg.eigvalsh(0.5 * (im + im.swapaxes(-1, -2)))
-    return float(w[0] if w.ndim == 1 else w[..., 0].min())
+    return float(w[..., 0].min())
 
 
 def require_psd(M):

@@ -1,5 +1,10 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
+
+HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
 
 
 def random_symmetric(m, rng, scale=1.0):
@@ -20,3 +25,15 @@ def random_herglotz(m, rng, eta=0.3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of local modules at collection, even with
+    # database=None; a home for the session keeps that cache out of the tree
+    home = config.stash[HYPOTHESIS_HOME] = tempfile.TemporaryDirectory(
+        prefix="hypothesis-")
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    config.stash[HYPOTHESIS_HOME].cleanup()

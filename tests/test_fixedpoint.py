@@ -16,11 +16,12 @@ from bethestrip.fixedpoint import (
     solve_forward,
 )
 from bethestrip.free import a_e_matrix, free_forward_green
-from bethestrip.linalg import HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue
+from bethestrip.linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
+                               resolvent)
 from bethestrip.linearization import upper_slots
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 
-from conftest import random_symmetric
+from conftest import random_herglotz, random_symmetric
 
 
 def make_model(K=2, a=(0.0,), lam=0.0, ensemble=None):
@@ -101,6 +102,24 @@ class TestProblem:
         assert prob.forward_map(np.zeros((1, 1))) == pytest.approx(
             np.array([[1j]]))
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_forward_map_any_width_and_stack(self, m, rng):
+        # one kernel call for an (m, m) matrix and (n, m, m) stacks alike,
+        # byte for byte the per-member calls on the shifted block
+        V0 = random_symmetric(m, rng)
+        mod = make_model(K=3, a=tuple(np.linspace(-0.5, 0.5, m)), lam=0.7,
+                         ensemble=PointMass(V0))
+        sp = SpectralPoint(0.3, 0.2)
+        prob = FixedPointProblem(mod, sp)
+        shifted = onsite(mod) - sp.z * np.eye(m)
+        G = np.array([random_herglotz(m, rng) for _ in range(3)])
+        for x in (G[0], G[:1], G):
+            got = prob.forward_map(x)
+            assert got.shape == x.shape
+            want = [resolvent(shifted, mod.K * g).tobytes()
+                    for g in x.reshape(-1, m, m)]
+            assert [g.tobytes() for g in got.reshape(-1, m, m)] == want
+
     def test_initial_shape_checked(self, monkeypatch):
         # solve_forward rejects a wrong-shape guess before any map evaluation
         calls = []
@@ -139,7 +158,7 @@ class TestProblem:
         np.testing.assert_allclose(first[0], -4.0 * a_e_matrix(0.3, mod))
 
 
-class TestPicard:
+class TestClosedFormColdStarts:
     """Fixed points with closed forms, solved from cold starts."""
 
     def test_scalar_free_from_zero(self, monkeypatch):
@@ -265,7 +284,7 @@ class TestNewton:
 
 
 class TestSolveForward:
-    def test_cold_start_switches_to_newton(self):
+    def test_cold_start_converges(self):
         mod = make_model(lam=1.0, ensemble=PointMass(((1.0,),)))
         rep = solve_forward(mod, SpectralPoint(2.0, 0.1),
                             np.zeros((1, 1), dtype=complex))
@@ -273,7 +292,7 @@ class TestSolveForward:
         want = herglotz_quadratic_root(2, 2 + 0.1j, 1.0)
         assert rep.solution[0, 0] == pytest.approx(want, abs=1e-11)
 
-    def test_exact_start_stays_picard(self):
+    def test_exact_start_takes_no_step(self):
         # the exact solution as a start is accepted on its first map
         # evaluation: no Newton step is taken
         mod = make_model(a=(-0.5, 0.5))

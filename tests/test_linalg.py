@@ -2,9 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethestrip.errors import SingularMatrixError
 from bethestrip.linalg import (
+    HERGLOTZ_SLACK,
     SpectralPoint,
     min_imag_eigenvalue,
     resolvent,
@@ -44,11 +47,13 @@ class TestResolvent:
                 assert stacked[i].tobytes() == single.tobytes()
 
     def test_singular_raises(self):
-        M = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-        with pytest.raises(SingularMatrixError):
-            resolvent(M, 0.0)
-        with pytest.raises(SingularMatrixError):  # as one member of a stack
-            resolvent(np.array([np.eye(2), M]), 0.0)
+        # both closed forms: the m = 1 reciprocal and the m = 2 adjugate
+        for M in ([[0.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            M = np.array(M, dtype=complex)
+            with pytest.raises(SingularMatrixError):
+                resolvent(M, 0.0)
+            with pytest.raises(SingularMatrixError):  # as one member of a stack
+                resolvent(np.array([np.eye(len(M)), M]), 0.0)
 
     def test_closed_form_2x2_matches_lapack(self, rng):
         # m = 2 takes the closed-form branch; the reference is LAPACK
@@ -64,12 +69,41 @@ class TestResolvent:
             assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
 
     def test_2x2_errors_raise_without_warning(self):
-        for bad in ([[1.0, 2.0], [2.0, 4.0]], [[np.inf, 0.0], [0.0, 1.0]]):
-            stack = np.array([np.eye(2), bad], dtype=complex)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                with pytest.raises(SingularMatrixError):
-                    resolvent(stack, 0.0)
+        # a zero pivot, a NaN and an inf entry at widths 1 and 2, alone and
+        # as one member of a stack
+        bad_inputs = ([[0.0]], [[np.nan]], [[np.inf]],
+                      [[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]],
+                      [[np.inf, 0.0], [0.0, 1.0]])
+        for bad in bad_inputs:
+            bad = np.array(bad, dtype=complex)
+            for M in (bad, np.array([np.eye(len(bad)), bad])):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(SingularMatrixError):
+                        resolvent(M, 0.0)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(m=st.integers(1, 4), K=st.integers(2, 4), eta=st.floats(1e-2, 1.0),
+           E=st.floats(-3.0, 3.0), lam=st.floats(0.0, 2.0), goe=st.booleans(),
+           n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_herglotz_inputs_property(self, m, K, eta, E, lam, goe, n, seed):
+        # Herglotz neighbor sums give Im(-M) >= eta, hence Im G >= 0 and
+        # ||G||_2 <= 1/eta, on every kernel path
+        rng = np.random.default_rng(seed)
+        A = np.diag(rng.uniform(-1.0, 1.0, m))
+        V = np.array([random_symmetric(m, rng) if goe
+                      else np.diag(rng.standard_normal(m)) for _ in range(n)])
+        nsum = sum(np.array([random_herglotz(m, rng, eta=0.0) for _ in range(n)])
+                   for _ in range(K))
+        z = complex(E, eta)
+        shifted = (A + lam * V) - z * np.eye(m)
+        G = resolvent(A, nsum, V, lam, z)
+        assert G.tobytes() == resolvent(shifted, nsum).tobytes()
+        ref = sym_part(np.linalg.inv(shifted - 0.25 * nsum))
+        assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(G))
+        assert symmetry_defect(G) == 0.0
+        assert min_imag_eigenvalue(G) >= -HERGLOTZ_SLACK
+        assert np.linalg.norm(G, 2, axis=(1, 2)).max() <= (1 + 1e-9) / eta
 
     def packed_case(self, rng, n):
         # A, a symmetric neighbor sum and symmetric potentials for the
