@@ -112,7 +112,7 @@ _KEYS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bethestrip",
         description="Reproducible experiments for random operators on the Bethe strip.",
@@ -123,6 +123,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                 metavar="SUBCOMMAND")
     for name, blurb in _SUBCOMMANDS.items():
         cmd = sub.add_parser(name, help=blurb, description=blurb)
+        if argv[:1] != [name]:  # only the invoked subcommand needs its flags
+            continue
         g = cmd.add_argument_group("configuration")
         g.add_argument("--config", metavar="PATH",
                        help="key=value file supplying defaults; flags take precedence")
@@ -576,11 +578,9 @@ def _preprocess_argv(argv) -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_preprocess_argv(list(argv)))
+        args = _build_parser(argv).parse_args(_preprocess_argv(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,7 @@ MODULUS_RTOL = 1e-12
 #: Largest monomial basis build_ce_matrix will assemble.
 MAX_BASIS = 500
 #: Largest index set enumerate_indices will build.  An index holds about
-#: 400 bytes (tracemalloc at m = 4), so this is about 80 MB; m = 4 at
+#: 216 bytes (tracemalloc at m = 4), so this is about 43 MB; m = 4 at
 #: degree 10 (184,756 indices) fits, m = 16 at degree 10 (~1e15) does not.
 MAX_INDICES = 200_000
 
@@ -73,24 +73,20 @@ def slot_count(m: int) -> int:
     return m * (m + 1) // 2
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class MonomialIndex:
     """Upper-triangular non-negative integer exponent matrix J.
 
     ``powers`` lists the exponents J_jk over the row-major upper
-    triangle of an m x m matrix; the monomial is
-    X^J = prod X_jk^{J_jk}.  Ordering is by (degree, variable-sequence
-    lexicographic), so within a degree the slot earliest in row-major
-    order carries the highest power first: for m=2 the degree-1 indices
-    come as X_11, X_12, X_22.
+    triangle of an m x m matrix; the monomial is X^J = prod X_jk^{J_jk}.
+    Equality and hashing are on (m, powers); indices define no order.
     """
 
-    sort_index: tuple = field(init=False, repr=False)
     m: int
     powers: tuple
 
     def __post_init__(self):
-        if any(x < 0 or int(x) != x for x in self.powers):
+        if not all(x >= 0 and x % 1 == 0 for x in self.powers):  # NaN, inf fail
             raise ValueError(
                 f"exponents must be non-negative integers, got {self.powers}")
         powers = tuple(int(x) for x in self.powers)
@@ -102,25 +98,10 @@ class MonomialIndex:
                 f"got {len(powers)}"
             )
         object.__setattr__(self, "powers", powers)
-        object.__setattr__(
-            self, "sort_index",
-            (sum(powers), tuple(-x for x in powers)),
-        )
 
     @property
     def degree(self) -> int:
         return sum(self.powers)
-
-    @classmethod
-    def zero(cls, m: int) -> "MonomialIndex":
-        return cls(m=m, powers=(0,) * slot_count(m))
-
-    def entries(self) -> np.ndarray:
-        """The m x m upper-triangular integer matrix J."""
-        out = np.zeros((self.m, self.m), dtype=int)
-        for power, (j, k) in zip(self.powers, upper_slots(self.m)):
-            out[j, k] = power
-        return out
 
     def __str__(self):
         return "J[" + ",".join(str(x) for x in self.powers) + "]"
@@ -138,9 +119,12 @@ def _basis_size(m: int, max_degree: int, cap: int, name: str) -> int:
 
 
 def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
-    """All J with |J| <= max_degree, ordered by (degree, lexicographic).
+    """All J with |J| <= max_degree, by rising degree.
 
-    A set over MAX_INDICES raises TruncationOverflowError before it is built.
+    Within a degree the powers fall lexicographically: the slot earliest in
+    row-major order carries the highest power first, so for m=2 the degree-1
+    indices come as X_11, X_12, X_22.  A set over MAX_INDICES raises
+    TruncationOverflowError before it is built.
     """
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
@@ -365,10 +349,11 @@ def build_ce_matrix(E, model: BetheStripModel,
         raise EigenvalueLawError(
             f"degree filtration violated: {basis[c]} -> {basis[r]}")
 
-    # twice[r, c, u] = deg_u J_r + deg_u J_c, with deg_u J = row u of J + J^T
-    deg = np.array([J.entries().sum(axis=0) + J.entries().sum(axis=1)
-                    for J in basis])
-    twice = deg[:, None, :] + deg[None, :, :]
+    # deg[i, u] = row u of J_i + J_i^T: slot (j, k) meets vertices j and k
+    eye = np.eye(model.m, dtype=int)
+    incidence = [eye[j] + eye[k] for j, k in upper_slots(model.m)]
+    deg = np.array([J.powers for J in basis]) @ incidence
+    twice = deg[:, None, :] + deg[None, :, :]  # deg_u J_r + deg_u J_c
     odd = (unit != 0) & (twice % 2 == 1).any(axis=-1)
     if odd.any():
         r, c = np.argwhere(odd)[0]

@@ -2,9 +2,15 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+# Tier-1 is deterministic and writes no example database; loaded before the
+# test modules are collected, so every @settings inherits it
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def random_symmetric(m, rng, scale=1.0):

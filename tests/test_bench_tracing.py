@@ -32,7 +32,7 @@ def test_plan_finds_every_traced_method():
     assert ("FixedPointProblem", "forward_map") in patched
 
 
-# ROADMAP item 5: these spans went with the kernel change to
+# ROADMAP item 1: these spans went with the kernel change to
 # linalg.resolvent, and their metrics read 0 until the benchmark replaces them.
 STALE_SPANS = {"linalg.inv_batch", "linalg.sym_inverse"}
 

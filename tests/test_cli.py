@@ -625,11 +625,11 @@ class TestConfigPlumbing:
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
 
     def test_sizes_at_the_caps_accepted(self, tmp_path):
-        cfg = cli._resolve_config(cli._build_parser().parse_args([
-            "dos-scan", "--m", "2", "--E-grid", f"0:1:{cli.MAX_GRID}",
-            "--eta-schedule", "0.1", "--pool", str(cli.MAX_ENTRIES // 4),
-            "--samples", str(cli.MAX_ENTRIES // (4 * cli.MEASURE_SWEEPS)),
-            "--workers", str(recursion.CHUNKS), "--out", str(tmp_path / "x.csv")]))
+        argv = ["dos-scan", "--m", "2", "--E-grid", f"0:1:{cli.MAX_GRID}",
+                "--eta-schedule", "0.1", "--pool", str(cli.MAX_ENTRIES // 4),
+                "--samples", str(cli.MAX_ENTRIES // (4 * cli.MEASURE_SWEEPS)),
+                "--workers", str(recursion.CHUNKS), "--out", str(tmp_path / "x.csv")]
+        cfg = cli._resolve_config(cli._build_parser(argv).parse_args(argv))
         assert len(cfg.e_values) == cli.MAX_GRID
         assert cfg.workers == recursion.CHUNKS
 

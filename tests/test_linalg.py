@@ -82,7 +82,7 @@ class TestResolvent:
                     with pytest.raises(SingularMatrixError):
                         resolvent(M, 0.0)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(m=st.integers(1, 4), K=st.integers(2, 4), eta=st.floats(1e-2, 1.0),
            E=st.floats(-3.0, 3.0), lam=st.floats(0.0, 2.0), goe=st.booleans(),
            n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
