@@ -14,11 +14,8 @@ __version__ = "0.2.0"
 from .errors import (
     BetheStripError,
     ConfigError,
-    ContinuationBreakdownError,
     EigenvalueLawError,
-    NoConvergenceError,
     OutOfBandError,
-    SingularJacobianError,
     SingularMatrixError,
     SizeOverflowError,
     TruncationOverflowError,
@@ -40,11 +37,8 @@ __all__ = [
     # errors
     "BetheStripError",
     "ConfigError",
-    "ContinuationBreakdownError",
     "EigenvalueLawError",
-    "NoConvergenceError",
     "OutOfBandError",
-    "SingularJacobianError",
     "SingularMatrixError",
     "SizeOverflowError",
     "TruncationOverflowError",

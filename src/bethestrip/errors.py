@@ -17,27 +17,6 @@ class UnsupportedEnsembleError(BetheStripError):
     """The requested operation is undefined for this disorder ensemble."""
 
 
-class NoConvergenceError(BetheStripError):
-    """A solver hit its iteration cap, or converged off the dissipative branch."""
-
-    def __init__(self, message, residual=None, iterations=None):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
-
-
-class SingularJacobianError(BetheStripError):
-    """Newton's method produced a Jacobian too ill-conditioned to solve."""
-
-
-class ContinuationBreakdownError(BetheStripError):
-    """Boundary continuation lost the physical solution branch."""
-
-    def __init__(self, message, eta=None):
-        super().__init__(message)
-        self.eta = eta
-
-
 class EigenvalueLawError(BetheStripError):
     """A computed eigenvalue violates the exact modulus law."""
 

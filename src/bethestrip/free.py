@@ -34,21 +34,30 @@ def _forward_diag(z, a, K):
     return np.where(g.imag > 0, g, 4.0 / (K * g))
 
 
+def forward_roots(sp: SpectralPoint, a, K):
+    """Forward root at each real a_k: the free diagonal, shape (m,), at any eta >= 0.
+
+    For eta > 0 the root of (K/4) g^2 + (z - a_k) g + 1 = 0 in the upper half
+    plane.  At eta = 0 the real-axis limit: -4 A_E strictly inside a band, the
+    real decaying root at a band edge and outside, the two meeting
+    continuously at the edge.
+    """
+    if sp.eta > 0.0:
+        return _forward_diag(complex(sp.z), a, K)
+    x = float(sp.E) - np.asarray(a, dtype=float)
+    w = x * x - K
+    with np.errstate(invalid="ignore"):
+        inside = -4.0 * _in_band_root(x, K)
+        outside = (2.0 / K) * (-x + np.sign(x) * np.sqrt(w))
+    return np.where(w < 0.0, inside, outside)
+
+
 def free_forward_green(sp: SpectralPoint, model):
     """Forward (half-tree) Green's matrix of the free strip, diagonal (m, m).
 
-    Valid at every eta >= 0.  At eta = 0 it is the real-axis limit: -4 A_E
-    strictly inside a band, the real decaying root at a band edge and
-    outside, the two meeting continuously at the edge.
+    Valid at every eta >= 0: the diagonal is :func:`forward_roots` at A.
     """
-    if sp.eta > 0.0:
-        return np.diag(_forward_diag(complex(sp.z), model.a, model.K))
-    x = float(sp.E) - np.asarray(model.a, dtype=float)
-    w = x * x - model.K
-    with np.errstate(invalid="ignore"):
-        inside = -4.0 * _in_band_root(x, model.K)
-        outside = (2.0 / model.K) * (-x + np.sign(x) * np.sqrt(w))
-    return np.diag(np.where(w < 0.0, inside, outside))
+    return np.diag(forward_roots(sp, model.a, model.K))
 
 
 def free_full_green(sp: SpectralPoint, model):

@@ -50,18 +50,39 @@ def symmetry_defect(M) -> float:
     return float(np.max(np.abs(M - np.swapaxes(M, -1, -2)), initial=0.0))
 
 
+def _check_pivots(p):
+    """Raise before dividing unless every pivot (det at m = 2, M at m = 1) is usable.
+
+    A non-finite entry makes its pivot non-finite, so one test covers both.
+    """
+    if not np.isfinite(p).all():
+        raise SingularMatrixError("non-finite entry or pivot in the recursion")
+    if np.count_nonzero(p) < p.size:
+        raise SingularMatrixError("singular matrix in the recursion")
+
+
 def resolvent(onsite, neighbor_sum, V=None, lam=0.0, z=0.0):
     """sym_part(inv(M)) over (..., m, m) stacks, M = ((A + lam V) - z) - neighbor_sum / 4.
 
     ``onsite`` is A given the potentials ``V``, else the shifted block A + lam V - z;
     ``neighbor_sum`` sums the K (forward) or K + 1 (root) neighbor Green's matrices.
-    A singular member or a non-finite entry raises :class:`SingularMatrixError`, a
-    non-square stack ValueError.  For eta > 0 and Herglotz neighbors Im(-M) >= eta,
-    so ||M^-1|| <= 1/eta and no pivot floor is needed.  At m = 2 the closed form
+    A singular member, a non-finite entry or an overflow raises
+    :class:`SingularMatrixError` with no RuntimeWarning, a non-square stack
+    ValueError.  For eta > 0 and Herglotz neighbors Im(-M) >= eta, so
+    ||M^-1|| <= 1/eta and no pivot floor is needed.  At m = 2 the closed form
     [[d, -(b+c)/2], [-(b+c)/2, a]] / (ad - bc) runs on a (-1, 4) view of a shifted
     block, or given V (symmetric stacks) on packed columns a, b = c, d; at m = 1 the
-    reciprocal 1 / M.  Both raise on a zero pivot or non-finite entry before dividing.
+    reciprocal 1 / M.  Both check the pivot before dividing; an ad - bc or a
+    quotient that overflows raises from the floating-point status.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _resolvent(onsite, neighbor_sum, V, lam, z)
+    except FloatingPointError as exc:
+        raise SingularMatrixError(f"floating-point error in the recursion: {exc}") from exc
+
+
+def _resolvent(onsite, neighbor_sum, V, lam, z):
     if V is not None and onsite.shape[-1] == 2:
         v, s = V.reshape(-1, 4), neighbor_sum.reshape(-1, 4)
         x = lam * v
@@ -71,12 +92,9 @@ def resolvent(onsite, neighbor_sum, V=None, lam=0.0, z=0.0):
         d = x[:, 3] - z
         d -= 0.25 * s[:, 3]
         b = x[:, 1] - 0.25 * s[:, 1]
-        if not all(np.isfinite(c).all() for c in (a, b, d)):
-            raise SingularMatrixError("non-finite entries in the recursion")
         det = a * d
         det -= b * b
-        if np.count_nonzero(det) < len(det):
-            raise SingularMatrixError("singular matrix in the recursion")
+        _check_pivots(det)
         G = np.empty(s.shape, dtype=complex)
         np.divide(d, det, out=G[:, 0])
         np.divide(a, det, out=G[:, 3])
@@ -90,19 +108,13 @@ def resolvent(onsite, neighbor_sum, V=None, lam=0.0, z=0.0):
         raise ValueError(f"resolvent expects (..., m, m) stacks, got {M.shape}")
     if M.shape[-1] == 2:
         f = M.reshape(-1, 4)
-        if not np.isfinite(f).all():
-            raise SingularMatrixError("non-finite entries in the recursion")
         det = f[:, 0] * f[:, 3] - f[:, 1] * f[:, 2]
-        if np.count_nonzero(det) < len(det):
-            raise SingularMatrixError("singular matrix in the recursion")
+        _check_pivots(det)
         G = f[:, ::-1] / det[:, None]  # d, c, b, a
         G[:, 1:3] = -0.5 * (G[:, 1] + G[:, 2])[:, None]
         return G.reshape(M.shape)
     if M.shape[-1] == 1:
-        if not np.isfinite(M).all():
-            raise SingularMatrixError("non-finite entries in the recursion")
-        if np.count_nonzero(M) < M.size:
-            raise SingularMatrixError("singular matrix in the recursion")
+        _check_pivots(M)
         return 1.0 / M
     try:
         G = np.linalg.inv(M)

@@ -54,15 +54,25 @@ def test_criterion_1_free_closed_form(capsys):
     reports = continuation_to_boundary(model, 0.0)
     center_dev = abs(reports[-1].solution[0, 0] - 1j * math.sqrt(2.0))
     grid_dev = 0.0
+    levels = list(reports)
     for E in np.linspace(-1.4, 1.4, 200):
-        got = continuation_to_boundary(model, float(E))[-1].solution
+        path = continuation_to_boundary(model, float(E))
+        levels += path
         want = free_forward_green(SpectralPoint(float(E), 0.0), model)
-        grid_dev = max(grid_dev, float(np.max(np.abs(got - want))))
+        grid_dev = max(grid_dev, float(np.max(np.abs(path[-1].solution - want))))
+    # every level of every continuation, through a plain inverse
+    G = np.array([rep.solution for rep in levels])
+    shifted = model.a_matrix - np.array([rep.z for rep in levels])[:, None, None]
+    residual = float(np.max(np.abs(G - np.linalg.inv(shifted - 0.25 * model.K * G))))
+    low = min_imag_eigenvalue(G)
     elapsed = time.perf_counter() - start
-    ok = center_dev <= 1e-10 and grid_dev <= 1e-10 and elapsed < 1.0
+    ok = (center_dev <= 1e-10 and grid_dev <= 1e-10 and residual <= 1e-12
+          and low >= -1e-10 and elapsed < 1.0)
     verdict(capsys, 1, "free closed form via continuation", ok,
             f"center dev {center_dev:.2e}, 200-point grid dev {grid_dev:.2e} "
-            f"(tol 1e-10), {elapsed:.2f}s (< 1s)")
+            f"(tol 1e-10), {len(levels)} levels: max residual {residual:.2e} "
+            f"(tol 1e-12), min eig Im G {low:.2e} (>= -1e-10), "
+            f"{elapsed:.2f}s (< 1s)")
 
 
 def test_criterion_2_eigenvalue_law(capsys):
@@ -245,7 +255,8 @@ def test_criterion_7_ac_indicator_contrast(capsys):
 
 def test_criterion_8_population_fixed_point(capsys):
     start = time.perf_counter()
-    # (a) deterministic disorder: the pool collapses onto the Newton solution
+    # (a) deterministic disorder: the pool collapses onto the closed-form
+    # fixed point
     V0 = np.array([[0.3, 0.1], [0.1, -0.2]])
     model_pm = BetheStripModel(K=2, a=(-0.5, 0.5), lam=0.7,
                                ensemble=PointMass(V0))

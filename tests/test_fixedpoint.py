@@ -2,14 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bethestrip.fixedpoint as fp
-from bethestrip.errors import (
-    ContinuationBreakdownError,
-    NoConvergenceError,
-    SingularJacobianError,
-    UnsupportedEnsembleError,
-)
+from bethestrip.errors import UnsupportedEnsembleError
 from bethestrip.fixedpoint import (
     FixedPointProblem,
     continuation_to_boundary,
@@ -18,7 +15,6 @@ from bethestrip.fixedpoint import (
 from bethestrip.free import a_e_matrix, free_forward_green
 from bethestrip.linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
                                resolvent)
-from bethestrip.linearization import upper_slots
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 
 from conftest import random_herglotz, random_symmetric
@@ -51,11 +47,6 @@ def raw_residual(model, z, G):
     return G - np.linalg.inv(onsite(model) - z * np.eye(len(G)) - 0.25 * model.K * G)
 
 
-def random_complex_symmetric(m, rng):
-    return random_symmetric(m, rng) + 1j * (random_symmetric(m, rng)
-                                            + 2.0 * np.eye(m))
-
-
 def m3_point_mass():
     V0 = ((0.5, -0.3, 0.1), (-0.3, -0.2, 0.25), (0.1, 0.25, 0.4))
     return make_model(K=3, a=(-0.6, 0.0, 0.5), lam=1.3, ensemble=PointMass(V0))
@@ -68,7 +59,9 @@ def bench_point_mass():
 
 
 def off_branch_point_mass():
-    """A K = 3, m = 2 point mass whose cold solve at E + 0.01i leaves the branch."""
+    """A K = 3, m = 2 point mass whose fixed point at OFF_BRANCH_E + 0.01i lies
+    far from the free closed form: a locally convergent iteration started there
+    lands on a root off the dissipative branch."""
     V0 = ((1.3086357086483342, -0.9180633699746104),
           (-0.9180633699746104, 0.8365690029317673))
     return make_model(K=3, a=(-0.7943980882289585, 0.04003403116346105),
@@ -120,15 +113,6 @@ class TestProblem:
                     for g in x.reshape(-1, m, m)]
             assert [g.tobytes() for g in got.reshape(-1, m, m)] == want
 
-    def test_initial_shape_checked(self, monkeypatch):
-        # solve_forward rejects a wrong-shape guess before any map evaluation
-        calls = []
-        monkeypatch.setattr(FixedPointProblem, "forward_map",
-                            lambda self, G: calls.append(G))
-        with pytest.raises(ValueError, match=r"shape \(2, 2\), expected \(1, 1\)"):
-            solve_forward(make_model(), SpectralPoint(0.0, 1.0), np.zeros((2, 2)))
-        assert calls == []
-
     def test_onsite_includes_shifted_point_mass(self):
         V0 = ((0.2, 0.1), (0.1, -0.3))
         mod = make_model(a=(-0.5, 0.5), lam=2.0, ensemble=PointMass(V0))
@@ -139,7 +123,7 @@ class TestProblem:
                                    rtol=1e-14)
 
     def test_default_guess_is_free_solution(self, monkeypatch):
-        # without an initial guess, solve_forward's first iterate is the free
+        # on a free model solve_forward's one map evaluation is at the free
         # closed form at the point, eta = 0 included
         first = []
         real = FixedPointProblem.forward_map
@@ -159,12 +143,10 @@ class TestProblem:
 
 
 class TestClosedFormColdStarts:
-    """Fixed points with closed forms, solved from cold starts."""
+    """Fixed points with closed forms of their own."""
 
-    def test_scalar_free_from_zero(self, monkeypatch):
-        monkeypatch.setattr(fp, "SOLVE_TOL", 1e-12)
-        rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                            np.zeros((1, 1)))
+    def test_scalar_free_from_zero(self):
+        rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0))
         assert rep.residual <= 1e-12
         assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
                                                    abs=1e-11)
@@ -172,7 +154,7 @@ class TestClosedFormColdStarts:
     def test_free_matrix_case(self):
         mod = make_model(K=3, a=(-0.7, 0.1, 0.4))
         sp = SpectralPoint(0.2, 0.8)
-        rep = solve_forward(mod, sp, np.zeros((3, 3)))
+        rep = solve_forward(mod, sp)
         np.testing.assert_allclose(rep.solution, free_forward_green(sp, mod),
                                    atol=1e-10)
 
@@ -183,170 +165,7 @@ class TestClosedFormColdStarts:
         assert rep.solution[0, 0] == pytest.approx(want, abs=1e-10)
 
 
-class TestNewton:
-    def test_scalar_case_fast(self):
-        rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                            np.array([[1j]]))
-        assert rep.iterations <= 6
-        assert rep.solution[0, 0] == pytest.approx(1j * (np.sqrt(3) - 1),
-                                                   abs=1e-11)
-
-    def test_matrix_free_case(self):
-        mod = make_model(a=(-0.5, 0.5))
-        sp = SpectralPoint(0.1, 0.6)
-        free = free_forward_green(sp, mod)
-        start = free + 0.05 * (random_symmetric(2, np.random.default_rng(3))
-                               + 0.3j * np.eye(2))
-        rep = solve_forward(mod, sp, start)
-        np.testing.assert_allclose(rep.solution, free, atol=1e-12)
-
-    def test_jacobian_scalar_value(self):
-        # dR/dg = 1 - (K/4) g^2 at the scalar fixed point g = i(sqrt(3)-1)
-        # for K=2, z=i evaluates to 1 + (2 - sqrt(3)) = 3 - sqrt(3).
-        prob = FixedPointProblem(make_model(), SpectralPoint(0.0, 1.0))
-        g = 1j * (np.sqrt(3) - 1)
-        Phi = prob.forward_map(np.array([[g]]))
-        J = fp._jacobian(prob, Phi)
-        assert J[0, 0] == pytest.approx(3 - np.sqrt(3), abs=1e-10)
-
-    def test_jacobian_matches_finite_differences(self, rng):
-        # every unit direction of vec(G), skew ones included, through a plain
-        # inverse: forward_map symmetrizes, so it only sees symmetric dG
-        V0 = ((0.3, -0.2, 0.0), (-0.2, 0.1, 0.4), (0.0, 0.4, -0.5))
-        mod = make_model(K=3, a=(-0.4, 0.0, 0.6), lam=0.8,
-                         ensemble=PointMass(V0))
-        z = 0.2 + 0.5j
-        G = random_complex_symmetric(3, rng)
-        J = fp._jacobian(FixedPointProblem(mod, SpectralPoint(z.real, z.imag)),
-                         G - raw_residual(mod, z, G))
-        h = 1e-7
-        for c in range(9):
-            dG = np.zeros(9, dtype=complex)
-            dG[c] = 1.0
-            dG = dG.reshape(3, 3)
-            num = (raw_residual(mod, z, G + h * dG)
-                   - raw_residual(mod, z, G - h * dG)) / (2 * h)
-            np.testing.assert_allclose(num.ravel(), J[:, c], atol=1e-6)
-
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_jacobian_matches_upper_slot_columns(self, m, rng):
-        # oracle: the Jacobian built one symmetric unit direction at a time
-        # and read on upper-triangle coordinates
-        mod = make_model(K=3, a=(-0.4, 0.0, 0.6)[:m])
-        prob = FixedPointProblem(mod, SpectralPoint(0.2, 0.5))
-        Phi = prob.forward_map(random_complex_symmetric(m, rng))
-        J = fp._jacobian(prob, Phi)
-        slots = upper_slots(m)
-        for j, k in slots:
-            dG = np.zeros((m, m), dtype=complex)
-            dG[j, k] = dG[k, j] = 1.0
-            want = dG - 0.25 * mod.K * (Phi @ dG @ Phi)
-            got = (J @ dG.ravel()).reshape(m, m)
-            np.testing.assert_allclose([got[r, s] for r, s in slots],
-                                       [want[r, s] for r, s in slots],
-                                       rtol=1e-14, atol=1e-15)
-
-    def test_quadratic_tail(self):
-        rep = solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                            np.array([[1j]]))
-        hist = rep.residual_history
-        pairs = [(hist[i], hist[i + 1]) for i in range(len(hist) - 1)
-                 if hist[i + 1] > 1e-14]
-        assert len(pairs) >= 2
-        for r0, r1 in pairs:
-            assert r1 <= 1e3 * r0 * r0
-
-    def test_singular_jacobian_detected(self):
-        # For K=4 the map sends G=-3 at z=2 to Phi = 1/(-2+3) = 1 exactly,
-        # where 1 - (K/4) Phi^2 = 0: the Newton system is singular, and
-        # every quantity involved is an exact float.
-        mod = make_model(K=4)
-        start = np.array([[-3.0]], dtype=complex)
-        with pytest.raises(SingularJacobianError):
-            solve_forward(mod, SpectralPoint(2.0, 0.0), start)
-
-    def test_singular_jacobian_detected_m2(self):
-        # a = (0, 0.5), K = 4, z = 2: G = -3 I maps to Phi = diag(1, 2/3), so
-        # the (0, 0) entry of I - Phi (x) Phi is 1 - 1*1 = 0 exactly.
-        mod = make_model(K=4, a=(0.0, 0.5))
-        with pytest.raises(SingularJacobianError):
-            solve_forward(mod, SpectralPoint(2.0, 0.0),
-                          -3.0 * np.eye(2, dtype=complex))
-
-    def test_no_convergence_raises(self, monkeypatch):
-        monkeypatch.setattr(fp, "SOLVE_TOL", 1e-12)
-        monkeypatch.setattr(fp, "DEFAULT_NEWTON_MAX_ITER", 1)
-        with pytest.raises(NoConvergenceError) as ei:
-            solve_forward(make_model(), SpectralPoint(0.0, 1.0),
-                          np.array([[1j]]))
-        assert ei.value.iterations == 1
-        assert ei.value.residual > 0
-
-
 class TestSolveForward:
-    def test_cold_start_converges(self):
-        mod = make_model(lam=1.0, ensemble=PointMass(((1.0,),)))
-        rep = solve_forward(mod, SpectralPoint(2.0, 0.1),
-                            np.zeros((1, 1), dtype=complex))
-        assert rep.residual <= 1e-11
-        want = herglotz_quadratic_root(2, 2 + 0.1j, 1.0)
-        assert rep.solution[0, 0] == pytest.approx(want, abs=1e-11)
-
-    def test_exact_start_takes_no_step(self):
-        # the exact solution as a start is accepted on its first map
-        # evaluation: no Newton step is taken
-        mod = make_model(a=(-0.5, 0.5))
-        sp = SpectralPoint(0.2, 0.3)
-        rep = solve_forward(mod, sp, free_forward_green(sp, mod))
-        assert rep.iterations == 0
-        assert rep.residual_history == (rep.residual,)
-        assert rep.residual <= fp.SOLVE_TOL
-
-    def test_converged_start_is_copied(self):
-        # a guess that already meets SOLVE_TOL comes back as a copy, so the
-        # report never aliases the caller's array
-        mod = make_model(a=(-0.5, 0.5))
-        sp = SpectralPoint(0.2, 0.3)
-        start = free_forward_green(sp, mod)
-        rep = solve_forward(mod, sp, start)
-        assert rep.iterations == 0
-        assert not np.shares_memory(rep.solution, start)
-        np.testing.assert_array_equal(rep.solution, start)
-
-    @pytest.mark.parametrize("skewed", [
-        lambda free: np.array([[0.1j, 0.2], [0.0, 0.1j]]),
-        lambda free: free + np.array([[0.0, 1e-6], [0.0, 0.0]])],
-        ids=["upper", "free_plus_1e-6"])
-    def test_non_symmetric_start_converges(self, skewed):
-        # every Newton step is symmetric, so the skew part of a start would
-        # stay in the iterate and stall the residual at its size
-        mod = bench_point_mass()
-        sp = SpectralPoint(0.3, 0.4)
-        start = skewed(free_forward_green(sp, mod))
-        kept = start.copy()
-        rep = solve_forward(mod, sp, start)
-        assert rep.residual <= fp.SOLVE_TOL
-        np.testing.assert_array_equal(start, kept)
-        np.testing.assert_allclose(rep.solution, diagonalized_solution(mod, sp.z),
-                                   atol=1e-10, rtol=0)
-
-    def test_cold_start_off_branch_raises(self):
-        # Newton converges only locally: this cold start at eta = 0.01 lands
-        # on a root with an eigenvalue of Im G below zero
-        with pytest.raises(NoConvergenceError, match="dissipative"):
-            solve_forward(off_branch_point_mass(),
-                          SpectralPoint(OFF_BRANCH_E, 0.01))
-
-    def test_warm_start_from_continuation_recovers_branch(self):
-        mod = off_branch_point_mass()
-        level = continuation_to_boundary(mod, OFF_BRANCH_E)[6]
-        assert level.z.imag == 2.0 ** -6
-        sp = SpectralPoint(OFF_BRANCH_E, 0.01)
-        rep = solve_forward(mod, sp, level.solution)
-        np.testing.assert_allclose(rep.solution, diagonalized_solution(mod, sp.z),
-                                   atol=1e-10, rtol=0)
-        assert rep.min_imag_eig > 0
-
     def test_diagonalization_oracle_m3(self):
         mod = m3_point_mass()
         sp = SpectralPoint(0.4, 0.2)
@@ -356,22 +175,32 @@ class TestSolveForward:
                                    atol=1e-10)
         assert rep.herglotz
 
-    def test_history_one_entry_per_iterate(self, monkeypatch):
-        seen = []
-        real = FixedPointProblem.forward_map
+    def test_off_branch_point_mass_is_dissipative(self):
+        mod = off_branch_point_mass()
+        sp = SpectralPoint(OFF_BRANCH_E, 0.01)
+        rep = solve_forward(mod, sp)
+        np.testing.assert_allclose(rep.solution, diagonalized_solution(mod, sp.z),
+                                   atol=1e-10, rtol=0)
+        assert rep.min_imag_eig > 0
+        assert rep.residual <= 1e-12
 
-        def recording(self, G):
-            Phi = real(self, G)
-            seen.append((G.copy(), float(np.abs(G - Phi).max())))
-            return Phi
-
-        monkeypatch.setattr(FixedPointProblem, "forward_map", recording)
-        rep = solve_forward(bench_point_mass(), SpectralPoint(0.3, 0.4),
-                            np.zeros((2, 2), dtype=complex))
-        assert len(seen) == len(rep.residual_history) == rep.iterations + 1
-        assert list(rep.residual_history) == [r for _, r in seen]
-        np.testing.assert_array_equal(seen[-1][0], rep.solution)
-        assert rep.residual == rep.residual_history[-1] <= fp.SOLVE_TOL
+    @settings(max_examples=200)
+    @given(K=st.integers(2, 4), m=st.integers(1, 4), lam=st.floats(0.0, 1.0),
+           E=st.floats(-4.0, 4.0), eta=st.floats(1e-8, 1.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_quadratic_roots_property(self, K, m, lam, E, eta, seed):
+        # the eigenbasis closed form against numpy.roots per eigenvalue of B,
+        # with the residual through a plain inverse; eta starts at 1e-8, as at
+        # a few ulps numpy.roots cannot tell the two roots apart outside a band
+        rng = np.random.default_rng(seed)
+        mod = make_model(K=K, a=tuple(np.sort(rng.uniform(-1.0, 1.0, m))),
+                         lam=lam, ensemble=PointMass(random_symmetric(m, rng)))
+        z = complex(E, eta)
+        G = solve_forward(mod, SpectralPoint(E, eta)).solution
+        np.testing.assert_allclose(G, diagonalized_solution(mod, z),
+                                   atol=1e-10, rtol=0)
+        assert np.abs(raw_residual(mod, z, G)).max() <= 1e-12
+        assert min_imag_eigenvalue(G) >= -1e-12
 
     def test_report_certificate(self):
         mod = make_model()
@@ -379,7 +208,7 @@ class TestSolveForward:
         prob = FixedPointProblem(mod, SpectralPoint(0.3, 0.8))
         G = rep.solution
         assert rep.residual == float(np.abs(G - prob.forward_map(G)).max())
-        assert rep.residual <= fp.SOLVE_TOL
+        assert rep.residual <= 1e-12
         assert rep.z == 0.3 + 0.8j
 
 
@@ -395,7 +224,7 @@ class TestContinuation:
         assert etas[-2] >= 1e-8 and etas[-1] == 0.0
         assert all(b < a for a, b in zip(etas[:-1], etas[1:]))
         for rep in reports:
-            assert rep.residual <= fp.SOLVE_TOL
+            assert rep.residual <= 1e-12
             low = min_imag_eigenvalue(rep.solution)
             assert low >= -1e-10
             if rep.z.imag > 0:
@@ -405,7 +234,7 @@ class TestContinuation:
         E = np.sqrt(2.0) + 0.5
         reports = continuation_to_boundary(make_model(), E)
         last = reports[-1]
-        assert last.residual <= fp.SOLVE_TOL
+        assert last.residual <= 1e-12
         assert not last.herglotz
         assert abs(last.solution[0, 0].imag) < 1e-10
         want = free_forward_green(SpectralPoint(E), make_model())[0, 0]
@@ -421,8 +250,7 @@ class TestContinuation:
     @pytest.mark.parametrize("model", [bench_point_mass, m3_point_mass],
                              ids=["m2", "m3"])
     def test_matches_diagonalized_solution(self, model):
-        # every eta > 0 level, predicted or not, on 15 energies across and
-        # beyond the bands
+        # every eta > 0 level on 15 energies across and beyond the bands
         mod = model()
         for E in np.linspace(-2.8, 2.8, 15):
             for rep in continuation_to_boundary(mod, E):
@@ -432,8 +260,8 @@ class TestContinuation:
                         atol=1e-10, rtol=0)
 
     def test_free_boundary_across_band_edges(self):
-        # the secant predictor must not jump branches near the edges +-sqrt 2,
-        # where G(E) has a square-root singularity
+        # the eta = 0 limit is continuous across the edges +-sqrt 2, where G(E)
+        # has a square-root singularity
         mod = make_model()
         for E in np.linspace(-2.5, 2.5, 101):
             last = continuation_to_boundary(mod, float(E))[-1]
@@ -447,25 +275,12 @@ class TestContinuation:
         (2, (0.0,), np.sqrt(2.0), 1.4142), (4, (-0.5, 0.5), 1.5, 1.49)],
         ids=["K2m1", "K4m2"])
     def test_band_edge_boundary_not_dissipative(self, K, a, edge, inside):
-        # at a window edge the fixed point is a double root, so the eta = 0
-        # solve leaves Im G of order sqrt(SOLVE_TOL) (1e-6 here) where the
+        # at a window edge the fixed point is a double root and its eta = 0
         # limit is real; just inside, min eig Im G is 6e-3 and 0.1
         mod = make_model(K=K, a=a)
         for sign in (1.0, -1.0):
             assert not continuation_to_boundary(mod, sign * edge)[-1].herglotz
             assert continuation_to_boundary(mod, sign * inside)[-1].herglotz
-
-    def test_predictor_saves_iterations(self):
-        # summed over the 28 levels of each continuation; warm-starting every
-        # level from the last solution took 942 on these energies
-        mod = bench_point_mass()
-        runs = {E: continuation_to_boundary(mod, E)
-                for E in (-2.1, -1.0, 0.0, 0.55, 1.7)}
-        assert sum(r.iterations for reps in runs.values() for r in reps) < 600
-        # at an interior energy the eta = 0 guess 2 G(i eta) - G(2 i eta)
-        # is within one step of the boundary solution
-        assert runs[0.0][-1].herglotz
-        assert runs[0.0][-1].iterations <= 1
 
     def test_eta_schedule_pinned(self):
         # the benchmark's continuation check zips its reports with this list
@@ -477,30 +292,13 @@ class TestContinuation:
         assert all(r.z.real == 0.3 for r in reports)
 
     def test_every_level_dissipative_on_seeded_energies(self):
-        # the continuation is the only globalization of the Newton corrector
+        # the dissipative root of every eta > 0 level, near the edges included
         mod = bench_point_mass()
         for E in np.random.default_rng(2011).uniform(-2.5, 2.5, 200):
             reports = continuation_to_boundary(mod, float(E))
             assert len(reports) == len(fp.ETA_SCHEDULE)
             for rep in reports[:-1]:
                 assert min_imag_eigenvalue(rep.solution) >= -HERGLOTZ_SLACK
-
-    def test_breakdown_wraps_solver_failure(self, monkeypatch):
-        def stuck(model, point, initial=None):
-            raise NoConvergenceError("stuck", residual=1.0, iterations=5)
-
-        monkeypatch.setattr(fp, "solve_forward", stuck)
-        with pytest.raises(ContinuationBreakdownError) as ei:
-            continuation_to_boundary(make_model(), 0.0)
-        assert ei.value.eta == 1.0
-
-    def test_breakdown_on_lost_branch(self, monkeypatch):
-        # every solve finds min eig(Im G) = -1: a root off the dissipative branch
-        monkeypatch.setattr(fp, "min_imag_eigenvalue", lambda G: -1.0)
-        with pytest.raises(ContinuationBreakdownError) as ei:
-            continuation_to_boundary(make_model(), 0.0)
-        assert ei.value.eta == 1.0
-        assert "dissipative" in str(ei.value)
 
     def test_point_mass_boundary_inside_shifted_band(self):
         # V0 = 1 with lam = 0.5 shifts the band by 0.5; E = 0.5 sits at

@@ -12,16 +12,18 @@ deviation, recomputed here, leads the runner-up by PINNED_LEAD.
 
 ``continuation.out`` pins the deterministic solver, which no subcommand runs:
 ``fixedpoint.continuation_to_boundary`` on CONTINUATION_RUNS, with each
-energy's eta = 0 solution, ``min_imag_eig`` and ``herglotz``, and every
-level's ``iterations``.  Its numbers are held to the same relative 1e-10;
-counts and flags must match exactly.
+energy's eta = 0 solution, ``min_imag_eig`` and ``herglotz``.  Its numbers
+are held to the same relative 1e-10; flags must match exactly.
 
 A change that alters stream use on purpose regenerates the set with
-``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md;
+``PYTHONPATH=src python tests/test_golden.py NAME ...`` regenerates only the
+named goldens (subcommand names, or ``continuation``).
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -81,15 +83,13 @@ def continuation_record():
     for label, model, energies in CONTINUATION_RUNS:
         out[label] = []
         for E in energies:
-            reports = continuation_to_boundary(model, E)
-            last = reports[-1]
+            last = continuation_to_boundary(model, E)[-1]
             out[label].append({
                 "E": E,
                 "solution": [[[z.real, z.imag] for z in row]
                              for row in last.solution.tolist()],
                 "min_imag_eig": last.min_imag_eig,
                 "herglotz": last.herglotz,
-                "iterations": [r.iterations for r in reports],
             })
     return out
 
@@ -175,10 +175,16 @@ def test_continuation_matches_golden():
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or [*CLI_RUNS, "continuation"]
+    unknown = sorted(set(names) - {*CLI_RUNS, "continuation"})
+    if unknown:
+        sys.exit(f"unknown golden name(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
     for sub in CLI_RUNS:
-        run(sub, GOLDEN)
-    (GOLDEN / "continuation.out").write_text(
-        json.dumps(continuation_record(), indent=1) + "\n")
+        if sub in names:
+            run(sub, GOLDEN)
+    if "continuation" in names:
+        (GOLDEN / "continuation.out").write_text(
+            json.dumps(continuation_record(), indent=1) + "\n")
     for manifest in GOLDEN.glob("*.manifest.json"):
         manifest.unlink()

@@ -70,10 +70,14 @@ class TestResolvent:
 
     def test_2x2_errors_raise_without_warning(self):
         # a zero pivot, a NaN and an inf entry at widths 1 and 2, alone and
-        # as one member of a stack
+        # as one member of a stack; then finite entries whose pivot or
+        # inverse overflows (LAPACK gives 1e-200 on the diagonal of the first,
+        # and 1e310 is past the largest double)
         bad_inputs = ([[0.0]], [[np.nan]], [[np.inf]],
                       [[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]],
-                      [[np.inf, 0.0], [0.0, 1.0]])
+                      [[np.inf, 0.0], [0.0, 1.0]],
+                      [[1e200, 0.0], [0.0, 1e200]], [[1e-310]],
+                      [[1e-310, 0.0], [0.0, 1.0]])
         for bad in bad_inputs:
             bad = np.array(bad, dtype=complex)
             for M in (bad, np.array([np.eye(len(bad)), bad])):
@@ -132,8 +136,15 @@ class TestResolvent:
         # all four entries of M are 1: lam = 0, A = 0, z = 0, neighbors -4
         ones = nsum.copy()
         ones[1] = -4.0
+        # finite potentials whose ad - bc, or whose 1 / (ad - bc), overflows
+        huge, tiny = V.copy(), V.copy()
+        huge[3] = np.diag([1e200, 1e200])
+        tiny[0] = np.diag([1e-310, 1.0])
+        zero = np.zeros((4, 2, 2))
         for args, match in (((A, nsum, nan, lam, z), "non-finite"),
-                            ((np.zeros((2, 2)), ones, V, 0.0, 0j), "singular")):
+                            ((np.zeros((2, 2)), ones, V, 0.0, 0j), "singular"),
+                            ((np.zeros((2, 2)), zero, huge, 1.0, 0j), "overflow"),
+                            ((np.zeros((2, 2)), zero, tiny, 1.0, 0j), "overflow")):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(SingularMatrixError, match=match):
