@@ -9,7 +9,7 @@ The names below are the documented surface (README and ``demos/``); every
 other function is imported from its module, e.g. ``bethestrip.recursion``.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     BetheStripError,

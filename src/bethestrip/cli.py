@@ -442,15 +442,13 @@ def _cmd_ac_indicator(cfg: RunConfig, pmap) -> CommandResult:
 
 
 def _cmd_gap_scan(cfg: RunConfig, pmap) -> CommandResult:
-    header = ["E", "gap_kce", "gap_tensor", "min_dist_inv_k"]
+    header = ["E", "gap_kce", "min_dist_inv_k"]
     rows = []
     skipped = 0
     basis = enumerate_indices(cfg.model.m, max(cfg.degree, 1))
     for E in cfg.e_values:
         try:
-            gap, dist = eigenvalue_gaps(float(E), cfg.model, basis)
-            # gap_kce is also the second-moment tensor gap (eigenvalue_gaps)
-            rows.append([float(E), gap, gap, dist])
+            rows.append([float(E), *eigenvalue_gaps(float(E), cfg.model, basis)])
         except OutOfBandError:
             skipped += 1
     warnings = []
@@ -546,7 +544,7 @@ def _write_manifest(cfg: RunConfig, result: CommandResult, wall: float) -> Path:
     manifest = {
         "artifact": {"name": "bethestrip", "version": __version__},
         "config": cfg.echo,
-        "schema_version": 1,
+        "schema_version": 2,
         "schema": result.schema,
         "outputs": outputs,
         "warnings": result.warnings,

@@ -35,7 +35,7 @@ class DisorderEnsemble:
         return self.sample_batch(m, rng, 1)[0]
 
     def sample_batch(self, m, rng, n):
-        """n draws stacked as (n, m, m), consuming rng one draw after another.
+        """n draws stacked as (n, m, m), each reading rng where the last one stopped.
 
         So n sequential ``sample`` calls on one stream equal one batch of n,
         and a batch of n is a prefix of any longer batch on the same stream.
@@ -105,18 +105,15 @@ class DiagonalIID(DisorderEnsemble):
                 f"expected one of {', '.join(_DIAG_KINDS)}"
             )
 
-    def _draw(self, rng, shape):
-        if self.kind == "uniform":
-            return rng.uniform(-1.0, 1.0, size=shape)
-        if self.kind == "gauss":
-            return rng.standard_normal(shape)
-        return rng.integers(0, 2, size=shape) * 2.0 - 1.0
-
     def sample_batch(self, m, rng, n):
-        v = self._draw(rng, (n, m))
+        if self.kind == "uniform":
+            v = rng.uniform(-1.0, 1.0, size=(n, m))
+        elif self.kind == "gauss":
+            v = rng.standard_normal((n, m))
+        else:
+            v = rng.integers(0, 2, size=(n, m)) * 2.0 - 1.0
         out = np.zeros((n, m, m))
-        idx = np.arange(m)
-        out[:, idx, idx] = v
+        out.reshape(n, m * m)[:, ::m + 1] = v  # the diagonals
         return out
 
     def spec_string(self):
@@ -125,21 +122,21 @@ class DiagonalIID(DisorderEnsemble):
 
 @dataclass(frozen=True)
 class GOE(DisorderEnsemble):
-    """Gaussian orthogonal ensemble: V = (X + X^T)/2, X i.i.d. standard normal.
+    """Gaussian orthogonal ensemble: V_ii ~ N(0, 1), V_ij = V_ji ~ N(0, 1/2).
 
-    Diagonal entries have variance 1, off-diagonal variance 1/2, so
-    Var Tr(M V) = Tr M^2.
+    So Var Tr(M V) = Tr M^2.  A draw reads m(m+1)/2 standard normals in
+    row-major upper-triangle order, the off-diagonal ones times sqrt(1/2).
     """
 
     # its own class attribute, so bench/tracing.py can wrap GOE draws
     sample = DisorderEnsemble.sample
 
     def sample_batch(self, m, rng, n):
-        X = rng.standard_normal((n, m, m))  # (X + X^T)/2 in place; (x + x)/2 = x
-        for i in range(m):
-            for j in range(i + 1, m):
-                X[:, i, j] = X[:, j, i] = 0.5 * (X[:, i, j] + X[:, j, i])
-        return X
+        Z = rng.standard_normal((n, m * (m + 1) // 2))
+        V = np.empty((n, m, m))
+        for p, (i, j) in enumerate((i, j) for i in range(m) for j in range(i, m)):
+            V[:, i, j] = V[:, j, i] = Z[:, p] if i == j else np.sqrt(0.5) * Z[:, p]
+        return V
 
     def spec_string(self):
         return "goe"

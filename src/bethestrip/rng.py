@@ -1,4 +1,4 @@
-"""Deterministic random-number streams.
+"""Deterministic random-number streams, version 2.
 
 Every stochastic routine in the package derives its generator from a user
 seed plus a structural key (what the stream is for, which sweep, which chunk,
@@ -6,6 +6,8 @@ which disorder realization).  Streams are therefore reproducible bit-for-bit
 across runs and across worker counts: parallelism only changes who computes a
 chunk, never which stream the chunk uses.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -17,17 +19,24 @@ TAG_REALIZATION = 3  # disorder realizations, all sites in BFS order: (TAG, real
 TAG_GENERIC = 4      # anything else that just needs a named stream
 
 
+@lru_cache(maxsize=1024)
+def _run_sequence(seed):  # np.random loads here, not at import
+    return np.random.SeedSequence(seed)
+
+
 def keyed_rng(seed, *key):
     """Return a Generator for the stream identified by (seed, key).
 
-    The same (seed, key) always yields the same sequence.  Distinct keys give
-    statistically independent Philox streams.
+    Counter-based Philox (Salmon et al., SC'11) keyed by SeedSequence(seed): the
+    key (at most 3 components in [0, 2**64)) fills counter words 1-3 and its length
+    the top 2 bits of word 0, so distinct keys, even (3,) and (3, 0), start disjoint
+    counter ranges.
     """
     key = tuple(int(k) for k in key)
-    if any(k < 0 for k in key):
-        raise ValueError("stream key components must be non-negative")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(ss))
+    if len(key) > 3 or any(k < 0 or k >> 64 for k in key):
+        raise ValueError("a stream key is at most 3 components, each in [0, 2**64)")
+    counter = np.array([len(key) << 62, *key, 0, 0, 0][:4], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(_run_sequence(int(seed)), counter=counter))
 
 
 def child_seed(seed, *key) -> int:

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bethestrip
 from bethestrip import cli
 from bethestrip import linearization as lin
 from bethestrip import recursion
@@ -112,8 +113,8 @@ class TestManifest:
         main(["free-profile", "--K", "2", "--m", "1", "--E-grid", "-1:1:3",
               "--eta-schedule", "0", "--seed", "9", "--out", str(out)])
         man = manifest_of(out)
-        assert man["artifact"] == {"name": "bethestrip", "version": "0.2.0"}
-        assert man["schema_version"] == 1
+        assert man["artifact"] == {"name": "bethestrip", "version": "0.3.0"}
+        assert man["schema_version"] == 2
         assert man["outputs"][out.name]["sha256"] == sha(out)
         assert man["outputs"][out.name]["bytes"] == len(out.read_bytes())
         assert man["wall_clock_seconds"] >= 0.0
@@ -122,6 +123,17 @@ class TestManifest:
         assert cfg["K"] == 2 and cfg["m"] == 1 and cfg["seed"] == 9
         assert cfg["E-grid"] == "-1.0:1.0:3"
         assert cfg["ensemble"] == "goe"
+
+    def test_versions_agree(self, tmp_path):
+        # stream version 2 is package 0.3.0 and manifest schema 2, in every place
+        out = tmp_path / "fp.csv"
+        main(["free-profile", "--E-grid", "0:0:1", "--eta-schedule", "0",
+              "--out", str(out)])
+        man = manifest_of(out)
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        assert f'\nversion = "{man["artifact"]["version"]}"\n' in pyproject
+        assert man["artifact"]["version"] == bethestrip.__version__ == "0.3.0"
+        assert man["schema_version"] == 2
 
 
 class TestDosScan:
@@ -246,9 +258,8 @@ class TestGapScan:
                    "--degree", "2", "--out", str(out)])
         assert rc == 0
         header, rows = csv_table(out)
-        assert header == ["E", "gap_kce", "gap_tensor", "min_dist_inv_k"]
+        assert header == ["E", "gap_kce", "min_dist_inv_k"]
         assert float(rows[0][1]) == pytest.approx(0.5, abs=1e-12)
-        assert float(rows[0][2]) == pytest.approx(0.5, abs=1e-12)
 
     def test_frozen_center_gap_k3(self, tmp_path):
         out = tmp_path / "gap.csv"
@@ -720,7 +731,7 @@ class TestConfigPlumbing:
         assert main(["--help"]) == 0
         assert "free-profile" in capsys.readouterr().out
         assert main(["--version"]) == 0
-        assert "0.2.0" in capsys.readouterr().out
+        assert "0.3.0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("module", ["bethestrip", "bethestrip.cli"])
     def test_python_m_entry_point(self, module):
@@ -734,10 +745,12 @@ class TestConfigPlumbing:
         assert "RuntimeWarning" not in proc.stderr
 
     def test_import_skips_sparse_oracle(self):
-        # scipy.sparse is the crosscheck oracle's; other runs should not load it
+        # scipy.sparse is the crosscheck oracle's and numpy.random the streams';
+        # runs that need neither (continuation, ce-spectrum) should not load them
         src = str(Path(cli.__file__).resolve().parents[1])
-        code = "import sys, bethestrip.cli; print('scipy.sparse' in sys.modules)"
+        code = ("import sys, bethestrip.cli; "
+                "print([m in sys.modules for m in ('scipy.sparse', 'numpy.random')])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                               text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[False, False]"

@@ -95,11 +95,19 @@ class TestEnsembleSampling:
         assert var_off == pytest.approx(0.5, rel=0.05)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
-    def test_goe_is_symmetrized_normals(self, m):
-        # the batch is (X + X^T)/2 of the stream's normals, byte for byte
-        X = keyed_rng(3, m).standard_normal((40, m, m))
+    def test_goe_is_packed_normals(self, m):
+        # each draw is m(m+1)/2 of the stream's normals, read row-major over
+        # the upper triangle, off-diagonal ones times sqrt(1/2), byte for byte
+        Z = keyed_rng(3, m).standard_normal((40, m * (m + 1) // 2))
+        want = np.empty((40, m, m))
+        for n in range(40):
+            z = iter(Z[n])
+            for i in range(m):
+                for j in range(i, m):
+                    want[n, i, j] = want[n, j, i] = (
+                        next(z) if i == j else np.sqrt(0.5) * next(z))
         V = GOE().sample_batch(m, keyed_rng(3, m), 40)
-        assert V.tobytes() == (0.5 * (X + np.swapaxes(X, -1, -2))).tobytes()
+        assert V.tobytes() == want.tobytes()
 
     def test_diag_kinds_marginals(self):
         n = 40000
