@@ -1,12 +1,13 @@
 """Closed forms for the disorder-free strip.
 
 With a diagonal strip operator A the forward Green's matrix decouples per
-orbital and solves the scalar quadratic (K/4) g^2 + (z - a_k) g + 1 = 0.  The
-physical root is the one in the upper half plane for eta > 0; eta = 0 means
-the real-axis limit eta -> 0+, which exists at every real energy: -4 A_E
-inside a band, the real decaying root outside.  Everything else here -- the
-full-lattice Green's matrix, the boundary matrix A_E and the density of
-states -- is a short formula on top of that root.
+orbital into the smaller root of (K/4) g^2 + (z - a_k) g + 1 = 0.  The roots
+have product 4/K, and u = (sqrt K / 2) g turns the equation into the Joukowski
+map (z - a_k) / sqrt K = -(u + 1/u) / 2, under which |u| < 1 keeps the sign of
+Im.  So the smaller root is the upper one for eta > 0; at eta = 0 it is the
+limit eta -> 0+: real and decaying at a band edge and outside, -4 A_E inside a
+band, where both roots lie on |g| = 2 / sqrt K.  Everything else here is a
+short formula on top of that root.
 """
 
 import numpy as np
@@ -20,36 +21,23 @@ def _in_band_root(x, K):
     return (x - 1j * np.sqrt(K - x * x)) / (2.0 * K)
 
 
-def _forward_diag(z, a, K):
-    """Upper-half-plane root of (K/4) g^2 + (z - a) g + 1 = 0, per orbital."""
-    x = z - np.asarray(a, dtype=complex)
-    s = sqrt_upper(x * x - K)
-    # stable quadratic root: -x + s and -K/(x + s) are the same number,
-    # evaluated without cancellation on opposite half-lines
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_sum = (2.0 / K) * (-x + s)
-        g_quot = np.where(x + s != 0.0, -2.0 / (x + s), np.inf)
-    g = np.where(np.abs(-x + s) > np.abs(x + s), g_sum, g_quot)
-    # exactly one root lies in the upper half plane (root product 4/K > 0)
-    return np.where(g.imag > 0, g, 4.0 / (K * g))
-
-
 def forward_roots(sp: SpectralPoint, a, K):
     """Forward root at each real a_k: the free diagonal, shape (m,), at any eta >= 0.
 
-    For eta > 0 the root of (K/4) g^2 + (z - a_k) g + 1 = 0 in the upper half
-    plane.  At eta = 0 the real-axis limit: -4 A_E strictly inside a band, the
-    real decaying root at a band edge and outside, the two meeting
-    continuously at the edge.
+    The smaller root of (K/4) g^2 + (z - a_k) g + 1 = 0, in the closed upper
+    half plane.  With x = z - a_k and s = sqrt_upper(x^2 - K) the roots are
+    (2/K)(-x + s) and -(2/K)(x + s), each taken where it does not cancel and
+    the smaller one via the root product 4/K; a tie (the band at eta = 0) takes
+    (2/K)(-x + s), the upper root.  The error is a few ulp at every eta >= 0.
     """
-    if sp.eta > 0.0:
-        return _forward_diag(complex(sp.z), a, K)
-    x = float(sp.E) - np.asarray(a, dtype=float)
-    w = x * x - K
-    with np.errstate(invalid="ignore"):
-        inside = -4.0 * _in_band_root(x, K)
-        outside = (2.0 / K) * (-x + np.sign(x) * np.sqrt(w))
-    return np.where(w < 0.0, inside, outside)
+    x = complex(sp.z) - np.asarray(a, dtype=complex)
+    s = sqrt_upper(x * x - K)
+    minus, plus = np.abs(-x + s), np.abs(x + s)
+    # the branch not chosen can divide by an exact 0, e.g. x + s at E = -1e8
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = (2.0 / K) * (-x + s)
+        return np.where(minus == plus, g,
+                        np.where(minus > plus, 4.0 / (K * g), -2.0 / (x + s)))
 
 
 def free_forward_green(sp: SpectralPoint, model):

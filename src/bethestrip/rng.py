@@ -43,9 +43,11 @@ def child_seed(seed, *key) -> int:
     """Derive an independent sub-seed, e.g. one per scan grid point.
 
     Unlike ``seed + index`` arithmetic this cannot collide across runs with
-    adjacent seeds.
+    adjacent seeds.  A key component is one SeedSequence word, in [0, 2**32).
     """
     key = tuple(int(k) for k in key)
+    if any(k < 0 or k >> 32 for k in key):
+        raise ValueError("a child-seed key component is in [0, 2**32)")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(TAG_GENERIC,) + key)
     words = ss.generate_state(2, np.uint64)
     return int(words[0]) + (int(words[1]) << 64)

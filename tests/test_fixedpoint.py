@@ -202,6 +202,12 @@ class TestSolveForward:
         assert np.abs(raw_residual(mod, z, G)).max() <= 1e-12
         assert min_imag_eigenvalue(G) >= -1e-12
 
+    def test_far_outside_boundary_residual(self):
+        # the real-axis root outside the band is evaluated without
+        # cancellation, so the map reproduces it to the last bit
+        rep = solve_forward(make_model(), SpectralPoint(1e6, 0.0))
+        assert rep.residual <= 1e-18
+
     def test_report_certificate(self):
         mod = make_model()
         rep = solve_forward(mod, SpectralPoint(0.3, 0.8))

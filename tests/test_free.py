@@ -1,12 +1,16 @@
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from bethestrip.errors import OutOfBandError
 from bethestrip.free import (
     a_e_matrix,
+    forward_roots,
     free_dos,
     free_forward_green,
     free_full_green,
@@ -110,6 +114,28 @@ class TestForwardGreen:
                 np.testing.assert_allclose(near, np.diag(real_axis(E, mod)),
                                            rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("E, eta", [(3.0, 5e-324), (-3.0, 5e-324),
+                                        (1e3, 1e-320)])
+    def test_underflowing_eta_keeps_decaying_root(self, E, eta):
+        # Im g underflows to +-0 here, so the sign of Im cannot pick the root
+        g = free_forward_green(SpectralPoint(E, eta), make_model())[0, 0]
+        assert g.imag >= 0.0  # -0.0 passes
+        assert g == pytest.approx(-2.0 / (E + np.sign(E) * np.sqrt(E * E - 2.0)),
+                                  rel=1e-15)
+
+    @settings(max_examples=300)
+    @given(K=st.integers(2, 16), a=st.floats(-2.0, 2.0),
+           sign=st.sampled_from((-1.0, 1.0)), logE=st.floats(-2.0, 8.0),
+           eta=st.one_of(st.just(0.0),
+                         st.floats(-323.0, 3.0).map(lambda u: 10.0 ** u)))
+    def test_smaller_upper_root_property(self, K, a, sign, logE, eta):
+        E = sign * 10.0 ** logE
+        g = forward_roots(SpectralPoint(E, eta), [a], K)[0]
+        x = complex(E, eta) - a
+        assert g.imag >= 0.0
+        assert K * abs(g) ** 2 / 4.0 <= 1.0 + 1e-12
+        assert abs((K / 4.0) * g * g + x * g + 1.0) / max(1.0, abs(x * g)) <= 1e-12
+
 
 class TestBoundaryForward:
     def test_real_and_signed_outside(self):
@@ -137,6 +163,18 @@ class TestBoundaryForward:
             g = real_axis(E, mod)
             res = quadratic_residual(g, complex(E), np.array(mod.a), mod.K)
             assert res.max() < 1e-12
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("E", [1e4, -1e4, 1e6, -1e6, 1e8, -1e8])
+    def test_far_outside_matches_50_digit_root(self, E, K):
+        # -x + sign(x) sqrt(x^2 - K) cancels here; the decaying root is
+        # 2 (-x + sign(x) sqrt(x^2 - K)) / K, evaluated in 50 digits
+        with mpmath.workdps(50):
+            x = mpmath.mpf(E)
+            want = 2 * (-x + mpmath.sign(x) * mpmath.sqrt(x * x - K)) / K
+            g = real_axis(E, make_model(K=K))[0]
+            assert g.imag == 0.0
+            assert abs((mpmath.mpf(g.real) - want) / want) <= 1e-15
 
 
 class TestFullGreen:

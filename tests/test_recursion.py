@@ -2,7 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import binomtest
 
 from bethestrip import ed, recursion
 from bethestrip.free import free_dos, free_forward_green, free_full_green
@@ -21,7 +21,7 @@ from bethestrip.recursion import (
     sample_tree,
     sample_tree_given,
 )
-from bethestrip.rng import keyed_rng
+from bethestrip.rng import child_seed, keyed_rng
 from conftest import random_herglotz, random_psd
 
 
@@ -248,13 +248,31 @@ class TestEstimators:
             with pytest.raises(ValueError, match=why):
                 fixed_point_residual(pool, mod, keyed_rng(0, 2, 5), [bad], 20)
 
-    def test_decoupled_orbitals_same_law(self):
-        mod = make_model(K=2, a=(0.0, 0.0), lam=0.5,
-                         ensemble=DiagonalIID("uniform"))
+    @staticmethod
+    def orbital_sign_test(a, seed, pools=60):
+        """Exact sign test of mean G_00 - mean G_11 over independent pools.
+
+        The samples of one pool share ancestors, so a test on one pool is
+        anti-conservative.  Pools with distinct seeds are independent, and
+        under a law symmetric in the two orbitals the difference D of each
+        pool is symmetric about 0, so the count of Re D + Im D > 0 is
+        Binomial(pools, 1/2).
+        """
+        mod = make_model(K=2, a=a, lam=0.5, ensemble=DiagonalIID("uniform"))
         sp = SpectralPoint(0.1, 0.1)
-        pool = population_run(population_init(sp, mod, 3000, seed=6), mod, 40)
-        stat = ks_2samp(pool.samples[:, 0, 0].imag, pool.samples[:, 1, 1].imag)
-        assert stat.pvalue > 0.01
+        positive = 0
+        for r in range(pools):
+            pool = population_init(sp, mod, 256, child_seed(seed, r))
+            G = population_run(pool, mod, 20).samples
+            d = G[:, 0, 0].mean() - G[:, 1, 1].mean()
+            positive += int(d.real + d.imag > 0)
+        return binomtest(positive, pools).pvalue
+
+    def test_decoupled_orbitals_same_law(self):
+        assert self.orbital_sign_test((0.0, 0.0), seed=6) > 0.01
+
+    def test_orbital_sign_test_detects_shifted_orbital(self):
+        assert self.orbital_sign_test((0.0, 0.3), seed=6) < 1e-6
 
 
 class TestWeakFixedPoint:
