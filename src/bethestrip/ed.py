@@ -45,15 +45,13 @@ class TruncatedTree:
 
 
 def tree_site_count(K, depth) -> int:
-    if depth == 0:
-        return 1
+    if K < 2 or depth < 0:
+        raise ValueError(f"need K >= 2 and depth >= 0, got K={K}, depth={depth}")
     return 1 + (K + 1) * (K**depth - 1) // (K - 1)
 
 
 def build_tree(K, depth, m=1) -> TruncatedTree:
     """Breadth-first truncated tree; raises SizeOverflowError beyond MAX_DOF."""
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     n = tree_site_count(K, depth)
     if m * n > MAX_DOF:
         raise SizeOverflowError(
@@ -128,8 +126,8 @@ def dos_histogram(tree, model, E_grid, eta, realizations, seed):
     Cauchy kernel of width eta on the given energy grid.  Returns
     (dos_mean, dos_se) arrays over the grid.
     """
-    if eta <= 0:
-        raise ValueError("eta must be > 0 for smearing")
+    if eta <= 0 or realizations < 1:
+        raise ValueError(f"need eta > 0, realizations >= 1: got {eta}, {realizations}")
     dof = tree.n_sites * model.m
     if dof > MAX_DENSE_DOF:
         raise SizeOverflowError(f"{dof} dof too large for the dense eigensolver")

@@ -91,7 +91,7 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint) -> SolveReport:
     """
     problem = FixedPointProblem(model, point)
     _, b, Q = _onsite(model)
-    G = (Q * forward_roots(point, b, model.K)) @ Q.T
+    G = (Q * forward_roots(point.z, b, model.K)) @ Q.T
     return SolveReport(
         solution=G,
         residual=float(np.abs(G - problem.forward_map(G)).max()),

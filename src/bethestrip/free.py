@@ -5,24 +5,21 @@ orbital into the smaller root of (K/4) g^2 + (z - a_k) g + 1 = 0.  The roots
 have product 4/K, and u = (sqrt K / 2) g turns the equation into the Joukowski
 map (z - a_k) / sqrt K = -(u + 1/u) / 2, under which |u| < 1 keeps the sign of
 Im.  So the smaller root is the upper one for eta > 0; at eta = 0 it is the
-limit eta -> 0+: real and decaying at a band edge and outside, -4 A_E inside a
-band, where both roots lie on |g| = 2 / sqrt K.  Everything else here is a
-short formula on top of that root.
+limit eta -> 0+: real and decaying at a band edge and outside, the upper root
+of modulus 2 / sqrt K inside a band.  The rest is short formulas on that root:
+A_E = -1/4 forward_roots on band_intersection's closed window, of modulus
+1 / (2 sqrt K) exactly inside it and within sqrt(ulp) at its endpoints.
 """
 
 import numpy as np
 
 from .errors import OutOfBandError
 from .linalg import SpectralPoint, sqrt_upper
+from .model import band_intersection
 
 
-def _in_band_root(x, K):
-    """(A_E)_kk = (x - i sqrt(K - x^2)) / (2K), x = E - a_k, |x| <= sqrt K."""
-    return (x - 1j * np.sqrt(K - x * x)) / (2.0 * K)
-
-
-def forward_roots(sp: SpectralPoint, a, K):
-    """Forward root at each real a_k: the free diagonal, shape (m,), at any eta >= 0.
+def forward_roots(z, a, K):
+    """Forward root at z (any shape, Im z >= 0) and each real a_k: shape z.shape + (m,).
 
     The smaller root of (K/4) g^2 + (z - a_k) g + 1 = 0, in the closed upper
     half plane.  With x = z - a_k and s = sqrt_upper(x^2 - K) the roots are
@@ -30,14 +27,15 @@ def forward_roots(sp: SpectralPoint, a, K):
     the smaller one via the root product 4/K; a tie (the band at eta = 0) takes
     (2/K)(-x + s), the upper root.  The error is a few ulp at every eta >= 0.
     """
-    x = complex(sp.z) - np.asarray(a, dtype=complex)
+    x = np.subtract.outer(z, np.asarray(a, dtype=complex))
     s = sqrt_upper(x * x - K)
-    minus, plus = np.abs(-x + s), np.abs(x + s)
+    s_minus_x, s_plus_x = -x + s, x + s
+    minus, plus = np.abs(s_minus_x), np.abs(s_plus_x)
     # the branch not chosen can divide by an exact 0, e.g. x + s at E = -1e8
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = (2.0 / K) * (-x + s)
+        g = (2.0 / K) * s_minus_x
         return np.where(minus == plus, g,
-                        np.where(minus > plus, 4.0 / (K * g), -2.0 / (x + s)))
+                        np.where(minus > plus, 4.0 / (K * g), -2.0 / s_plus_x))
 
 
 def free_forward_green(sp: SpectralPoint, model):
@@ -45,7 +43,7 @@ def free_forward_green(sp: SpectralPoint, model):
 
     Valid at every eta >= 0: the diagonal is :func:`forward_roots` at A.
     """
-    return np.diag(forward_roots(sp, model.a, model.K))
+    return np.diag(forward_roots(sp.z, model.a, model.K))
 
 
 def free_full_green(sp: SpectralPoint, model):
@@ -54,31 +52,31 @@ def free_full_green(sp: SpectralPoint, model):
     A root vertex has K + 1 neighbors, so the forward matrices of all
     branches dress the diagonal: G(z) = [A - z - (K+1)/4 G0(z)]^{-1}.
     """
-    g_fwd = np.diagonal(free_forward_green(sp, model))
-    a = np.asarray(model.a, dtype=complex)
-    return np.diag(1.0 / (a - complex(sp.z) - ((model.K + 1) / 4.0) * g_fwd))
+    g_fwd = forward_roots(sp.z, model.a, model.K)
+    return np.diag(1.0 / (np.subtract(model.a, sp.z) - ((model.K + 1) / 4.0) * g_fwd))
 
 
 def a_e_matrix(E, model):
     """Diagonal matrix -G0(E)/4 parameterizing the real-axis free fixed point.
 
-    Entries (E - a_k - i sqrt(K - (E - a_k)^2)) / (2K), each of modulus
-    1/(2 sqrt K).  Defined for |E - a_k| <= sqrt(K) for every orbital, i.e.
-    on the closure of the band intersection window.
+    A_E = -1/4 forward_roots(E, a, K), defined on band_intersection's closed
+    window: entries (E - a_k - i sqrt(K - (E - a_k)^2)) / (2K), of modulus
+    1/(2 sqrt K) exactly inside the window and within sqrt(ulp) at its
+    endpoints, where the rounding of float(sqrt K) meets the square-root cusp.
     """
-    x = float(E) - np.asarray(model.a, dtype=float)
-    if not (x * x <= model.K).all():  # NaN fails the inside test too
+    window = band_intersection(model)
+    if not window.lo <= E <= window.hi:  # NaN fails the inside test too
         raise OutOfBandError(
-            f"E={E:g} leaves |E - a_k| <= sqrt(K) for some orbital"
+            f"E={E:g} lies outside the closed window [{window.lo:g}, {window.hi:g}]"
         )
-    return np.diag(_in_band_root(x, model.K))
+    # -0.25 * g alone would turn a 0.0 real part into -0.0
+    return np.diag(0.0 - 0.25 * forward_roots(complex(E), model.a, model.K))
 
 
 def free_dos(sp_or_E, model):
     """Density of states per orbital of the free strip, (1/(m pi)) Im Tr G."""
-    sp = sp_or_E
-    if not isinstance(sp, SpectralPoint):
-        sp = SpectralPoint(float(sp_or_E))
-    full = free_full_green(sp, model)
+    if not isinstance(sp_or_E, SpectralPoint):
+        sp_or_E = SpectralPoint(float(sp_or_E))
+    full = free_full_green(sp_or_E, model)
     return float(np.trace(full).imag / (model.m * np.pi))
 

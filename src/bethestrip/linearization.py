@@ -51,7 +51,7 @@ from .errors import (
     OutOfBandError,
     TruncationOverflowError,
 )
-from .free import a_e_matrix
+from .free import forward_roots
 from .model import BetheStripModel
 
 #: Tolerance on | |lambda_J| - K^{-|J|} | in eigenvalue_gaps.
@@ -141,15 +141,16 @@ def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
     return out
 
 
-def _interior_ae_diag(E: float, model: BetheStripModel) -> np.ndarray:
-    """Diagonal of A_E, requiring E strictly inside the band window."""
-    x = float(E) - np.asarray(model.a, dtype=float)
-    if not (x * x < model.K).all():  # NaN fails the inside test too
+def _interior_ae_diag(E, model: BetheStripModel) -> np.ndarray:
+    """Diagonal of A_E, E.shape + (m,), where every computed |E - a_k| < sqrt K."""
+    x = np.subtract.outer(E, model.a)  # on x: forward_roots' tie, of exact modulus
+    outside = ~(x * x < model.K).all(axis=-1)  # NaN fails the test too
+    if outside.any():
         raise OutOfBandError(
-            f"E={E:g} is not strictly inside |E - a_k| < sqrt(K) "
-            "for every orbital"
+            f"E={np.asarray(E)[outside].flat[0]:g} is not strictly inside "
+            "|E - a_k| < sqrt(K) for every orbital"
         )
-    return np.diagonal(a_e_matrix(E, model))
+    return 0.0 - 0.25 * forward_roots(E, model.a, model.K)
 
 
 def eigenvalue_law(ae_diag, basis) -> np.ndarray:
@@ -337,8 +338,7 @@ def build_ce_matrix(E, model: BetheStripModel,
     _basis_size(model.m, max_degree, MAX_BASIS, "MAX_BASIS")
     basis = enumerate_indices(model.m, max_degree)
     grid = energies.reshape(-1)
-    diag = np.array([_interior_ae_diag(e, model) for e in grid],
-                    dtype=complex).reshape(len(grid), model.m)
+    diag = _interior_ae_diag(grid, model)
     binv = -4.0 * diag
 
     unit = _jet_matrix(np.ones(model.m), basis)

@@ -241,6 +241,8 @@ def measure_stationary(pool, model, context, sweeps=20, draws_per_sweep=500,
     wobble shows up in the quoted uncertainty instead of hiding as bias.
     Returns (advanced pool, StationaryMeasurement).
     """
+    if sweeps < 1 or draws_per_sweep < 1:
+        raise ValueError("sweeps and draws_per_sweep must be >= 1")
     G_blocks = []
     for s in range(sweeps):
         pool = population_sweep(pool, model, pmap)

@@ -91,6 +91,20 @@ class TestFreeProfile:
         warnings = manifest_of(out)["warnings"]
         assert len(warnings) == 1 and "1 eta=0 rows" in warnings[0]
 
+    def test_ae_finite_at_window_endpoints(self, tmp_path):
+        # the grid ends are band_intersection's lo and hi, 1/2 - sqrt 2 and
+        # sqrt 2 - 1/2, where A_E is defined
+        out = tmp_path / "fp.csv"
+        rc = main(["free-profile", "--K", "2", "--A", "diag:-0.5,0.5",
+                   "--E-grid=-0.9142135623730951:0.9142135623730951:3",
+                   "--eta-schedule", "0", "--out", str(out)])
+        assert rc == 0
+        header, rows = csv_table(out)
+        ae = [i for i, name in enumerate(header) if name.startswith("ae_")]
+        for row in (rows[0], rows[-1]):
+            assert all(math.isfinite(float(row[i])) for i in ae)
+        assert manifest_of(out)["warnings"] == []
+
     def test_all_cells_round_trip(self, tmp_path):
         out = tmp_path / "fp.csv"
         main(["free-profile", "--K", "3", "--A", "diag:-0.4,0.3",

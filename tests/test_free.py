@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from bethestrip.free import (
     free_full_green,
 )
 from bethestrip.linalg import SpectralPoint
+from bethestrip.linearization import _interior_ae_diag
 from bethestrip.model import GOE, BetheStripModel, band_intersection
 
 
@@ -130,11 +132,48 @@ class TestForwardGreen:
                          st.floats(-323.0, 3.0).map(lambda u: 10.0 ** u)))
     def test_smaller_upper_root_property(self, K, a, sign, logE, eta):
         E = sign * 10.0 ** logE
-        g = forward_roots(SpectralPoint(E, eta), [a], K)[0]
+        g = forward_roots(complex(E, eta), [a], K)[0]
         x = complex(E, eta) - a
         assert g.imag >= 0.0
         assert K * abs(g) ** 2 / 4.0 <= 1.0 + 1e-12
         assert abs((K / 4.0) * g * g + x * g + 1.0) / max(1.0, abs(x * g)) <= 1e-12
+
+    @settings(max_examples=150)
+    @given(data=st.data(), K=st.integers(2, 16), m=st.integers(1, 4),
+           shape=st.one_of(st.tuples(st.integers(1, 8)),
+                           st.tuples(st.integers(1, 5), st.integers(1, 4))))
+    def test_one_root_for_any_shape(self, data, K, m, shape):
+        a = sorted(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+        mod = make_model(K=K, a=a)
+        window = band_intersection(mod)
+        # band centres and edges, where the in-band tie starts and ends
+        special = [ak + s * np.sqrt(K) for ak in a for s in (-1.0, 0.0, 1.0)]
+        energy = st.one_of(st.floats(-6.0, 6.0), st.sampled_from(special))
+        if window.lo < window.hi:
+            energy = st.one_of(energy, st.floats(window.lo, window.hi))
+        size = int(np.prod(shape))
+        E = np.array(data.draw(st.lists(energy, min_size=size, max_size=size)))
+        eta = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-12.0, 2.0).map(lambda u: 10.0 ** u)),
+            min_size=size, max_size=size))
+        z = np.empty(shape, dtype=complex)
+        z.real, z.imag = E.reshape(shape), np.reshape(eta, shape)
+
+        g = forward_roots(z, a, K)
+        assert g.shape == shape + (m,)
+        for idx in np.ndindex(shape):
+            assert g[idx].tobytes() == forward_roots(complex(z[idx]), a, K).tobytes()
+
+        # interior energies: inside by _interior_ae_diag's own test on x and
+        # inside the closed window of a_e_matrix
+        x = np.subtract.outer(E, a)
+        inner = E[(x * x < K).all(axis=-1) & (window.lo <= E) & (E <= window.hi)]
+        for e, diag in zip(inner, _interior_ae_diag(inner, mod)):
+            fwd = np.diagonal(free_forward_green(SpectralPoint(e, 0.0), mod))
+            quarter = 0.0 - 0.25 * fwd
+            assert diag.tobytes() == quarter.tobytes()
+            assert np.diagonal(a_e_matrix(e, mod)).tobytes() == diag.tobytes()
+            assert _interior_ae_diag(e, mod).tobytes() == diag.tobytes()
 
 
 class TestBoundaryForward:
@@ -237,6 +276,26 @@ class TestBoundaryMatrix:
             ae = a_e_matrix(E, mod)
             lhs = np.linalg.inv(mod.K * ae + mod.a_matrix - E * np.eye(2))
             np.testing.assert_allclose(lhs, -4.0 * ae, atol=1e-12)
+
+    def test_closed_window_endpoints(self, rng):
+        # the README model's upper endpoint is sqrt 2 - 1/2; at an endpoint
+        # K - (E - a_k)^2 can round below 0
+        models = [make_model(K=2, a=(-0.5, 0.5))]
+        for _ in range(200):
+            m = int(rng.integers(1, 4))
+            models.append(make_model(K=int(rng.choice((2, 3, 4, 5, 7, 16))),
+                                     a=tuple(np.sort(rng.uniform(-1.0, 1.0, m)))))
+        for mod in models:
+            window = band_intersection(mod)
+            for E, beyond in ((window.lo, -np.inf), (window.hi, np.inf)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    ae = np.diagonal(a_e_matrix(E, mod))
+                assert np.isfinite(ae).all()
+                np.testing.assert_allclose(np.abs(ae), 1 / (2 * np.sqrt(mod.K)),
+                                           rtol=0, atol=1e-7)
+                with pytest.raises(OutOfBandError):
+                    a_e_matrix(np.nextafter(E, beyond), mod)
 
     def test_out_of_window_raises(self):
         mod = make_model(K=2, a=(-0.5, 0.5))

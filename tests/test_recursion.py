@@ -361,6 +361,25 @@ class TestContinuation:
         assert bounded
         assert ratio == pytest.approx(1.0, abs=0.01)
 
+    @pytest.mark.parametrize("name, call", [
+        ("realizations", lambda mod: ed.dos_histogram(
+            ed.build_tree(2, 2), mod, [0.0], 0.1, realizations=0, seed=0)),
+        ("draws_per_sweep", lambda mod: eta_continuation(
+            mod, 0.0, (0.1,), pool_size=16, burn_in=1, relax_sweeps=1,
+            measure_sweeps=2, draws_per_sweep=0)),
+        ("sweeps", lambda mod: measure_stationary(
+            population_init(SpectralPoint(0.0, 0.1), mod, 16, seed=0), mod,
+            context=0, sweeps=0)),
+        ("K", lambda mod: ed.build_tree(1, 2)),
+        ("K", lambda mod: ed.tree_site_count(1, 2)),
+    ], ids=["dos_histogram", "eta_continuation", "measure_stationary",
+            "build_tree", "tree_site_count"])
+    def test_empty_counts_raise_naming_argument(self, name, call):
+        # unchecked, an empty count gives NaN means, a bare numpy error or a
+        # ZeroDivisionError
+        with pytest.raises(ValueError, match=name):
+            call(make_model(lam=0.1))
+
     def test_measure_stationary_advances_pool(self):
         mod = make_model(K=2, a=(0.0,), lam=0.1)
         pool = population_init(SpectralPoint(0.0, 0.1), mod, 60, seed=4)
