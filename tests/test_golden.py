@@ -10,6 +10,9 @@ to an absolute 1e-12.  Its ``worst_case`` is the argmax over such numbers, so
 a reordered sum can flip it: it is compared only while the top per-case
 deviation, recomputed here, leads the runner-up by PINNED_LEAD.
 
+GOLDEN_RUNS adds two m = 3 linearization configs, ``ce-spectrum-m3`` and
+``gap-scan-m3``: every criterion-9 config has m <= 2.
+
 ``continuation.out`` pins the deterministic solver, which no subcommand runs:
 ``fixedpoint.continuation_to_boundary`` on CONTINUATION_RUNS, with each
 energy's eta = 0 solution, ``min_imag_eig`` and ``herglotz``.  Its numbers
@@ -18,7 +21,7 @@ are held to the same relative 1e-10; flags must match exactly.
 A change that alters stream use on purpose regenerates the set with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md;
 ``PYTHONPATH=src python tests/test_golden.py NAME ...`` regenerates only the
-named goldens (subcommand names, or ``continuation``).
+named goldens (GOLDEN_RUNS names, or ``continuation``).
 """
 
 import json
@@ -45,6 +48,13 @@ RTOL = 1e-10
 ATOL = {("crosscheck", "max_deviation"): 1e-12}
 # top over runner-up deviation above which crosscheck's worst_case is pinned
 PINNED_LEAD = 2.0
+# name -> (subcommand, args): the criterion-9 configs under their subcommand
+# names, and the m = 3 linearization configs, inside the window (-1.23, 1.33)
+M3_MODEL = ["--K", "3", "--A", "diag:-0.4,0.1,0.5", "--E-grid=-1:1:7",
+            "--degree", "3"]
+GOLDEN_RUNS = {**{sub: (sub, args) for sub, args in CLI_RUNS.items()},
+               "ce-spectrum-m3": ("ce-spectrum", M3_MODEL),
+               "gap-scan-m3": ("gap-scan", M3_MODEL)}
 # (label, model, energies): grids inside and outside each band window, and
 # the window edges +-sqrt(2) (K = 2) and +-1.5 (K = 4, a = -+0.5), where the
 # eta = 0 fixed point is a double root
@@ -67,13 +77,14 @@ CONTINUATION_RUNS = [
 ]
 
 
-def run(sub, out_dir):
+def run(name, out_dir):
     """Run one config into out_dir; return {file name: text} of its outputs."""
-    out = out_dir / f"{sub}.out"
-    rc = cli_main([sub, *CLI_RUNS[sub], "--seed", SEED, "--workers", "1",
+    sub, args = GOLDEN_RUNS[name]
+    out = out_dir / f"{name}.out"
+    rc = cli_main([sub, *args, "--seed", SEED, "--workers", "1",
                    "--out", str(out)])
-    assert rc == 0, f"{sub} exited {rc}"
-    return {p.name: p.read_text() for p in sorted(out_dir.glob(f"{sub}.out*"))
+    assert rc == 0, f"{name} exited {rc}"
+    return {p.name: p.read_text() for p in sorted(out_dir.glob(f"{name}.out*"))
             if not p.name.endswith(".manifest.json")}
 
 
@@ -154,10 +165,11 @@ def worst_case_is_pinned(report):
     return top >= PINNED_LEAD * runner_up
 
 
-@pytest.mark.parametrize("sub", list(CLI_RUNS))
-def test_outputs_match_golden(sub, tmp_path):
-    got = run(sub, tmp_path)
-    want = {p.name: p.read_text() for p in sorted(GOLDEN.glob(f"{sub}.out*"))}
+@pytest.mark.parametrize("name", list(GOLDEN_RUNS))
+def test_outputs_match_golden(name, tmp_path):
+    sub = GOLDEN_RUNS[name][0]
+    got = run(name, tmp_path)
+    want = {p.name: p.read_text() for p in sorted(GOLDEN.glob(f"{name}.out*"))}
     assert sorted(got) == sorted(want)
     for name, text in want.items():
         if name.endswith(".json") or sub == "crosscheck":
@@ -175,14 +187,14 @@ def test_continuation_matches_golden():
 
 
 if __name__ == "__main__":
-    names = sys.argv[1:] or [*CLI_RUNS, "continuation"]
-    unknown = sorted(set(names) - {*CLI_RUNS, "continuation"})
+    names = sys.argv[1:] or [*GOLDEN_RUNS, "continuation"]
+    unknown = sorted(set(names) - {*GOLDEN_RUNS, "continuation"})
     if unknown:
         sys.exit(f"unknown golden name(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for sub in CLI_RUNS:
-        if sub in names:
-            run(sub, GOLDEN)
+    for name in GOLDEN_RUNS:
+        if name in names:
+            run(name, GOLDEN)
     if "continuation" in names:
         (GOLDEN / "continuation.out").write_text(
             json.dumps(continuation_record(), indent=1) + "\n")
