@@ -19,14 +19,14 @@ print(f"eigenvalues at E = {E} (K = {model.K}, a = {model.a}), degree <= 2:")
 print(f"{'J':>12} {'lambda_J':>22} {'|lambda_J|':>11} {'K^-|J|':>8}")
 for J in enumerate_indices(model.m, 2):
     val = lambda_j(E, model, J)
-    print(f"{str(J):>12} {val:22.6f} {abs(val):11.6f} "
-          f"{model.K ** (-J.degree):8.4f}")
+    print(f"{':'.join(map(str, J)):>12} {val:22.6f} {abs(val):11.6f} "
+          f"{model.K ** (-sum(J)):8.4f}")
 print()
 
 op = build_ce_matrix(E, model, 2)
 lower = max(abs(op.entries[r, c])
             for r in range(len(op.basis)) for c in range(len(op.basis))
-            if op.basis[r].degree > op.basis[c].degree)
+            if sum(op.basis[r]) > sum(op.basis[c]))
 print(f"matrix on the degree <= 2 basis ({len(op.basis)} monomials) is")
 print(f"triangular in the degree filtration: max lower-block entry {lower:.1e}")
 print()

@@ -462,7 +462,7 @@ def _cmd_gap_scan(cfg: RunConfig, pmap) -> CommandResult:
 
 def _triangularity_residual(op) -> list:
     """Per matrix of the stack, max |entries[r, c]| over r != c, deg r >= deg c."""
-    degrees = np.array([J.degree for J in op.basis])
+    degrees = np.array([sum(J) for J in op.basis])
     mask = (degrees[:, None] >= degrees[None, :]) & ~np.eye(len(degrees), dtype=bool)
     return [float(np.abs(entries[mask]).max(initial=0.0)) for entries in op.entries]
 
@@ -477,10 +477,10 @@ def _cmd_ce_spectrum(cfg: RunConfig, pmap) -> CommandResult:
                                     _triangularity_residual(op)):
         for i, J in enumerate(op.basis):
             value = complex(entries[i, i])
-            rows.append([E, ":".join(str(p) for p in J.powers),
-                         J.degree, float(value.real), float(value.imag),
+            rows.append([E, ":".join(str(p) for p in J),
+                         sum(J), float(value.real), float(value.imag),
                          float(abs(value)),
-                         float(cfg.model.K) ** (-J.degree), residual])
+                         float(cfg.model.K) ** (-sum(J)), residual])
     return _csv_result(cfg, header, rows)
 
 

@@ -10,10 +10,13 @@ non-negative integer matrices J:
 
     lambda_J = prod_{j<=k} [4 (A_E)_jj (A_E)_kk]^{J_jk},
 
-all of modulus K^{-|J|}.  This module enumerates the index set, builds
-the eigenvalues and the spectral gaps of K*C_E - I (and of the tensor
-form governing second moments), and reconstructs the full matrix of
-C_E on the monomial basis from its generating identity
+all of modulus K^{-|J|}.  An index J is its exponent tuple: the m(m+1)/2
+exponents J_jk over the row-major upper triangle (see upper_slots), with
+|J| = sum(J) and the monomial X^J = prod X_jk^{J_jk}.  This module
+enumerates the index set, builds the eigenvalues and the spectral gaps of
+K*C_E - I (and of the tensor form governing second moments), and
+reconstructs the full matrix of C_E on the monomial basis from its
+generating identity
 
     C_E [e^{i Tr(M X)} zeta] = exp((i/4) Tr((B - M)^{-1} X)),
 
@@ -52,14 +55,14 @@ from .errors import (
     TruncationOverflowError,
 )
 from .free import forward_roots
-from .model import BetheStripModel
+from .model import BetheStripModel, band_intersection
 
 #: Tolerance on | |lambda_J| - K^{-|J|} | in eigenvalue_gaps.
 MODULUS_RTOL = 1e-12
 #: Largest monomial basis build_ce_matrix will assemble.
 MAX_BASIS = 500
 #: Largest index set enumerate_indices will build.  An index holds about
-#: 216 bytes (tracemalloc at m = 4), so this is about 43 MB; m = 4 at
+#: 127 bytes (tracemalloc at m = 4), so this is about 25 MB; m = 4 at
 #: degree 10 (184,756 indices) fits, m = 16 at degree 10 (~1e15) does not.
 MAX_INDICES = 200_000
 
@@ -69,47 +72,29 @@ def upper_slots(m: int) -> list[tuple[int, int]]:
     return [(j, k) for j in range(m) for k in range(j, m)]
 
 
-def slot_count(m: int) -> int:
-    return m * (m + 1) // 2
+def _exponents(basis, m: int) -> np.ndarray:
+    """The exponent tuples of basis as an (n, m(m+1)/2) int array, checked once.
 
-
-@dataclass(frozen=True)
-class MonomialIndex:
-    """Upper-triangular non-negative integer exponent matrix J.
-
-    ``powers`` lists the exponents J_jk over the row-major upper
-    triangle of an m x m matrix; the monomial is X^J = prod X_jk^{J_jk}.
-    Equality and hashing are on (m, powers); indices define no order.
+    A J that is not m(m+1)/2 non-negative integers raises ValueError: 1.0 and
+    np.int64(0) pass as 1 and 0, but 1.5, NaN and inf do not.
     """
-
-    m: int
-    powers: tuple
-
-    def __post_init__(self):
-        if not all(x >= 0 and x % 1 == 0 for x in self.powers):  # NaN, inf fail
-            raise ValueError(
-                f"exponents must be non-negative integers, got {self.powers}")
-        powers = tuple(int(x) for x in self.powers)
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if len(powers) != slot_count(self.m):
-            raise ValueError(
-                f"need {slot_count(self.m)} exponents for m={self.m}, "
-                f"got {len(powers)}"
-            )
-        object.__setattr__(self, "powers", powers)
-
-    @property
-    def degree(self) -> int:
-        return sum(self.powers)
-
-    def __str__(self):
-        return "J[" + ",".join(str(x) for x in self.powers) + "]"
+    p = len(upper_slots(m))
+    try:  # the zero index pins the width: a J of any other shape is ragged
+        exps = np.array([*basis, (0,) * p])[:-1]
+    except ValueError:
+        bad = [np.shape(J) != (p,) for J in basis]
+    else:
+        bad = ~((np.floor(exps) == exps) & (0 <= exps) & (exps < np.inf)).all(axis=1)
+    if np.any(bad):
+        raise ValueError(f"an index at m={m} is {p} non-negative integer exponents, "
+                         f"got {basis[int(np.argmax(bad))]!r}")
+    return exps.astype(int)
 
 
 def _basis_size(m: int, max_degree: int, cap: int, name: str) -> int:
     """|{J : |J| <= max_degree}|, counted, not enumerated; above cap raises."""
-    size = math.comb(slot_count(m) + max_degree, slot_count(m))
+    p = len(upper_slots(m))
+    size = math.comb(p + max_degree, p)
     if size > cap:
         raise TruncationOverflowError(
             f"basis of {size} monomials exceeds {name}={cap}; "
@@ -118,10 +103,10 @@ def _basis_size(m: int, max_degree: int, cap: int, name: str) -> int:
     return size
 
 
-def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
-    """All J with |J| <= max_degree, by rising degree.
+def enumerate_indices(m: int, max_degree: int) -> list[tuple]:
+    """All exponent tuples J with |J| <= max_degree, by rising degree.
 
-    Within a degree the powers fall lexicographically: the slot earliest in
+    Within a degree the exponents fall lexicographically: the slot earliest in
     row-major order carries the highest power first, so for m=2 the degree-1
     indices come as X_11, X_12, X_22.  A set over MAX_INDICES raises
     TruncationOverflowError before it is built.
@@ -129,25 +114,27 @@ def enumerate_indices(m: int, max_degree: int) -> list[MonomialIndex]:
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     size = _basis_size(m, max_degree, MAX_INDICES, "MAX_INDICES")
-    p = slot_count(m)
+    p = len(upper_slots(m))
     out = []
     for degree in range(max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(p), degree):
             powers = [0] * p
             for slot in combo:
                 powers[slot] += 1
-            out.append(MonomialIndex(m=m, powers=tuple(powers)))
+            out.append(tuple(powers))
     assert len(out) == size, (len(out), size)
     return out
 
 
 def _interior_ae_diag(E, model: BetheStripModel) -> np.ndarray:
-    """Diagonal of A_E, E.shape + (m,), where every computed |E - a_k| < sqrt K."""
+    """Diagonal of A_E, E.shape + (m,), where E is in a_e_matrix's closed window
+    and every computed |E - a_k| < sqrt K."""
+    window = band_intersection(model)
     x = np.subtract.outer(E, model.a)  # on x: forward_roots' tie, of exact modulus
-    outside = ~(x * x < model.K).all(axis=-1)  # NaN fails the test too
-    if outside.any():
+    inside = (x * x < model.K).all(axis=-1) & (window.lo <= E) & (E <= window.hi)
+    if not inside.all():  # NaN fails every test
         raise OutOfBandError(
-            f"E={np.asarray(E)[outside].flat[0]:g} is not strictly inside "
+            f"E={np.asarray(E)[~inside].flat[0]:g} is not strictly inside "
             "|E - a_k| < sqrt(K) for every orbital"
         )
     return 0.0 - 0.25 * forward_roots(E, model.a, model.K)
@@ -157,18 +144,17 @@ def eigenvalue_law(ae_diag, basis) -> np.ndarray:
     """lambda_J = prod_{j<=k} [4 (A_E)_jj (A_E)_kk]^{J_jk} for each J in basis.
 
     ae_diag is the diagonal of A_E, (m,) or a stack (..., m); the result
-    has shape ae_diag.shape[:-1] + (len(basis),).
+    has shape ae_diag.shape[:-1] + (len(basis),).  Each J is an exponent
+    tuple of length m(m+1)/2; any other J raises ValueError.
     """
     d = np.asarray(ae_diag)
     j, k = np.array(upper_slots(d.shape[-1])).T
-    exps = np.array([J.powers for J in basis])
+    exps = _exponents(basis, d.shape[-1])
     return np.prod((4.0 * d[..., None, j] * d[..., None, k]) ** exps, axis=-1)
 
 
-def lambda_j(E: float, model: BetheStripModel, J: MonomialIndex) -> complex:
-    """Eigenvalue of C_E at index J: prod [4 (A_E)_jj (A_E)_kk]^{J_jk}."""
-    if J.m != model.m:
-        raise ValueError(f"index has m={J.m}, model has m={model.m}")
+def lambda_j(E: float, model: BetheStripModel, J: tuple) -> complex:
+    """Eigenvalue of C_E at the exponent tuple J: prod [4 (A_E)_jj (A_E)_kk]^{J_jk}."""
     return complex(eigenvalue_law(_interior_ae_diag(E, model), [J])[0])
 
 
@@ -187,21 +173,15 @@ def eigenvalue_gaps(E: float, model: BetheStripModel,
     (J, 0), (0, J) give the terms |K lambda_J - 1|.
     """
     lams = eigenvalue_law(_interior_ae_diag(E, model), basis)
-    degrees = np.array([J.degree for J in basis])
+    degrees = np.array([sum(J) for J in basis])
     wrong = np.abs(np.abs(lams) - float(model.K) ** -degrees) > MODULUS_RTOL
     dist = np.abs(lams - 1.0 / model.K)
     bad = wrong | (dist == 0.0)
     if bad.any():
         i = int(np.argmax(bad))
-        J = basis[i]
-        if wrong[i]:
-            raise EigenvalueLawError(
-                f"|lambda_{J}| = {abs(complex(lams[i]))!r} != K^-{J.degree} = "
-                f"{model.K ** -J.degree!r} at E={E:g}"
-            )
-        raise EigenvalueLawError(
-            f"lambda_{J} hit the forbidden value 1/K at E={E:g}"
-        )
+        rule = f"|lambda_J| != K^-{degrees[i]}" if wrong[i] else "lambda_J = 1/K"
+        raise EigenvalueLawError(f"{rule} at J={basis[i]}, E={E:g}: "
+                                 f"lambda_J = {complex(lams[i])!r}")
     gap = min(float(np.abs(model.K * lams - 1.0).min()), 1.0 - 1.0 / model.K)
     return gap, float(dist.min())
 
@@ -216,10 +196,11 @@ def gap_kce(E: float, model: BetheStripModel, max_degree: int) -> float:
 class OperatorMatrix:
     """Matrix of C_E on the ordered monomial basis {X^J zeta : |J| <= d}.
 
-    entries[r, c] is the coefficient of basis[r] in the image of
-    basis[c]; the degree filtration makes it block upper-triangular
-    with lambda_J on the diagonal.  Built for a sequence of energies,
-    entries is the (n_E, n, n) stack of those matrices, one per energy.
+    basis holds the exponent tuples of enumerate_indices; entries[r, c] is
+    the coefficient of basis[r] in the image of basis[c]; the degree
+    filtration makes it block upper-triangular with lambda_J on the diagonal.
+    Built for a sequence of energies, entries is the (n_E, n, n) stack of
+    those matrices, one per energy.
     """
 
     basis: tuple
@@ -238,7 +219,7 @@ def _jet_matrix(binv: np.ndarray, basis) -> np.ndarray:
     c of the (n, n) result is the image of basis[c].
     """
     m = len(binv)
-    degree = basis[-1].degree
+    degree = sum(basis[-1])
     slots = upper_slots(m)
     p = len(slots)
     unit = [tuple(int(a == b) for b in range(p)) for a in range(p)]
@@ -284,10 +265,10 @@ def _jet_matrix(binv: np.ndarray, basis) -> np.ndarray:
         for key, val in term.items():
             series[key] = series.get(key, 0.0) + val
 
-    row = {J.powers: i for i, J in enumerate(basis)}
+    row = {J: i for i, J in enumerate(basis)}
     c_alpha = [1.0 if j == k else 2.0 for j, k in slots]
     prefactors = [math.prod((math.factorial(x) / (1j * c) ** x
-                             for x, c in zip(J.powers, c_alpha)), start=1.0 + 0.0j)
+                             for x, c in zip(J, c_alpha)), start=1.0 + 0.0j)
                   for J in basis]
     matrix = np.zeros((len(basis), len(basis)), dtype=complex)
     for (s_pow, x_pow), val in series.items():
@@ -300,17 +281,15 @@ def _jet_matrix(binv: np.ndarray, basis) -> np.ndarray:
 def ce_apply_symbol(E: float, model: BetheStripModel, coeffs: dict) -> dict:
     """Apply C_E to sum_J coeffs[J] X^J zeta, zeta = exp(-i Tr(A_E X)), in jets.
 
-    Keys must be MonomialIndex of width model.m; the image {J: coefficient}
+    Keys are exponent tuples of length m(m+1)/2, checked as eigenvalue_law
+    checks a basis, so no key is dropped unread; the image {J: coefficient}
     is over the same Gaussian, and degrees never increase, so no truncation
     loss occurs.  The jets run at this energy's own binv, the direct oracle
     of build_ce_matrix's walk-product scaling; a basis up to the top degree
     over MAX_BASIS raises TruncationOverflowError before they run.
     """
-    bad = [J for J in coeffs if not isinstance(J, MonomialIndex) or J.m != model.m]
-    if bad:
-        raise ValueError(f"keys must be MonomialIndex of m={model.m}, got {bad[0]!r}")
+    degree = int(_exponents(list(coeffs), model.m).sum(axis=1).max(initial=0))
     binv = -4.0 * _interior_ae_diag(E, model)
-    degree = max((J.degree for J in coeffs), default=0)
     _basis_size(model.m, degree, MAX_BASIS, "MAX_BASIS")
     basis = enumerate_indices(model.m, degree)
     image = _jet_matrix(binv, basis) @ [coeffs.get(J, 0.0) for J in basis]
@@ -342,23 +321,24 @@ def build_ce_matrix(E, model: BetheStripModel,
     binv = -4.0 * diag
 
     unit = _jet_matrix(np.ones(model.m), basis)
-    degree = np.array([J.degree for J in basis])
+    exps = np.array(basis)
+    degree = exps.sum(axis=1)
     rising = (unit != 0) & (degree[:, None] > degree[None, :])
     if rising.any():
         r, c = np.argwhere(rising)[0]
         raise EigenvalueLawError(
-            f"degree filtration violated: {basis[c]} -> {basis[r]}")
+            f"degree filtration violated: J={basis[c]} -> J={basis[r]}")
 
     # deg[i, u] = row u of J_i + J_i^T: slot (j, k) meets vertices j and k
     eye = np.eye(model.m, dtype=int)
     incidence = [eye[j] + eye[k] for j, k in upper_slots(model.m)]
-    deg = np.array([J.powers for J in basis]) @ incidence
+    deg = exps @ incidence
     twice = deg[:, None, :] + deg[None, :, :]  # deg_u J_r + deg_u J_c
     odd = (unit != 0) & (twice % 2 == 1).any(axis=-1)
     if odd.any():
         r, c = np.argwhere(odd)[0]
         raise EigenvalueLawError(
-            f"odd vertex degree sum in the image of {basis[c]} at {basis[r]}")
+            f"odd vertex degree sum in the image of J={basis[c]} at J={basis[r]}")
     half = twice // 2
     # binv^k by repeated products, never sqrt: exact where binv is a
     # Gaussian integer, so exact zeros of the law stay exact
@@ -377,7 +357,7 @@ def build_ce_matrix(E, model: BetheStripModel,
     if bad.any():
         e, col = np.argwhere(bad)[0]
         raise EigenvalueLawError(
-            f"diagonal entry for {basis[col]} is {complex(entries[e, col, col])!r}, "
+            f"diagonal entry for J={basis[col]} is {complex(entries[e, col, col])!r}, "
             f"eigenvalue law gives {complex(want[e, col])!r} at E={grid[e]:g}"
         )
     if energies.ndim == 0:

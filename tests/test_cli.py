@@ -369,7 +369,7 @@ class TestCeSpectrum:
             worst = 0.0
             for r, Jr in enumerate(basis):
                 for c, Jc in enumerate(basis):
-                    if r != c and Jr.degree >= Jc.degree:
+                    if r != c and sum(Jr) >= sum(Jc):
                         worst = max(worst, abs(entries[r, c]))
             return worst
 

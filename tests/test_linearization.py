@@ -17,17 +17,15 @@ from bethestrip.errors import (
 )
 from bethestrip.free import a_e_matrix
 from bethestrip.linearization import (
-    MonomialIndex,
     build_ce_matrix,
     ce_apply_symbol,
     eigenvalue_gaps,
     enumerate_indices,
     gap_kce,
     lambda_j,
-    slot_count,
     upper_slots,
 )
-from bethestrip.model import BetheStripModel, DiagonalIID
+from bethestrip.model import BetheStripModel, DiagonalIID, band_intersection
 
 
 def make_model(K=2, a=(0.0,)):
@@ -35,7 +33,7 @@ def make_model(K=2, a=(0.0,)):
 
 
 def zero_index(m):
-    return MonomialIndex(m, (0,) * slot_count(m))
+    return (0,) * len(upper_slots(m))
 
 
 PROFILES = {1: (0.1,), 2: (-0.4, 0.3), 3: (-0.5, 0.0, 0.4)}
@@ -54,7 +52,7 @@ def loop_lambda(E, model, J):
     """lambda_J as one product per index, by a loop over the slots."""
     d = np.diagonal(a_e_matrix(E, model))
     out = complex(1.0)
-    for power, (j, k) in zip(J.powers, upper_slots(model.m)):
+    for power, (j, k) in zip(J, upper_slots(model.m)):
         if power:
             out *= (4.0 * d[j] * d[k]) ** power
     return out
@@ -69,32 +67,52 @@ def pair_loop_gap(E, model, max_degree):
         abs(model.K * lam * np.conj(lam2) - 1.0)
         for J, lam in zip(indices, lams)
         for J2, lam2 in zip(indices, lams)
-        if J.degree + J2.degree <= top
+        if sum(J) + sum(J2) <= top
     )
     return min(float(enumerated), 1.0 - 1.0 / model.K)
 
 
-class TestMonomialIndex:
+class TestIndexValidation:
+    """An index is its exponent tuple; each entry point checks a caller's own."""
+
+    # one caller-built index J through each entry point, at m = 2
+    ENTRIES = {
+        "lambda_j": lambda mod, J: lambda_j(0.1, mod, J),
+        "eigenvalue_gaps": lambda mod, J: eigenvalue_gaps(
+            0.1, mod, enumerate_indices(2, 1) + [J]),
+        "ce_apply_symbol": lambda mod, J: ce_apply_symbol(
+            0.1, mod, {zero_index(2): 1.0, J: 1.0}),
+    }
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MonomialIndex(m=0, powers=())
-        with pytest.raises(ValueError):
-            MonomialIndex(m=2, powers=(1, 0))
-        with pytest.raises(ValueError):
-            MonomialIndex(m=1, powers=(-1,))
+        mod = make_model(a=(-0.3, 0.3))
+        for entry in self.ENTRIES.values():
+            for J in [(1, 0), (1, 0, 0, 0), (), 1, ((1,), (0,), (0,))]:
+                with pytest.raises(ValueError, match="m=2 is 3 non-negative integer"):
+                    entry(mod, J)
+            with pytest.raises(ValueError, match=r"integer exponents, got \(1, -1, 0\)"):
+                entry(mod, (1, -1, 0))
 
     def test_non_integral_exponent_rejected(self):
         # truncating 1.5 to 1 would name a different monomial
-        for powers in [(1.5,), (0.5,), (-0.5,), (math.inf,), (-math.inf,),
-                       (math.nan,)]:
-            with pytest.raises(ValueError, match="integers"):
-                MonomialIndex(m=1, powers=powers)
-        J = MonomialIndex(m=2, powers=(1.0, np.int64(0), 2))
-        assert J.powers == (1, 0, 2) and all(type(x) is int for x in J.powers)
+        mod = make_model(a=(-0.3, 0.3))
+        for entry in self.ENTRIES.values():
+            for x in [1.5, 0.5, -0.5, math.inf, -math.inf, math.nan]:
+                with pytest.raises(ValueError, match=r"integer exponents, got \(0, .*, 1\)"):
+                    entry(mod, (0, x, 1))
+            assert entry(mod, (1.0, np.int64(0), 2)) == entry(mod, (1, 0, 2))
 
-    def test_accessors(self):
-        J = MonomialIndex(m=2, powers=(2, 1, 0))
-        assert J.degree == 3
+    def test_integral_floats_name_the_int_index(self):
+        mod = make_model(a=(-0.3, 0.3))
+        out = ce_apply_symbol(0.1, mod, {(1.0, np.int64(0), 0): 1.0})
+        assert out == ce_apply_symbol(0.1, mod, {(1, 0, 0): 1.0})
+        assert all(type(x) is int for J in out for x in J)
+
+    def test_degree_is_exponent_sum(self):
+        mod = make_model(a=(-0.3, 0.3))
+        for J in [(2, 1, 0), (0, 0, 3), (1, 1, 1)]:
+            assert abs(lambda_j(0.1, mod, J)) == pytest.approx(2.0 ** -sum(J))
+        assert [sum(J) for J in enumerate_indices(2, 2)] == [0] + [1] * 3 + [2] * 6
 
 
 class TestEnumerate:
@@ -111,14 +129,13 @@ class TestEnumerate:
     @pytest.mark.parametrize("m, d", [(1, 4), (2, 4), (3, 4), (4, 3)])
     def test_sorted_and_unique(self, m, d):
         out = enumerate_indices(m, d)
-        assert out == sorted(out, key=lambda J: (J.degree, [-x for x in J.powers]))
+        assert out == sorted(out, key=lambda J: (sum(J), [-x for x in J]))
         assert len(set(out)) == len(out)
         assert out[0] == zero_index(m)
 
     def test_m2_degree_one_order(self):
         out = enumerate_indices(2, 1)
-        assert [J.powers for J in out] == [(0, 0, 0), (1, 0, 0),
-                                           (0, 1, 0), (0, 0, 1)]
+        assert out == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -153,15 +170,13 @@ class TestLambdaJ:
 
     def test_scalar_frozen_values(self):
         mod = make_model()
-        assert lambda_j(0.0, mod, MonomialIndex(m=1, powers=(1,))) == \
-            pytest.approx(-0.5, abs=1e-14)
-        assert lambda_j(0.0, mod, MonomialIndex(m=1, powers=(2,))) == \
-            pytest.approx(0.25, abs=1e-14)
+        assert lambda_j(0.0, mod, (1,)) == pytest.approx(-0.5, abs=1e-14)
+        assert lambda_j(0.0, mod, (2,)) == pytest.approx(0.25, abs=1e-14)
 
     def test_product_structure(self):
         mod = make_model(a=(-0.5, 0.5))
         d = np.diagonal(a_e_matrix(0.3, mod))
-        J = MonomialIndex(m=2, powers=(2, 1, 0))
+        J = (2, 1, 0)
         want = (4 * d[0] * d[0]) ** 2 * (4 * d[0] * d[1])
         assert lambda_j(0.3, mod, J) == pytest.approx(want, abs=1e-14)
 
@@ -202,7 +217,7 @@ class TestVerifyModulus:
         mod = make_model(a=(-0.5, 0.5))
         for J in enumerate_indices(2, 2):
             lam = lambda_j(0.0, mod, J)
-            assert abs(lam) == pytest.approx(2.0 ** (-J.degree), abs=1e-12)
+            assert abs(lam) == pytest.approx(2.0 ** (-sum(J)), abs=1e-12)
         assert eigenvalue_gaps(0.0, mod, enumerate_indices(2, 2))[1] > 0
 
     def test_violation_raises_with_index(self, monkeypatch):
@@ -210,12 +225,24 @@ class TestVerifyModulus:
         real = lin.eigenvalue_law
 
         def skewed(ae_diag, basis):
-            degree_one = np.array([J.degree == 1 for J in basis])
+            degree_one = np.array([sum(J) == 1 for J in basis])
             return np.where(degree_one, 0.9 + 0.0j, real(ae_diag, basis))
 
         monkeypatch.setattr(lin, "eigenvalue_law", skewed)
-        with pytest.raises(EigenvalueLawError, match=r"J\[1\]"):
+        with pytest.raises(EigenvalueLawError, match=r"\|lambda_J\| != K\^-1 at J=\(1,\)"):
             eigenvalue_gaps(0.0, make_model(), enumerate_indices(1, 1))
+
+    def test_forbidden_value_raises_with_index(self, monkeypatch):
+        # a lambda_J of the right modulus K^-1 that equals 1/K itself
+        real = lin.eigenvalue_law
+
+        def at_one_over_k(ae_diag, basis):
+            degree_one = np.array([sum(J) == 1 for J in basis])
+            return np.where(degree_one, 0.5 + 0.0j, real(ae_diag, basis))
+
+        monkeypatch.setattr(lin, "eigenvalue_law", at_one_over_k)
+        with pytest.raises(EigenvalueLawError, match=r"lambda_J = 1/K at J=\(1,\)"):
+            eigenvalue_gaps(0.0, make_model(), enumerate_indices(1, 2))
 
 
 class TestGaps:
@@ -329,15 +356,14 @@ class TestApplySymbol:
 
     def test_scalar_degree_one(self):
         mod = make_model()
-        X = MonomialIndex(m=1, powers=(1,))
+        X = (1,)
         out = ce_apply_symbol(0.0, mod, {X: 1.0})
         assert set(out) == {X}
         assert out[X] == pytest.approx(-0.5, abs=1e-14)
 
     def test_scalar_degree_two_frozen(self):
         mod = make_model()
-        X1 = MonomialIndex(m=1, powers=(1,))
-        X2 = MonomialIndex(m=1, powers=(2,))
+        X1, X2 = (1,), (2,)
         out = ce_apply_symbol(0.0, mod, {X2: 1.0})
         assert out[X2] == pytest.approx(0.25, abs=1e-12)
         assert out[X1] == pytest.approx(-np.sqrt(2.0), abs=1e-12)
@@ -345,8 +371,7 @@ class TestApplySymbol:
 
     def test_linearity(self):
         mod = make_model()
-        X1 = MonomialIndex(m=1, powers=(1,))
-        X2 = MonomialIndex(m=1, powers=(2,))
+        X1, X2 = (1,), (2,)
         out = ce_apply_symbol(0.0, mod, {X1: 2.0, X2: 3.0j})
         img1 = ce_apply_symbol(0.0, mod, {X1: 1.0})
         img2 = ce_apply_symbol(0.0, mod, {X2: 1.0})
@@ -357,8 +382,7 @@ class TestApplySymbol:
     def test_key_of_wrong_width_rejected(self):
         # a key outside the model's basis would otherwise be dropped silently
         mod = make_model()
-        for key in [zero_index(2), MonomialIndex(m=2, powers=(1, 0, 0)),
-                    (1,)]:
+        for key in [zero_index(2), (1, 0, 0), (), 1]:
             with pytest.raises(ValueError, match="m=1"):
                 ce_apply_symbol(0.0, mod, {zero_index(1): 1.0, key: 1.0})
 
@@ -369,7 +393,7 @@ class TestApplySymbol:
 
         monkeypatch.setattr(lin, "_jet_matrix", no_expansion)
         mod = make_model(a=(-0.3, -0.1, 0.1, 0.3))
-        J = MonomialIndex(m=4, powers=(4,) + (0,) * 9)
+        J = (4,) + (0,) * 9
         assert math.comb(10 + 4, 4) == 1001 > lin.MAX_BASIS
         with pytest.raises(TruncationOverflowError, match="exceeds MAX_BASIS"):
             ce_apply_symbol(0.0, mod, {J: 1.0})
@@ -379,8 +403,8 @@ class TestApplySymbol:
         K, a, E = 3, sp.Rational(1, 10), sp.Rational(1, 3)
         mod = make_model(K=K, a=(float(a),))
         want = scalar_series_oracle(K, a, E, n)
-        out = ce_apply_symbol(float(E), mod, {MonomialIndex(m=1, powers=(n,)): 1.0})
-        got = {J.degree: c for J, c in out.items() if abs(c) > 1e-15}
+        out = ce_apply_symbol(float(E), mod, {(n,): 1.0})
+        got = {sum(J): c for J, c in out.items() if abs(c) > 1e-15}
         assert set(got) == set(want)
         for k, c in want.items():
             assert got[k] == pytest.approx(c, abs=1e-10)
@@ -393,9 +417,8 @@ class TestApplySymbol:
         E = sp.Rational(1, 5)
         mod = make_model(K=K, a=tuple(float(x) for x in a))
         want = m2_jet_oracle(K, a, E, J_powers)
-        out = ce_apply_symbol(float(E), mod,
-                              {MonomialIndex(m=2, powers=J_powers): 1.0})
-        got = {J.powers: c for J, c in out.items() if abs(c) > 1e-12}
+        out = ce_apply_symbol(float(E), mod, {J_powers: 1.0})
+        got = {J: c for J, c in out.items() if abs(c) > 1e-12}
         assert set(got) == set(want)
         for key, c in want.items():
             assert got[key] == pytest.approx(c, abs=1e-10)
@@ -410,7 +433,7 @@ class TestBuildMatrix:
             [0.0, 0.0, 0.25],
         ])
         np.testing.assert_allclose(M.entries, want, atol=1e-8)
-        assert [J.degree for J in M.basis] == [0, 1, 2]
+        assert M.basis == ((0,), (1,), (2,))
 
     def test_scalar_degree_one(self):
         M = build_ce_matrix(0.0, make_model(), 1)
@@ -428,9 +451,9 @@ class TestBuildMatrix:
         M = build_ce_matrix(0.25, mod, 2)
         for r, Jr in enumerate(M.basis):
             for c, Jc in enumerate(M.basis):
-                if Jr.degree > Jc.degree:
+                if sum(Jr) > sum(Jc):
                     assert M.entries[r, c] == 0.0
-                elif Jr.degree == Jc.degree and r != c:
+                elif sum(Jr) == sum(Jc) and r != c:
                     assert abs(M.entries[r, c]) < 1e-10
 
     def test_eigenvalues_match_lambda_multiset(self):
@@ -552,9 +575,9 @@ class TestWalkProductScaling:
                                       build_ce_matrix(0.2, mod, 2).entries)
 
     @pytest.mark.parametrize("planted, pattern", [
-        ((0, 2, 0), r"degree filtration violated: J\[0,1,0\] -> J\[0,2,0\]"),
-        ((1, 0, 0), r"odd vertex degree sum in the image of J\[0,1,0\]"),
-        ((0, 1, 0), r"diagonal entry for J\[0,1,0\] .* at E=-0\.1"),
+        ((0, 2, 0), r"degree filtration violated: J=\(0, 1, 0\) -> J=\(0, 2, 0\)"),
+        ((1, 0, 0), r"odd vertex degree sum in the image of J=\(0, 1, 0\)"),
+        ((0, 1, 0), r"diagonal entry for J=\(0, 1, 0\) .* at E=-0\.1"),
     ], ids=["filtration", "odd_degree", "diagonal"])
     def test_law_violations_name_the_index(self, monkeypatch, planted,
                                            pattern):
@@ -564,8 +587,8 @@ class TestWalkProductScaling:
 
         def corrupted(binv, basis):
             matrix = real(binv, basis)
-            col = basis.index(MonomialIndex(m=2, powers=(0, 1, 0)))
-            matrix[basis.index(MonomialIndex(m=2, powers=planted)), col] += 0.1
+            col = basis.index((0, 1, 0))
+            matrix[basis.index(planted), col] += 0.1
             return matrix
 
         monkeypatch.setattr(lin, "_jet_matrix", corrupted)
@@ -593,3 +616,34 @@ class TestNonFiniteEnergy:
     def test_refused(self, entry, E):
         with pytest.raises(OutOfBandError):
             self.CALLS[entry](E, make_model())
+
+
+class TestWindowMatchesAE:
+    """An energy a_e_matrix refuses, just outside its closed window, is refused
+    by every entry point that evaluates A_E, though |E - a_k| < sqrt K computes."""
+
+    def test_one_ulp_above_the_window(self):
+        mod = make_model(K=6, a=(-0.7514334470008721,))
+        E = 1.698056295782306
+        assert E == np.nextafter(band_intersection(mod).hi, np.inf)
+        assert (E - mod.a[0]) ** 2 < mod.K
+        for call in (a_e_matrix, lambda E, mod: lambda_j(E, mod, (1,)),
+                     lambda E, mod: gap_kce(E, mod, 2),
+                     lambda E, mod: build_ce_matrix([0.0, E], mod, 1),
+                     lambda E, mod: ce_apply_symbol(E, mod, {(1,): 1.0})):
+            with pytest.raises(OutOfBandError):
+                call(E, mod)
+
+    def test_seeded_sweep_just_outside(self):
+        rng = np.random.default_rng(27)
+        for _ in range(1000):
+            m = int(rng.integers(1, 4))
+            mod = make_model(K=int(rng.choice([2, 3, 5, 6, 7, 8, 10, 11])),
+                             a=tuple(np.sort(rng.uniform(-1.0, 1.0, m))))
+            window = band_intersection(mod)
+            for E in (np.nextafter(window.lo, -np.inf),
+                      np.nextafter(window.hi, np.inf)):
+                with pytest.raises(OutOfBandError):
+                    lambda_j(float(E), mod, zero_index(m))
+                with pytest.raises(OutOfBandError):
+                    gap_kce(float(E), mod, 1)
