@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__, recursion
 from .ed import build_tree, draw_site_potentials, root_green_block
 from .errors import BetheStripError, ConfigError, OutOfBandError
-from .free import a_e_matrix, free_forward_green, free_full_green
+from .free import a_e_matrix, forward_roots, full_diagonal
 from .linalg import SpectralPoint
 from .linearization import build_ce_matrix, eigenvalue_gaps, enumerate_indices
 from .model import BetheStripModel, parse_ensemble_spec
@@ -367,18 +367,19 @@ def _cmd_free_profile(cfg: RunConfig, pmap) -> CommandResult:
     rows = []
     outside = 0
     no_ae = np.full(m, complex(math.nan, math.nan))
-    for E in cfg.e_values:
-        for eta in cfg.etas:
-            sp = SpectralPoint(E, eta)
-            g0 = np.diagonal(free_forward_green(sp, model))
-            gf = np.diagonal(free_full_green(sp, model))
+    z = np.array([[complex(E, eta) for eta in cfg.etas] for E in cfg.e_values])
+    g0 = forward_roots(z, model.a, model.K)
+    gf = full_diagonal(z, model.a, model.K, g0)
+    for i, E in enumerate(cfg.e_values):
+        for j, eta in enumerate(cfg.etas):
             ae = no_ae
             if eta == 0.0:  # A_E is a real-axis quantity
                 try:
                     ae = np.diagonal(a_e_matrix(E, model))
                 except OutOfBandError:
                     outside += 1
-            rows.append([float(E), float(eta), *_reim(g0), *_reim(gf), *_reim(ae)])
+            rows.append([float(E), float(eta), *_reim(g0[i, j]), *_reim(gf[i, j]),
+                         *_reim(ae)])
     warnings = []
     if outside:
         warnings.append(

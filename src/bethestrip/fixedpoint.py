@@ -6,7 +6,7 @@ symmetric.  In B's eigenbasis, B = Q diag(b) Q^T, the equation splits into the
 free scalar quadratic at each eigenvalue, and its dissipative solution
 (Im G >= 0) is unique for eta > 0 (Helton, Rashidi Far & Speicher, IMRN 2007):
 G = Q diag(g(b)) Q^T with g the free forward root, and its eta -> 0+ limit on
-the real axis.
+the real axis.  A continuation is one batched evaluation over all its levels.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UnsupportedEnsembleError
 from .free import forward_roots
-from .linalg import HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue, resolvent
+from .linalg import HERGLOTZ_SLACK, SpectralPoint, _imag_floor, resolvent
 from .model import BetheStripModel, PointMass
 
 #: Continuation levels: eta = 1, 1/2, ..., 2^-26 (the last above 1e-8), then 0.
@@ -27,11 +27,23 @@ ETA_SCHEDULE = tuple(0.5 ** k for k in range(27)) + (0.0,)
 @lru_cache(maxsize=16)
 def _onsite(model: BetheStripModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B = A + lam*V0 and its eigendecomposition (b, Q), read-only, once per model."""
+    if model.lam != 0.0 and not isinstance(model.ensemble, PointMass):
+        raise UnsupportedEnsembleError(
+            "deterministic fixed-point solver requires a point-mass "
+            "potential or lam = 0; got "
+            f"{model.ensemble.spec_string()} with lam={model.lam}"
+        )
     B = model.a_matrix + (model.lam * model.ensemble.matrix if model.lam else 0.0)
     b, Q = np.linalg.eigh(B)
     for x in (B, b, Q):
         x.flags.writeable = False
     return B, b, Q
+
+
+def _forward_map(model: BetheStripModel, z, G: np.ndarray) -> np.ndarray:
+    """G -> [A + lam*V0 - z - (K/4) G]^{-1}, z one value or one per member of G."""
+    shifted = _onsite(model)[0] - np.multiply.outer(z, np.eye(model.m))
+    return resolvent(shifted, model.K * G)
 
 
 @dataclass(frozen=True)
@@ -48,22 +60,16 @@ class FixedPointProblem:
     point: SpectralPoint
 
     def __post_init__(self):
-        if self.model.lam != 0.0 and not isinstance(self.model.ensemble, PointMass):
-            raise UnsupportedEnsembleError(
-                "deterministic fixed-point solver requires a point-mass "
-                "potential or lam = 0; got "
-                f"{self.model.ensemble.spec_string()} with lam={self.model.lam}"
-            )
+        _onsite(self.model)
 
     def forward_map(self, G: np.ndarray) -> np.ndarray:
         """G -> [A + lam*V0 - z - (K/4) G]^{-1}: one resolvent call, any m or stack."""
-        shifted = _onsite(self.model)[0] - self.point.z * np.eye(self.model.m)
-        return resolvent(shifted, self.model.K * G)
+        return _forward_map(self.model, self.point.z, G)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of one deterministic solve.
+    """The deterministic solution at one z, one level of a batched evaluation.
 
     ``residual`` is max|G - map(G)| at the solution and ``min_imag_eig`` is
     min eig(Im G) there.  ``iterations`` is always 0, since the solution is a
@@ -82,6 +88,16 @@ class SolveReport:
         return self.min_imag_eig > HERGLOTZ_SLACK
 
 
+def _solve(model: BetheStripModel, z: np.ndarray) -> list[SolveReport]:
+    """One report per entry of the 1-d array z: G = Q diag(g(b)) Q^T as one
+    stack, its residuals from one map call, its margins from one eigvalsh."""
+    _, b, Q = _onsite(model)
+    G = (Q * forward_roots(z, b, model.K)[:, None, :]) @ Q.T
+    residual = np.abs(G - _forward_map(model, z, G)).max(axis=(1, 2))
+    return [SolveReport(g, r, w, low) for g, r, w, low in
+            zip(G, residual.tolist(), z.tolist(), _imag_floor(G).tolist())]
+
+
 def solve_forward(model: BetheStripModel, point: SpectralPoint) -> SolveReport:
     """The dissipative fixed point G = Q diag(g(b)) Q^T at ``point``, eta = 0 included.
 
@@ -89,21 +105,14 @@ def solve_forward(model: BetheStripModel, point: SpectralPoint) -> SolveReport:
     eta = 0 G is the real-axis limit: real outside the spectrum and at its
     edges.  The report's residual is one map evaluation at G.
     """
-    problem = FixedPointProblem(model, point)
-    _, b, Q = _onsite(model)
-    G = (Q * forward_roots(point.z, b, model.K)) @ Q.T
-    return SolveReport(
-        solution=G,
-        residual=float(np.abs(G - problem.forward_map(G)).max()),
-        z=point.z,
-        min_imag_eig=min_imag_eigenvalue(G),
-    )
+    return _solve(model, np.array([point.z]))[0]
 
 
 def continuation_to_boundary(model: BetheStripModel, E: float) -> list[SolveReport]:
-    """solve_forward at E + i eta for each eta of ETA_SCHEDULE, down to eta = 0.
+    """The solution at E + i eta for every eta of ETA_SCHEDULE, in one evaluation.
 
     The final boundary report may legitimately carry ``herglotz=False``:
     outside the spectrum the boundary solution is real.
     """
-    return [solve_forward(model, SpectralPoint(E, eta)) for eta in ETA_SCHEDULE]
+    SpectralPoint(E)  # E must be finite; complex(E, eta) keeps the sign of -0.0
+    return _solve(model, np.array([complex(E, eta) for eta in ETA_SCHEDULE]))

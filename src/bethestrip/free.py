@@ -46,14 +46,19 @@ def free_forward_green(sp: SpectralPoint, model):
     return np.diag(forward_roots(sp.z, model.a, model.K))
 
 
-def free_full_green(sp: SpectralPoint, model):
-    """Full-lattice Green's matrix of the free strip, diagonal (m, m).
+def full_diagonal(z, a, K, g):
+    """Full-lattice diagonal at z (any shape) from the forward roots g there.
 
     A root vertex has K + 1 neighbors, so the forward matrices of all
     branches dress the diagonal: G(z) = [A - z - (K+1)/4 G0(z)]^{-1}.
     """
-    g_fwd = forward_roots(sp.z, model.a, model.K)
-    return np.diag(1.0 / (np.subtract(model.a, sp.z) - ((model.K + 1) / 4.0) * g_fwd))
+    return 1.0 / (np.subtract(a, np.expand_dims(z, -1)) - ((K + 1) / 4.0) * g)
+
+
+def free_full_green(sp: SpectralPoint, model):
+    """Full-lattice Green's matrix of the free strip, diagonal (m, m)."""
+    return np.diag(full_diagonal(sp.z, model.a, model.K,
+                                 forward_roots(sp.z, model.a, model.K)))
 
 
 def a_e_matrix(E, model):

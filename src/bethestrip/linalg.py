@@ -136,11 +136,15 @@ def sqrt_upper(w):
     return np.where(r.imag < 0.0, -r, r)[()]
 
 
+def _imag_floor(M):
+    """Smallest eigenvalue of Im M for each matrix of a (..., m, m) stack."""
+    im = np.asarray(M, dtype=complex).imag
+    return np.linalg.eigvalsh(0.5 * (im + im.swapaxes(-1, -2)))[..., 0]
+
+
 def min_imag_eigenvalue(M) -> float:
     """Smallest eigenvalue of Im M over a (..., m, m) stack; >= 0 is Herglotz."""
-    im = np.asarray(M, dtype=complex).imag
-    w = np.linalg.eigvalsh(0.5 * (im + im.swapaxes(-1, -2)))
-    return float(w[..., 0].min())
+    return float(_imag_floor(M).min())
 
 
 def require_psd(M):

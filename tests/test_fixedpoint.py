@@ -12,7 +12,7 @@ from bethestrip.fixedpoint import (
     continuation_to_boundary,
     solve_forward,
 )
-from bethestrip.free import a_e_matrix, free_forward_green
+from bethestrip.free import a_e_matrix, forward_roots, free_forward_green
 from bethestrip.linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
                                resolvent)
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
@@ -113,6 +113,27 @@ class TestProblem:
                     for g in x.reshape(-1, m, m)]
             assert [g.tobytes() for g in got.reshape(-1, m, m)] == want
 
+    @pytest.mark.parametrize("solve", [
+        lambda mod: solve_forward(mod, SpectralPoint(0.0, 1.0)),
+        lambda mod: continuation_to_boundary(mod, 0.0)], ids=["solve", "continuation"])
+    def test_solvers_refuse_random_potential(self, solve):
+        with pytest.raises(UnsupportedEnsembleError):
+            solve(make_model(lam=0.3, ensemble=GOE()))
+
+    @pytest.mark.parametrize("ensemble", [GOE(), DiagonalIID("gauss"),
+                                          PointMass(((1.0,),))],
+                             ids=["goe", "diag", "point-mass"])
+    def test_solvers_accept_any_ensemble_at_zero_coupling(self, ensemble):
+        # at lam = 0 the potential drops out: every ensemble gives the free root
+        mod = make_model(lam=0.0, ensemble=ensemble)
+        sp = SpectralPoint(0.3, 0.5)
+        np.testing.assert_allclose(solve_forward(mod, sp).solution,
+                                   free_forward_green(sp, mod), atol=1e-14)
+        last = continuation_to_boundary(mod, 0.3)[-1]
+        np.testing.assert_allclose(last.solution,
+                                   free_forward_green(SpectralPoint(0.3), mod),
+                                   atol=1e-14)
+
     def test_onsite_includes_shifted_point_mass(self):
         V0 = ((0.2, 0.1), (0.1, -0.3))
         mod = make_model(a=(-0.5, 0.5), lam=2.0, ensemble=PointMass(V0))
@@ -124,15 +145,16 @@ class TestProblem:
 
     def test_default_guess_is_free_solution(self, monkeypatch):
         # on a free model solve_forward's one map evaluation is at the free
-        # closed form at the point, eta = 0 included
+        # closed form at the point, eta = 0 included; FixedPointProblem's
+        # forward_map and the solver share the module's map
         first = []
-        real = FixedPointProblem.forward_map
+        real = fp._forward_map
 
-        def recording(self, G):
-            first.append(G.copy())
-            return real(self, G)
+        def recording(model, z, G):
+            first.append(G[0].copy())
+            return real(model, z, G)
 
-        monkeypatch.setattr(FixedPointProblem, "forward_map", recording)
+        monkeypatch.setattr(fp, "_forward_map", recording)
         mod = make_model(a=(-0.5, 0.5))
         sp = SpectralPoint(0.3, 0.7)
         solve_forward(mod, sp)
@@ -287,6 +309,36 @@ class TestContinuation:
         for sign in (1.0, -1.0):
             assert not continuation_to_boundary(mod, sign * edge)[-1].herglotz
             assert continuation_to_boundary(mod, sign * inside)[-1].herglotz
+
+    @settings(max_examples=100)
+    @given(K=st.integers(2, 4), m=st.integers(1, 4),
+           lam=st.sampled_from([0.0, 0.7]) | st.floats(0.0, 2.0),
+           E=st.floats(-6.0, 6.0) | st.sampled_from([0.0, -0.0]),
+           edge=st.none() | st.tuples(st.sampled_from([1.0, -1.0]), st.integers(0, 3)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_batched_levels_equal_per_level_solves(self, K, m, lam, E, edge, seed):
+        # byte for byte the per-level loop the batched evaluation replaced:
+        # one root, one map call and one margin per eta, at z = complex(E, eta)
+        rng = np.random.default_rng(seed)
+        a = tuple(np.sort(rng.uniform(-1.0, 1.0, m)))
+        mod = make_model(K=K, a=a, lam=lam,
+                         ensemble=PointMass(random_symmetric(m, rng)))
+        if edge is not None:  # a band edge +-sqrt K + a_k of the free strip
+            E = edge[0] * np.sqrt(K) + a[edge[1] % m]
+        _, b, Q = fp._onsite(mod)
+        reports = continuation_to_boundary(mod, E)
+        assert len(reports) == len(fp.ETA_SCHEDULE)
+        for eta, rep in zip(fp.ETA_SCHEDULE, reports):
+            z = complex(E, eta)
+            G = (Q * forward_roots(z, b, K)) @ Q.T
+            mapped = FixedPointProblem(mod, SpectralPoint(E, eta)).forward_map(G)
+            low = min_imag_eigenvalue(G)
+            assert rep.solution.tobytes() == G.tobytes()
+            assert (np.float64(rep.residual).tobytes()
+                    == np.float64(np.abs(G - mapped).max()).tobytes())
+            assert np.float64(rep.min_imag_eig).tobytes() == np.float64(low).tobytes()
+            assert np.complex128(rep.z).tobytes() == np.complex128(z).tobytes()
+            assert rep.herglotz == (low > HERGLOTZ_SLACK)
 
     def test_eta_schedule_pinned(self):
         # the benchmark's continuation check zips its reports with this list

@@ -9,6 +9,7 @@ from bethestrip.errors import SingularMatrixError
 from bethestrip.linalg import (
     HERGLOTZ_SLACK,
     SpectralPoint,
+    _imag_floor,
     min_imag_eigenvalue,
     resolvent,
     sqrt_upper,
@@ -210,6 +211,17 @@ class TestMinImagEigenvalue:
     def test_stack_gives_minimum_over_members(self, rng):
         stack = np.array([random_herglotz(3, rng, eta=0.1) for _ in range(20)])
         singles = [min_imag_eigenvalue(g) for g in stack]
+        assert min_imag_eigenvalue(stack) == min(singles)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_floor_is_one_eigvalsh_per_matrix(self, m, rng):
+        # the per-matrix floor behind the indicator, byte for byte the
+        # smallest eigenvalue of each member's Im part on its own
+        stack = np.array([random_herglotz(m, rng, eta=0.1) for _ in range(12)])
+        singles = [np.linalg.eigvalsh(0.5 * (g.imag + g.imag.T))[0] for g in stack]
+        floor = _imag_floor(stack)
+        assert floor.shape == (12,)
+        assert floor.tobytes() == np.array(singles).tobytes()
         assert min_imag_eigenvalue(stack) == min(singles)
 
     def test_real_matrix_is_boundary_case(self, rng):
