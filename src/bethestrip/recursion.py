@@ -46,19 +46,19 @@ def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
 
 
 def sample_tree_given(sp: SpectralPoint, model, tree, potentials):
-    """Leaf-to-root elimination with explicit per-site potentials, one depth a call."""
+    """Leaf-to-root elimination, one depth a call, of (n, m, m) potentials or R of them."""
     # Layout from ed.build_tree: sites are ordered by depth, and the children
     # of each site are contiguous, in site order, in the next depth, the same
     # number per site (K + 1 at the root, K below).  So the neighbor sums of
     # one depth are the Green's matrices of the next, grouped and summed.
     shifted = (model.a_matrix + model.lam * potentials) - sp.z * np.eye(model.m)
     edges = np.searchsorted(tree.depth_of, np.arange(tree.depth + 2))
-    G = np.zeros((0, model.m, model.m))
+    G = np.zeros(shifted.shape[:-3] + (0, model.m, model.m))
     for d in range(tree.depth, -1, -1):
         lo, hi = edges[d], edges[d + 1]
-        neighbor_sum = G.reshape(hi - lo, -1, model.m, model.m).sum(axis=1)
-        G = resolvent(shifted[lo:hi], neighbor_sum)
-    return G[0]
+        neighbor_sum = G.reshape(*G.shape[:-3], hi - lo, -1, *G.shape[-2:]).sum(axis=-3)
+        G = resolvent(shifted[..., lo:hi, :, :], neighbor_sum)
+    return G[..., 0, :, :]
 
 
 @dataclass(frozen=True)

@@ -456,6 +456,18 @@ class TestCrosscheck:
         main(self.ARGS + ["--workers", "4", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_workers_do_not_change_m3_report(self, tmp_path):
+        # the bench model at depth 4: one task per energy, two energies
+        args = ["crosscheck", "--K", "2", "--A", "diag:-0.5,0.0,0.4",
+                "--lambda", "0.5", "--ensemble", "goe", "--depth", "4",
+                "--eta-schedule", "0.05", "--E-grid=-0.8:0.7:2",
+                "--samples", "20", "--seed", "5"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(args + ["--workers", "1", "--out", str(a)]) == 0
+        assert main(args + ["--workers", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_text())["cases"] == 40
+
     def test_depth_zero_degenerate_pass(self, tmp_path):
         out = tmp_path / "xc.json"
         rc = main(["crosscheck", "--K", "2", "--m", "1", "--lambda", "1.0",

@@ -251,6 +251,27 @@ class TestGreenSolves:
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-12 * np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("depth", [0, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("lam, kind", [(0.6, "goe"), (0.0, "goe"),
+                                           (0.6, "diag:uniform"),
+                                           (3.0, "diag:bernoulli"),
+                                           (0.6, "point")])
+    def test_stacked_realizations_match_dense_inverse(self, m, depth, lam, kind):
+        # one CSC pattern for all realizations; at lam = 0 and for the diagonal
+        # ensembles the zero off-diagonal block entries are dropped per operator
+        mod = make_model(K=2, a=A_OF_M[m], lam=lam, ensemble=ENSEMBLES[kind](m))
+        t = build_tree(2, depth, m)
+        V = np.stack([draw_site_potentials(mod, t, seed=6, realization=r)
+                      for r in range(4)])
+        sp = SpectralPoint(0.3, 0.05)
+        got = root_green_block(sp, mod, t, V)
+        assert got.shape == (4, m, m)
+        for blk, Vr in zip(got, V):
+            want = dense_root_block(sp, t, mod, Vr)
+            np.testing.assert_allclose(blk, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+
 
 class TestDosHistogram:
     def test_star_graph_oracle(self):

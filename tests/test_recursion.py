@@ -23,6 +23,7 @@ from bethestrip.recursion import (
 )
 from bethestrip.rng import child_seed, keyed_rng
 from conftest import random_herglotz, random_psd
+from test_ed import A_OF_M, ENSEMBLES
 
 
 def make_model(K=2, a=(0.0,), lam=0.0, ensemble=None):
@@ -77,6 +78,21 @@ class TestSampleTree:
         tree = ed.build_tree(2, 3, 2)
         V = ed.draw_site_potentials(mod, tree, seed=5, realization=1)
         np.testing.assert_array_equal(g1, sample_tree_given(sp, mod, tree, V))
+
+    @pytest.mark.parametrize("kind", list(ENSEMBLES))
+    @pytest.mark.parametrize("depth", [0, 3])
+    @pytest.mark.parametrize("K", [2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])  # every branch of the resolvent kernel
+    def test_stacked_realizations_equal_single_calls(self, m, K, depth, kind):
+        mod = make_model(K=K, a=A_OF_M[m], lam=0.7, ensemble=ENSEMBLES[kind](m))
+        sp = SpectralPoint(-0.2, 0.05)
+        tree = ed.build_tree(K, depth, m)
+        V = np.stack([ed.draw_site_potentials(mod, tree, seed=4, realization=t)
+                      for t in range(5)])
+        got = sample_tree_given(sp, mod, tree, V)
+        assert got.shape == (5, m, m)
+        np.testing.assert_array_equal(
+            got, [sample_tree_given(sp, mod, tree, Vt) for Vt in V])
 
     def test_real_axis_rejected(self):
         with pytest.raises(ValueError):
