@@ -20,9 +20,9 @@ for lam in (0.1, 10.0):
                                burn_in=60, relax_sweeps=40,
                                measure_sweeps=15, draws_per_sweep=1000)
     print(f"coupling lam = {lam}:")
-    for rec in records:
-        tr = rec.measurement.trace_abs_sq
-        print(f"  eta = {rec.eta:7.0e}   E Tr|G|^2 = {tr.mean:12.3f} "
+    for ms in records:
+        tr = ms.trace_abs_sq
+        print(f"  eta = {ms.eta:7.0e}   E Tr|G|^2 = {tr.mean:12.3f} "
               f"+/- {tr.std_error:.3f}")
     ratio, bounded, err = ac_indicator(records)
     tag = "bounded (stays put)" if bounded else "divergent (keeps growing)"

@@ -19,10 +19,10 @@ def scan(lam):
     model = BetheStripModel(K=K, a=a, lam=lam, ensemble=GOE())
     out = []
     for i, E in enumerate(grid):
-        rec = eta_continuation(model, float(E), (eta,), pool_size=2000,
-                               seed=child_seed(0, i), burn_in=30,
-                               measure_sweeps=10, draws_per_sweep=500)[0]
-        out.append(rec.measurement.dos.mean)
+        ms = eta_continuation(model, float(E), (eta,), pool_size=2000,
+                              seed=child_seed(0, i), burn_in=30,
+                              measure_sweeps=10, draws_per_sweep=500)[0]
+        out.append(ms.dos.mean)
     return np.asarray(out)
 
 

@@ -44,14 +44,13 @@ from .model import BetheStripModel, parse_ensemble_spec
 from .recursion import eta_continuation, ac_indicator, sample_tree_given
 from .rng import child_seed
 
-# Generations averaged per measurement inside eta_continuation.
-MEASURE_SWEEPS = 20
 CROSSCHECK_TOL = 1e-8
 # Size caps, checked before any work.  An E-grid point is a CSV row held until
 # the write, up to 6m + 2 floats (about 3 KB at m = 16): 0.3 GB at the cap.
 MAX_GRID = 100_000
 # 16-byte complex entries: a sweep holds two pools of pool * m^2, a measurement
-# MEASURE_SWEEPS * samples * m^2 root draws; 2^24 entries is 256 MiB.
+# recursion.MEASURE_SWEEPS * samples * m^2 root draws; 2^24 entries is 256 MiB.
+# crosscheck holds one deviation per (E, realization) and 2^20 entries a task.
 MAX_ENTRIES = 2**24
 
 _SUBCOMMANDS = {
@@ -283,8 +282,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError("ac-indicator needs at least 3 eta levels")
 
     counts = {key: count(key) for key in raw if _KEYS[key].lo is not None}
-    for key, arrays in (("pool", 1), ("samples", MEASURE_SWEEPS)):
-        entries = counts.get(key, 0) * arrays * model.m**2
+    per_count = ({"samples": n} if sub == "crosscheck" else
+                 {"pool": model.m**2, "samples": recursion.MEASURE_SWEEPS * model.m**2})
+    for key, per in per_count.items():
+        entries = counts.get(key, 0) * per
         if entries > MAX_ENTRIES:
             raise ConfigError(f"{key}: {counts[key]} needs {entries} entries, cap {MAX_ENTRIES}")
 
@@ -308,7 +309,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     echo["subcommand"] = sub
     if sub in _POOL_SUBS:
         echo.update({"chunking": recursion.CHUNKS,
-                     "measure-sweeps": MEASURE_SWEEPS})
+                     "measure-sweeps": recursion.MEASURE_SWEEPS})
 
     return RunConfig(subcommand=sub, model=model, e_values=e_values, etas=etas,
                      out=out, echo=echo, **counts)
@@ -396,8 +397,7 @@ def _continuation_records(cfg: RunConfig, pmap):
             cfg.model, float(E), cfg.etas,
             pool_size=cfg.pool, seed=child_seed(cfg.seed, i),
             burn_in=cfg.burnin, relax_sweeps=cfg.sweeps,
-            measure_sweeps=MEASURE_SWEEPS, draws_per_sweep=cfg.samples,
-            pmap=pmap,
+            draws_per_sweep=cfg.samples, pmap=pmap,
         )
         yield float(E), records
 
@@ -406,9 +406,8 @@ def _cmd_dos_scan(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "eta", "dos", "dos_stderr", "ETrG2", "ETrG2_stderr"]
     rows = []
     for E, records in _continuation_records(cfg, pmap):
-        for rec in records:
-            ms = rec.measurement
-            rows.append([E, rec.eta,
+        for ms in records:
+            rows.append([E, ms.eta,
                          float(ms.dos.mean), float(ms.dos.std_error),
                          float(ms.trace_abs_sq.mean),
                          float(ms.trace_abs_sq.std_error)])
@@ -419,9 +418,8 @@ def _cmd_ac_indicator(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "eta", "etrg2", "etrg2_stderr"]
     rows, results = [], []
     for E, records in _continuation_records(cfg, pmap):
-        for rec in records:
-            ms = rec.measurement
-            rows.append([E, rec.eta, float(ms.trace_abs_sq.mean),
+        for ms in records:
+            rows.append([E, ms.eta, float(ms.trace_abs_sq.mean),
                          float(ms.trace_abs_sq.std_error)])
         ratio, bounded, err = ac_indicator(records)
         results.append({"E": E, "ratio": ratio, "ratio_stderr": err,

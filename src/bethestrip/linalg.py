@@ -45,11 +45,6 @@ def sym_part(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def symmetry_defect(M) -> float:
-    """Max-norm distance of M from its transpose."""
-    return float(np.max(np.abs(M - np.swapaxes(M, -1, -2)), initial=0.0))
-
-
 def _check_pivots(p):
     """Raise before dividing unless every pivot (det at m = 2, M at m = 1) is usable.
 

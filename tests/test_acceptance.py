@@ -215,7 +215,7 @@ def test_criterion_6_dos_consistency(capsys):
         record = eta_continuation(model, float(E), (eta,), pool_size=10_000,
                                   seed=child_seed(62, i), burn_in=40,
                                   measure_sweeps=10, draws_per_sweep=2000)[0]
-        dos_vals.append(float(record.measurement.dos.mean))
+        dos_vals.append(float(record.dos.mean))
     dos_vals = np.asarray(dos_vals)
     total_mass = float(np.trapezoid(dos_vals, grid))
     # spectrum hull with the GOE disorder cut at 4 sigma: |eig V| <= 4 sqrt(m)

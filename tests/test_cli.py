@@ -645,8 +645,9 @@ class TestConfigPlumbing:
         ("free-profile", "E-grid", "0:1:1000000000000000"),
         ("dos-scan", "pool", str(cli.MAX_ENTRIES // 4 + 1)),  # m = 2: 4 entries each
         ("dos-scan", "pool", "1000000000000000"),
-        ("ac-indicator", "samples", str(cli.MAX_ENTRIES // (4 * cli.MEASURE_SWEEPS) + 1)),
+        ("ac-indicator", "samples", str(cli.MAX_ENTRIES // (4 * recursion.MEASURE_SWEEPS) + 1)),
         ("crosscheck", "workers", str(recursion.CHUNKS + 1)),
+        ("crosscheck", "samples", str(cli.MAX_ENTRIES + 1)),  # one energy
     ])
     def test_sizes_capped_before_work(self, sub, key, value, tmp_path, capsys,
                                       monkeypatch):
@@ -664,11 +665,22 @@ class TestConfigPlumbing:
     def test_sizes_at_the_caps_accepted(self, tmp_path):
         argv = ["dos-scan", "--m", "2", "--E-grid", f"0:1:{cli.MAX_GRID}",
                 "--eta-schedule", "0.1", "--pool", str(cli.MAX_ENTRIES // 4),
-                "--samples", str(cli.MAX_ENTRIES // (4 * cli.MEASURE_SWEEPS)),
+                "--samples", str(cli.MAX_ENTRIES // (4 * recursion.MEASURE_SWEEPS)),
                 "--workers", str(recursion.CHUNKS), "--out", str(tmp_path / "x.csv")]
         cfg = cli._resolve_config(cli._build_parser(argv).parse_args(argv))
         assert len(cfg.e_values) == cli.MAX_GRID
         assert cfg.workers == recursion.CHUNKS
+
+    def test_crosscheck_caps_deviations_not_root_draws(self, tmp_path):
+        # one deviation per (E, realization): n * samples at the cap is
+        # accepted, although 20 * samples * m^2 is far above it
+        argv = ["crosscheck", "--m", "3", "--E-grid", "0:1:4",
+                "--samples", str(cli.MAX_ENTRIES // 4), "--out", str(tmp_path / "x.json")]
+        cfg = cli._resolve_config(cli._build_parser(argv).parse_args(argv))
+        assert cfg.samples == cli.MAX_ENTRIES // 4
+        argv[argv.index("--samples") + 1] = str(cli.MAX_ENTRIES // 4 + 1)
+        with pytest.raises(cli.ConfigError, match="samples: "):
+            cli._resolve_config(cli._build_parser(argv).parse_args(argv))
 
     def test_workers_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BETHE_STRIP_THREADS", "2")

@@ -1,20 +1,26 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level function or class is loaded by some module.
+"""Every name a module of the package imports is used in that module, every
+private module-level function or class is loaded by some module, and no public
+API exists only for the tests.
 
 Parses each module with ast; standard library only.  A name listed in a
 module's ``__all__`` counts as used, which covers ``__init__.py``'s
 re-exports.  Names mentioned only in docstrings or comments do not count.
 A private helper (``_name``, not a dunder) counts as loaded where any module
 of the package reads it, as a bare name or as an attribute, so a deletion
-cannot leave an orphaned helper behind.
+cannot leave an orphaned helper behind.  A public function, class, method or
+property counts as read where the package, a demo or the bench loads it
+outside its own definition, where ``bench/tracing.py`` names it in a string
+(a patched method, or a ``module.name`` span), or where README.md mentions it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "bethestrip"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bethestrip"
 
 
 def dead_imports(source: str) -> list[str]:
@@ -73,3 +79,82 @@ def test_detects_dead_helpers():
                 "def __getattr__(name): pass\ndef public(): pass\n")
     loading = "from . import a\nfrom .a import _kept\n_kept()\na._via_module()\n"
     assert dead_helpers([defining, loading]) == ["_orphan", "_Unused"]
+
+
+# The criterion-8 oracle: kept, though only tests call it so far.  Drop a
+# name here once a program path reads it.
+TEST_ONLY_ALLOWED = {"fixed_point_residual", "FixedPointResidual.within_noise"}
+
+
+def public_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """Public top-level functions and classes, and the public methods and
+    properties of those classes, as (qualified name, node)."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef)
+                      and not sub.name.startswith("_")]
+    return found
+
+
+def unread_public(defining: list[str], readers: list[str], strings=frozenset(),
+                  text="") -> list[str]:
+    """Qualified public names of ``defining`` that no source of ``defining``
+    or ``readers`` loads outside the definition itself, and that neither
+    ``strings`` holds nor ``text`` names."""
+    trees = [ast.parse(source) for source in defining]
+    loads = []
+    for tree in trees + [ast.parse(source) for source in readers]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.append((node.id, node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loads.append((node.attr, node))
+    unread = []
+    for qualname, definition in (d for tree in trees for d in public_definitions(tree)):
+        name = qualname.rpartition(".")[2]
+        inside = {id(node) for node in ast.walk(definition)}
+        if (name not in strings and not re.search(rf"\b{name}\b", text)
+                and all(loaded != name or id(node) in inside
+                        for loaded, node in loads)):
+            unread.append(qualname)
+    return unread
+
+
+def tracing_strings(source: str, modules) -> set[str]:
+    """Names bench/tracing.py reads by string: its patched classes and
+    methods, and the second part of every ``module.name`` span."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            names.add(parts[1] if len(parts) > 1 and parts[0] in modules else parts[0])
+    return names
+
+
+def test_no_test_only_public_api():
+    paths = sorted(PACKAGE.glob("*.py"))
+    readers = [path.read_text() for directory in ("demos", "bench")
+               for path in sorted((ROOT / directory).glob("*.py"))]
+    strings = tracing_strings((ROOT / "bench" / "tracing.py").read_text(),
+                              {path.stem for path in paths})
+    unread = unread_public([path.read_text() for path in paths], readers, strings,
+                           (ROOT / "README.md").read_text())
+    assert sorted(unread) == sorted(TEST_ONLY_ALLOWED)
+
+
+def test_detects_test_only_public_api():
+    defining = ("def used(): pass\ndef recursive(): recursive()\n"
+                "def spanned(): pass\ndef documented(): pass\n"
+                "class Kept:\n    def method(self): pass\n"
+                "    def orphan(self): pass\n    def _private(self): pass\n")
+    reading = "used()\nKept().method()\n"
+    assert unread_public([defining], [reading], {"spanned"},
+                         "see `documented`") == ["recursive", "Kept.orphan"]
+    assert tracing_strings('S = ("model", "GOE", "sample", "linalg.f.calls")',
+                           {"model", "linalg"}) == {"model", "GOE", "sample", "f"}
