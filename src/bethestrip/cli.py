@@ -37,10 +37,10 @@ import numpy as np
 from . import __version__, recursion
 from .ed import build_tree, draw_site_potentials, root_green_block
 from .errors import BetheStripError, ConfigError, OutOfBandError
-from .free import a_e_matrix, forward_roots, full_diagonal
+from .free import forward_roots, full_diagonal
 from .linalg import SpectralPoint
 from .linearization import build_ce_matrix, eigenvalue_gaps, enumerate_indices
-from .model import BetheStripModel, parse_ensemble_spec
+from .model import BetheStripModel, band_intersection, parse_ensemble_spec
 from .recursion import eta_continuation, ac_indicator, sample_tree_given
 from .rng import child_seed
 
@@ -371,13 +371,14 @@ def _cmd_free_profile(cfg: RunConfig, pmap) -> CommandResult:
     z = np.array([[complex(E, eta) for eta in cfg.etas] for E in cfg.e_values])
     g0 = forward_roots(z, model.a, model.K)
     gf = full_diagonal(z, model.a, model.K, g0)
+    window = band_intersection(model)
     for i, E in enumerate(cfg.e_values):
         for j, eta in enumerate(cfg.etas):
             ae = no_ae
-            if eta == 0.0:  # A_E is a real-axis quantity
-                try:
-                    ae = np.diagonal(a_e_matrix(E, model))
-                except OutOfBandError:
+            if eta == 0.0:  # A_E is real-axis: a_e_matrix's formula on the grid's root
+                if window.lo <= E <= window.hi:
+                    ae = 0.0 - 0.25 * g0[i, j]
+                else:
                     outside += 1
             rows.append([float(E), float(eta), *_reim(g0[i, j]), *_reim(gf[i, j]),
                          *_reim(ae)])

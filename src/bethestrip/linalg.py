@@ -1,10 +1,11 @@
 """Complex-symmetric linear algebra around the one resolvent kernel.
 
 Green's matrices on the strip are complex *symmetric* (not Hermitian).  Every
-recursion path inverts through :func:`resolvent`, batched over ``(..., m, m)``
-stacks with one error policy: by LAPACK, or in closed form at m = 1 (1 / M) and
-m = 2 (on packed (n,) columns given A, lam, V and z).  Beside it: the Herglotz
-indicator min eig Im M, the upper-half-plane root branch and the PSD check.
+recursion path hands :func:`resolvent` A, the neighbor sum, V, lam and z; it
+composes M itself and inverts it over ``(..., m, m)`` stacks with one error
+policy: by LAPACK, or in closed form at m = 1 (1 / M) and m = 2 (on M's packed
+entries).  Beside it: the Herglotz indicator min eig Im M, the upper-half-plane
+root branch and the PSD check.
 """
 
 from dataclasses import dataclass
@@ -56,59 +57,52 @@ def _check_pivots(p):
         raise SingularMatrixError("singular matrix in the recursion")
 
 
-def resolvent(onsite, neighbor_sum, V=None, lam=0.0, z=0.0):
-    """sym_part(inv(M)) over (..., m, m) stacks, M = ((A + lam V) - z) - neighbor_sum / 4.
+def resolvent(A, neighbor_sum, V, lam, z):
+    """sym_part(inv(M)) over (..., m, m) stacks, M = (A + lam V) - z - neighbor_sum / 4.
 
-    ``onsite`` is A given the potentials ``V``, else the shifted block A + lam V - z;
-    ``neighbor_sum`` sums the K (forward) or K + 1 (root) neighbor Green's matrices.
-    A singular member, a non-finite entry or an overflow raises
-    :class:`SingularMatrixError` with no RuntimeWarning, a non-square stack
+    ``A`` is the (m, m) strip block, ``neighbor_sum`` the (..., m, m) sums of the
+    K (forward) or K + 1 (root) neighbor Green's matrices, ``V`` symmetric
+    potentials that broadcast to its shape, and ``z`` one value or one per
+    member.  A singular member, a non-finite entry or an overflow raises
+    :class:`SingularMatrixError` with no RuntimeWarning, a non-square A
     ValueError.  For eta > 0 and Herglotz neighbors Im(-M) >= eta, so
     ||M^-1|| <= 1/eta and no pivot floor is needed.  At m = 2 the closed form
-    [[d, -(b+c)/2], [-(b+c)/2, a]] / (ad - bc) runs on a (-1, 4) view of a shifted
-    block, or given V (symmetric stacks) on packed columns a, b = c, d; at m = 1 the
-    reciprocal 1 / M.  Both check the pivot before dividing; an ad - bc or a
-    quotient that overflows raises from the floating-point status.
+    [[d, -b], [-b, a]] / (ad - b^2) runs on the packed entries a, b (upper), d
+    of M; at m = 1 the reciprocal 1 / M.  Both check the pivot before dividing;
+    an ad - b^2 or a quotient that overflows raises from the floating-point
+    status.
     """
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"resolvent expects an (m, m) block A, got {A.shape}")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _resolvent(onsite, neighbor_sum, V, lam, z)
+            return _resolvent(A, neighbor_sum, V, lam, z)
     except FloatingPointError as exc:
         raise SingularMatrixError(f"floating-point error in the recursion: {exc}") from exc
 
 
-def _resolvent(onsite, neighbor_sum, V, lam, z):
-    if V is not None and onsite.shape[-1] == 2:
-        v, s = V.reshape(-1, 4), neighbor_sum.reshape(-1, 4)
-        x = lam * v
-        x += onsite.reshape(4)  # A + lam V
-        a = x[:, 0] - z
+def _resolvent(A, neighbor_sum, V, lam, z):
+    B = lam * V
+    B += A
+    if len(A) == 2:
+        x, s = B.reshape(-1, 4), neighbor_sum.reshape(-1, 4)
+        # one buffer per stack member: V and z may be shared by the whole stack
+        a = np.subtract(x[:, 0], z, out=np.empty(len(s), complex))
         a -= 0.25 * s[:, 0]
-        d = x[:, 3] - z
+        d = np.subtract(x[:, 3], z, out=np.empty(len(s), complex))
         d -= 0.25 * s[:, 3]
         b = x[:, 1] - 0.25 * s[:, 1]
         det = a * d
         det -= b * b
         _check_pivots(det)
-        G = np.empty(s.shape, dtype=complex)
+        G = np.empty(det.shape + (4,), dtype=complex)
         np.divide(d, det, out=G[:, 0])
         np.divide(a, det, out=G[:, 3])
         b = b / det
-        G[:, 1] = G[:, 2] = -0.5 * (b + b)  # not -b: zeros keep the (-1, 4) path's sign
-        return G.reshape(V.shape)
-    if V is not None:
-        onsite = (onsite + lam * V) - z * np.eye(onsite.shape[-1])
-    M = onsite - 0.25 * neighbor_sum
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError(f"resolvent expects (..., m, m) stacks, got {M.shape}")
-    if M.shape[-1] == 2:
-        f = M.reshape(-1, 4)
-        det = f[:, 0] * f[:, 3] - f[:, 1] * f[:, 2]
-        _check_pivots(det)
-        G = f[:, ::-1] / det[:, None]  # d, c, b, a
-        G[:, 1:3] = -0.5 * (G[:, 1] + G[:, 2])[:, None]
-        return G.reshape(M.shape)
-    if M.shape[-1] == 1:
+        G[:, 1] = G[:, 2] = -0.5 * (b + b)  # sym_part's form: -b can flip a zero's sign
+        return G.reshape(neighbor_sum.shape)
+    M = (B - np.multiply.outer(z, np.eye(len(A)))) - 0.25 * neighbor_sum
+    if len(A) == 1:
         _check_pivots(M)
         return 1.0 / M
     try:

@@ -5,11 +5,11 @@ The forward Green's matrix at a site with K forward neighbors satisfies
     G = [A + lam V - z - (1/4) sum_children G_child]^{-1},
 
 and a full-lattice (root) sample is assembled the same way from K+1
-neighbors.  Every path inverts through :func:`bethestrip.linalg.resolvent`,
-batched: a truncated tree one depth at a time, leaves first, and the
-resampling population that simulates the distributional fixed point a sweep
-at a time, each sweep rebuilding all N samples from K uniformly drawn
-predecessors plus a fresh potential, at m = 2 on packed columns of M.
+neighbors.  Every path hands :func:`bethestrip.linalg.resolvent` A, the
+neighbor sums, the potentials, lam and z, batched: a truncated tree one depth
+at a time, leaves first, and the resampling population that simulates the
+distributional fixed point a sweep at a time, each sweep rebuilding all N
+samples from K uniformly drawn predecessors plus a fresh potential.
 
 All randomness is keyed (seed, purpose, sweep/realization, chunk), and a sweep
 is always CHUNKS chunks, so pools are reproducible bit-for-bit under any map.
@@ -52,13 +52,13 @@ def sample_tree_given(sp: SpectralPoint, model, tree, potentials):
     # of each site are contiguous, in site order, in the next depth, the same
     # number per site (K + 1 at the root, K below).  So the neighbor sums of
     # one depth are the Green's matrices of the next, grouped and summed.
-    shifted = (model.a_matrix + model.lam * potentials) - sp.z * np.eye(model.m)
+    A = model.a_matrix
     edges = np.searchsorted(tree.depth_of, np.arange(tree.depth + 2))
-    G = np.zeros(shifted.shape[:-3] + (0, model.m, model.m))
+    G = np.zeros(potentials.shape[:-3] + (0, model.m, model.m))
     for d in range(tree.depth, -1, -1):
         lo, hi = edges[d], edges[d + 1]
         neighbor_sum = G.reshape(*G.shape[:-3], hi - lo, -1, *G.shape[-2:]).sum(axis=-3)
-        G = resolvent(shifted[..., lo:hi, :, :], neighbor_sum)
+        G = resolvent(A, neighbor_sum, potentials[..., lo:hi, :, :], model.lam, sp.z)
     return G[..., 0, :, :]
 
 

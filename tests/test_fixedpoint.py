@@ -14,7 +14,7 @@ from bethestrip.fixedpoint import (
 )
 from bethestrip.free import a_e_matrix, forward_roots, free_forward_green
 from bethestrip.linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
-                               resolvent)
+                               sym_part)
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 
 from conftest import random_herglotz, random_symmetric
@@ -98,20 +98,21 @@ class TestProblem:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_forward_map_any_width_and_stack(self, m, rng):
         # one kernel call for an (m, m) matrix and (n, m, m) stacks alike,
-        # byte for byte the per-member calls on the shifted block
+        # byte for byte the per-member calls, and LAPACK on the M built here
         V0 = random_symmetric(m, rng)
         mod = make_model(K=3, a=tuple(np.linspace(-0.5, 0.5, m)), lam=0.7,
                          ensemble=PointMass(V0))
         sp = SpectralPoint(0.3, 0.2)
         prob = FixedPointProblem(mod, sp)
-        shifted = onsite(mod) - sp.z * np.eye(m)
         G = np.array([random_herglotz(m, rng) for _ in range(3)])
         for x in (G[0], G[:1], G):
             got = prob.forward_map(x)
             assert got.shape == x.shape
-            want = [resolvent(shifted, mod.K * g).tobytes()
-                    for g in x.reshape(-1, m, m)]
+            want = [prob.forward_map(g).tobytes() for g in x.reshape(-1, m, m)]
             assert [g.tobytes() for g in got.reshape(-1, m, m)] == want
+        M = onsite(mod) - sp.z * np.eye(m) - 0.25 * mod.K * G
+        np.testing.assert_allclose(prob.forward_map(G), sym_part(np.linalg.inv(M)),
+                                   rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("solve", [
         lambda mod: solve_forward(mod, SpectralPoint(0.0, 1.0)),
@@ -325,7 +326,7 @@ class TestContinuation:
                          ensemble=PointMass(random_symmetric(m, rng)))
         if edge is not None:  # a band edge +-sqrt K + a_k of the free strip
             E = edge[0] * np.sqrt(K) + a[edge[1] % m]
-        _, b, Q = fp._onsite(mod)
+        *_, b, Q = fp._onsite(mod)
         reports = continuation_to_boundary(mod, E)
         assert len(reports) == len(fp.ETA_SCHEDULE)
         for eta, rep in zip(fp.ETA_SCHEDULE, reports):

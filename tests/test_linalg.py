@@ -18,52 +18,79 @@ from bethestrip.linalg import (
 from conftest import random_herglotz, random_symmetric
 
 
+def kernel(M):
+    """The resolvent of the real symmetric (..., m, m) stack M itself: M enters
+    as the potentials at lam = 1, with A, the neighbor sums and z zero."""
+    M = np.asarray(M, dtype=float)
+    m = M.shape[-1]
+    return resolvent(np.zeros((m, m)), np.zeros_like(M), M, 1.0, 0j)
+
+
+def composed(A, nsum, V, lam, z):
+    """M = A + lam V - z - nsum / 4, with one z or one per member."""
+    return A + lam * V - np.multiply.outer(z, np.eye(len(A))) - 0.25 * nsum
+
+
 class TestResolvent:
     def test_frozen_2x2(self):
         # [[1, i], [i, 1]] has determinant 2, inverse (1/2) [[1, -i], [-i, 1]];
-        # the neighbor sum enters as -sum/4
-        M = np.array([[1.0, 1j], [1j, 1.0]])
+        # A + lam V = 1, z = -1/2, and the neighbor sum enters as -sum/4
         expected = 0.5 * np.array([[1.0, -1j], [-1j, 1.0]])
-        got = resolvent(M + 0.5 * np.eye(2), 2.0 * np.eye(2))
+        got = resolvent(np.diag([0.5, 1.0]), 2.0 * np.eye(2) - 4j * np.ones((2, 2)),
+                        np.diag([1.0, 0.0]), 0.5, -0.5 + 1j)
         np.testing.assert_allclose(got, expected, atol=1e-14)
 
     def test_identity_residual_random(self, rng):
         for m in (1, 2, 3, 5, 8, 16):
-            M = random_symmetric(m, rng) + 1j * random_symmetric(m, rng)
-            M += 3j * np.eye(m)  # keep it comfortably invertible
-            N = resolvent(M, 0.0)
+            A, V = random_symmetric(m, rng), random_symmetric(m, rng)
+            nsum = -4j * random_symmetric(m, rng)
+            z = complex(0.2, -3.0)  # keep M comfortably invertible
+            N = resolvent(A, nsum, V, 0.5, z)
             assert np.array_equal(N, N.swapaxes(-1, -2))
+            M = composed(A, nsum, V, 0.5, z)
             resid = np.max(np.abs(M @ N - np.eye(m)))
             assert resid <= 1e-10 * max(np.max(np.abs(M)), 1.0)
 
     def test_stack_matches_single_calls(self, rng):
+        # a stack, a stack of one and a single (m, m) call agree byte for byte,
+        # with one z or one per member, and V per member or shared
         for m in (1, 2, 3, 5):
-            shifted = np.array([random_symmetric(m, rng) - 1j * np.eye(m)
-                                for _ in range(7)])
+            A = np.diag(np.linspace(-0.5, 0.5, m))
+            V = np.array([random_symmetric(m, rng) for _ in range(7)])
             nsum = np.array([random_herglotz(m, rng) for _ in range(7)])
-            stacked = resolvent(shifted, nsum)
+            zs = 0.3 * rng.standard_normal(7) + 1j
+            stacked = resolvent(A, nsum, V, 0.8, 0.1 + 1j)
+            per_z = resolvent(A, nsum, V, 0.8, zs)
+            shared = resolvent(A, nsum, V[0], 0.8, zs)
             for i in range(7):
-                single = resolvent(shifted[i], nsum[i])
+                single = resolvent(A, nsum[i], V[i], 0.8, 0.1 + 1j)
+                assert single.shape == (m, m)
                 assert stacked[i].tobytes() == single.tobytes()
+                assert resolvent(A, nsum[i:i + 1], V[i:i + 1], 0.8,
+                                 0.1 + 1j)[0].tobytes() == single.tobytes()
+                assert per_z[i].tobytes() == resolvent(A, nsum[i], V[i], 0.8,
+                                                       zs[i]).tobytes()
+                assert shared[i].tobytes() == resolvent(A, nsum[i], V[0], 0.8,
+                                                        zs[i]).tobytes()
 
     def test_singular_raises(self):
         # both closed forms: the m = 1 reciprocal and the m = 2 adjugate
         for M in ([[0.0]], [[1.0, 1.0], [1.0, 1.0]]):
-            M = np.array(M, dtype=complex)
+            M = np.array(M)
             with pytest.raises(SingularMatrixError):
-                resolvent(M, 0.0)
+                kernel(M)
             with pytest.raises(SingularMatrixError):  # as one member of a stack
-                resolvent(np.array([np.eye(len(M)), M]), 0.0)
+                kernel(np.array([np.eye(len(M)), M]))
 
     def test_closed_form_2x2_matches_lapack(self, rng):
-        # m = 2 takes the closed-form branch; the reference is LAPACK
-        herglotz = np.array([random_herglotz(2, rng) for _ in range(200)])
-        # a real antisymmetric part keeps Im(-M) >= eta, so M stays well conditioned
-        X = rng.standard_normal((200, 2, 2))
-        nonsym = herglotz + (X - np.swapaxes(X, 1, 2))
-        for M in (-herglotz, -nonsym):
-            ref = sym_part(np.linalg.inv(M))
-            got = resolvent(M, 0.0)
+        # m = 2 takes the closed-form branch; the reference is LAPACK on the
+        # M composed here
+        A = np.diag([-0.5, 0.5])
+        V = np.array([random_symmetric(2, rng) for _ in range(200)])
+        nsum = 4.0 * np.array([random_herglotz(2, rng) for _ in range(200)])
+        for z in (complex(0.3, 0.05), 0.3 * rng.standard_normal(200) + 0.05j):
+            ref = sym_part(np.linalg.inv(composed(A, nsum, V, 0.7, z)))
+            got = resolvent(A, nsum, V, 0.7, z)
             assert np.array_equal(got, got.swapaxes(-1, -2))
             err = np.max(np.abs(got - ref), axis=(1, 2))
             assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
@@ -79,12 +106,12 @@ class TestResolvent:
                       [[1e200, 0.0], [0.0, 1e200]], [[1e-310]],
                       [[1e-310, 0.0], [0.0, 1.0]])
         for bad in bad_inputs:
-            bad = np.array(bad, dtype=complex)
+            bad = np.array(bad)
             for M in (bad, np.array([np.eye(len(bad)), bad])):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(SingularMatrixError):
-                        resolvent(M, 0.0)
+                        kernel(M)
 
     @settings(max_examples=200)
     @given(m=st.integers(1, 4), K=st.integers(2, 4), eta=st.floats(1e-2, 1.0),
@@ -100,10 +127,8 @@ class TestResolvent:
         nsum = sum(np.array([random_herglotz(m, rng, eta=0.0) for _ in range(n)])
                    for _ in range(K))
         z = complex(E, eta)
-        shifted = (A + lam * V) - z * np.eye(m)
         G = resolvent(A, nsum, V, lam, z)
-        assert G.tobytes() == resolvent(shifted, nsum).tobytes()
-        ref = sym_part(np.linalg.inv(shifted - 0.25 * nsum))
+        ref = sym_part(np.linalg.inv(composed(A, nsum, V, lam, z)))
         assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(G))
         assert np.array_equal(G, G.swapaxes(-1, -2))
         assert min_imag_eigenvalue(G) >= -HERGLOTZ_SLACK
@@ -111,23 +136,11 @@ class TestResolvent:
 
     def packed_case(self, rng, n):
         # A, a symmetric neighbor sum and symmetric potentials for the
-        # packed m = 2 path, with the shifted block the same M comes from
+        # packed m = 2 form
         A = np.diag([-0.5, 0.5])
         nsum = np.array([random_herglotz(2, rng) for _ in range(n)])
         V = np.array([random_symmetric(2, rng) for _ in range(n)])
         return A, nsum, V, 0.7, complex(0.3, 0.05)
-
-    def test_packed_matches_shifted(self, rng):
-        A, nsum, V, lam, z = self.packed_case(rng, 50)
-        got = resolvent(A, nsum, V, lam, z)
-        ref = resolvent(A + lam * V - z * np.eye(2), nsum)
-        assert got.tobytes() == ref.tobytes()
-        for i in range(3):  # a single (2, 2) call and a stack of one
-            single = resolvent(A, nsum[i], V[i], lam, z)
-            assert single.shape == (2, 2)
-            assert single.tobytes() == resolvent(A, nsum[i:i + 1], V[i:i + 1],
-                                                 lam, z)[0].tobytes()
-            assert single.tobytes() == got[i].tobytes()
 
     def test_packed_planted_errors_raise_without_warning(self, rng):
         A, nsum, V, lam, z = self.packed_case(rng, 4)
@@ -152,16 +165,16 @@ class TestResolvent:
 
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            resolvent(np.zeros((3, 3), dtype=complex), 0.0)
+            kernel(np.zeros((3, 3)))
 
     def test_nonfinite_raises(self):
-        M = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(SingularMatrixError):
-            resolvent(M, 0.0)
+            kernel([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            resolvent(np.ones((2, 3), dtype=complex), 0.0)
+        for A in (np.ones((2, 3)), np.ones(2)):
+            with pytest.raises(ValueError):
+                resolvent(A, np.zeros((2, 3)), np.zeros((2, 3)), 0.0, 0j)
 
 
 class TestSqrtUpper:

@@ -158,3 +158,35 @@ def test_detects_test_only_public_api():
                          "see `documented`") == ["recursive", "Kept.orphan"]
     assert tracing_strings('S = ("model", "GOE", "sample", "linalg.f.calls")',
                            {"model", "linalg"}) == {"model", "GOE", "sample", "f"}
+
+
+def kernel_bypasses(source: str, name: str) -> list[int]:
+    """Lines of module ``name`` that invert outside the one kernel: a
+    ``np.linalg.inv`` anywhere but linalg.py, or a ``resolvent`` call that does
+    not hand it all of A, the neighbor sum, V, lam and z."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "inv"
+                and getattr(node.value, "attr", None) == "linalg"
+                and name != "linalg.py"):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "resolvent"
+              and (len(node.args) + len(node.keywords) != 5
+                   or any(isinstance(a, ast.Starred) for a in node.args)
+                   or any(k.arg is None for k in node.keywords))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_path_calls_the_one_kernel(path):
+    assert kernel_bypasses(path.read_text(), path.name) == []
+
+
+def test_detects_kernel_bypasses():
+    source = ("import numpy as np\nG = np.linalg.inv(M)\nG = resolvent(B, S)\n"
+              "G = resolvent(A, S, V, lam, z)\nG = linalg.resolvent(A, S, *rest)\n"
+              "G = resolvent(A, S, V, lam=lam, z=z)\nG = resolvent(A, S, **kw)\n")
+    assert kernel_bypasses(source, "recursion.py") == [2, 3, 5, 7]
+    assert kernel_bypasses(source, "linalg.py") == [3, 5, 7]

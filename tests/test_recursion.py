@@ -7,7 +7,7 @@ from scipy.stats import binomtest
 from bethestrip import ed, recursion
 from bethestrip.free import free_dos, free_forward_green, free_full_green
 from bethestrip.linalg import (HERGLOTZ_SLACK, SpectralPoint, min_imag_eigenvalue,
-                               resolvent)
+                               resolvent, sym_part)
 from bethestrip.model import GOE, BetheStripModel, DiagonalIID, PointMass
 from bethestrip.recursion import (
     ac_indicator,
@@ -175,7 +175,7 @@ class TestPopulation:
         pool = population_run(population_init(SpectralPoint(0.4, 0.05), mod, 97,
                                                seed=5), mod, 3)
         # make _pool_draws hand back the neighbor sum it passes to the kernel
-        monkeypatch.setattr(recursion, "resolvent", lambda onsite, nsum, *rest: nsum)
+        monkeypatch.setattr(recursion, "resolvent", lambda A, nsum, *rest: nsum)
         got = recursion._pool_draws(pool, mod, keyed_rng(5, 1), 300, neighbors)
         idx = keyed_rng(5, 1).integers(0, pool.size, size=(300, neighbors))
         assert got.tobytes() == pool.samples[idx].sum(axis=1).tobytes()
@@ -186,9 +186,9 @@ class TestPopulation:
         (1.3, PointMass([[0.3, 0.1], [0.1, -0.2]]))])
     @pytest.mark.parametrize("E", [-0.7, 0.0, 0.4])
     def test_packed_draws_match_shifted_composition(self, lam, ensemble, E):
-        # the m = 2 pool and root draws build M on packed columns; the
-        # reference composes the shifted block first and inverts that, from
-        # the same stream: the bytes must agree, signed zeros included
+        # the m = 2 pool and root draws read the stream in its contract's
+        # order: byte for byte one direct kernel call on the same draws,
+        # signed zeros included, and LAPACK on the M composed here
         mod = make_model(K=2, a=(-0.5, 0.5), lam=lam, ensemble=ensemble)
         pool = population_run(population_init(SpectralPoint(E, 0.05), mod, 400,
                                                seed=7), mod, 3)
@@ -198,10 +198,13 @@ class TestPopulation:
             idx = rng.integers(0, pool.size, size=(250, neighbors))
             V = mod.ensemble.sample_batch(mod.m, rng, 250)
             nsum = pool.samples[idx].sum(axis=1)
-            ref = resolvent(mod.a_matrix + mod.lam * V - z * np.eye(2), nsum)
+            ref = resolvent(mod.a_matrix, nsum, V, mod.lam, z)
             got = recursion._pool_draws(pool, mod, keyed_rng(7, 9, neighbors), 250,
                                         neighbors)
             assert got.tobytes() == ref.tobytes()
+            M = mod.a_matrix + mod.lam * V - z * np.eye(2) - 0.25 * nsum
+            np.testing.assert_allclose(got, sym_part(np.linalg.inv(M)),
+                                       rtol=1e-12, atol=1e-14)
         got = root_draws(pool, mod, keyed_rng(7, 9, 3), 250)
         assert got.tobytes() == ref.tobytes()
 
