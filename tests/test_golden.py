@@ -11,7 +11,9 @@ a reordered sum can flip it: it is compared only while the top per-case
 deviation, recomputed here, leads the runner-up by PINNED_LEAD.
 
 GOLDEN_RUNS adds two m = 3 linearization configs, ``ce-spectrum-m3`` and
-``gap-scan-m3``: every criterion-9 config has m <= 2.
+``gap-scan-m3``: every criterion-9 config has m <= 2.  It adds two dos-scan
+configs, ``dos-scan-m2`` and ``dos-scan-m3``, for the population kernel's
+2x2 and LAPACK branches: the criterion-9 pool configs run m = 1.
 
 ``continuation.out`` pins the deterministic solver, which no subcommand runs:
 ``fixedpoint.continuation_to_boundary`` on CONTINUATION_RUNS, with each
@@ -52,9 +54,18 @@ PINNED_LEAD = 2.0
 # names, and the m = 3 linearization configs, inside the window (-1.23, 1.33)
 M3_MODEL = ["--K", "3", "--A", "diag:-0.4,0.1,0.5", "--E-grid=-1:1:7",
             "--degree", "3"]
+# the pool settings of the m = 2 and m = 3 dos-scan configs (the bench's models)
+POOL_RUN = ["--ensemble", "goe", "--E-grid=-0.6:0.6:3",
+            "--eta-schedule", "0.1,0.05", "--pool", "64", "--sweeps", "4",
+            "--burnin", "8", "--samples", "40"]
 GOLDEN_RUNS = {**{sub: (sub, args) for sub, args in CLI_RUNS.items()},
                "ce-spectrum-m3": ("ce-spectrum", M3_MODEL),
-               "gap-scan-m3": ("gap-scan", M3_MODEL)}
+               "gap-scan-m3": ("gap-scan", M3_MODEL),
+               "dos-scan-m2": ("dos-scan", ["--K", "2", "--A", "diag:-0.5,0.5",
+                                            "--lambda", "0.1", *POOL_RUN]),
+               "dos-scan-m3": ("dos-scan", ["--K", "2", "--A",
+                                            "diag:-0.5,0.0,0.4",
+                                            "--lambda", "0.5", *POOL_RUN])}
 # (label, model, energies): grids inside and outside each band window, and
 # the window edges +-sqrt(2) (K = 2) and +-1.5 (K = 4, a = -+0.5), where the
 # eta = 0 fixed point is a double root
