@@ -1,21 +1,15 @@
 """Command-line driver: seeded, reproducible experiment runs emitting CSV/JSON.
 
-Subcommands
------------
-free-profile   closed-form Green's-function profile of the disorder-free strip
-dos-scan       population-dynamics density-of-states scan over an energy grid
-ac-indicator   bounded-second-moment indicator across a decreasing eta schedule
-gap-scan       spectral gaps of the linearized transfer operator over a grid
-ce-spectrum    eigenvalues of the truncated linearized operator, per energy
-crosscheck     forward recursion vs sparse-LU solve on shared realizations
+``bethestrip --help`` lists the subcommands.  Each computes and returns its
+outputs as data; ``main`` alone renders and writes them, then a JSON manifest
+next to them: config echo, column schema, sha256 digest per output, wall
+clock, warnings.  CSV floats use the shortest round-trip decimal form, so
+outputs are byte-deterministic for a fixed (config, seed) pair and
+independent of the worker count (a run opens one thread pool, and the
+population chunk layout is ``recursion.CHUNKS``).
 
-Every run writes a JSON manifest next to its outputs: config echo, column
-schema, sha256 digest per output, wall clock, warnings.  CSV floats use the
-shortest round-trip decimal form, so outputs are byte-deterministic for a
-fixed (config, seed) pair and independent of the worker count (a run opens
-one thread pool, and the population chunk layout is ``recursion.CHUNKS``).
-
-Exit codes: 0 success, 2 config error, 3 domain error, 4 verification failure.
+Exit codes: 0 success, 2 config error (an unwritable --out included),
+3 domain error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -143,7 +137,7 @@ def _read_config_file(path: str) -> dict:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    values = {}
+    values = {}  # key -> (value, line number)
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text or text.startswith("#"):
@@ -157,8 +151,11 @@ def _read_config_file(path: str) -> dict:
                 f"{path}:{lineno}: unknown key {key!r}; "
                 f"expected one of {', '.join(_KEYS)}"
             )
-        values[key] = value.strip()
-    return values
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} "
+                              f"(first on line {values[key][1]})")
+        values[key] = value.strip(), lineno
+    return {key: value for key, (value, _) in values.items()}
 
 
 def _parse_int(key: str, raw: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -320,35 +317,26 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def _write_bytes(path: Path, text: str) -> bytes:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    data = text.encode("utf-8")
-    path.write_bytes(data)
-    return data
+def _render(content) -> bytes:
+    """A dict as sorted, indented JSON; a (header, rows) table as CSV."""
+    if isinstance(content, dict):
+        return (json.dumps(content, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    header, rows = content
+    text = "".join(",".join(map(_fmt, row)) + "\n" for row in [header, *rows])
+    return text.encode("utf-8")
 
 
 @dataclass
 class CommandResult:
-    outputs: list          # [(Path, bytes), ...] in emission order
-    schema: dict           # file name -> column list (CSV outputs only)
-    warnings: list
+    outputs: dict  # suffix after --out -> (header, rows) table or JSON dict
+    warnings: list = field(default_factory=list)
     ok: bool = True
     message: str = ""
-
-
-def _csv_result(cfg: RunConfig, header, rows, warnings=()) -> CommandResult:
-    """Write the rows to cfg.out as CSV, its only output so far."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    data = _write_bytes(cfg.out, "\n".join(lines) + "\n")
-    return CommandResult([(cfg.out, data)], {cfg.out.name: header}, list(warnings))
 
 
 def _reim(diag) -> list:
@@ -382,13 +370,9 @@ def _cmd_free_profile(cfg: RunConfig, pmap) -> CommandResult:
                     outside += 1
             rows.append([float(E), float(eta), *_reim(g0[i, j]), *_reim(gf[i, j]),
                          *_reim(ae)])
-    warnings = []
-    if outside:
-        warnings.append(
-            f"{outside} eta=0 rows outside the closed band-intersection "
-            "window; ae columns emitted as nan"
-        )
-    return _csv_result(cfg, header, rows, warnings)
+    warnings = [f"{outside} eta=0 rows outside the closed band-intersection "
+                "window; ae columns emitted as nan"] if outside else []
+    return CommandResult({"": (header, rows)}, warnings)
 
 
 def _continuation_records(cfg: RunConfig, pmap):
@@ -405,14 +389,10 @@ def _continuation_records(cfg: RunConfig, pmap):
 
 def _cmd_dos_scan(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "eta", "dos", "dos_stderr", "ETrG2", "ETrG2_stderr"]
-    rows = []
-    for E, records in _continuation_records(cfg, pmap):
-        for ms in records:
-            rows.append([E, ms.eta,
-                         float(ms.dos.mean), float(ms.dos.std_error),
-                         float(ms.trace_abs_sq.mean),
-                         float(ms.trace_abs_sq.std_error)])
-    return _csv_result(cfg, header, rows)
+    rows = [[E, ms.eta, float(ms.dos.mean), float(ms.dos.std_error),
+             float(ms.trace_abs_sq.mean), float(ms.trace_abs_sq.std_error)]
+            for E, records in _continuation_records(cfg, pmap) for ms in records]
+    return CommandResult({"": (header, rows)})
 
 
 def _cmd_ac_indicator(cfg: RunConfig, pmap) -> CommandResult:
@@ -433,12 +413,7 @@ def _cmd_ac_indicator(cfg: RunConfig, pmap) -> CommandResult:
         "window": [recursion.AC_RATIO_LO, recursion.AC_RATIO_HI],
         "results": results,
     }
-    result = _csv_result(cfg, header, rows)
-    verdict_path = Path(str(cfg.out) + ".verdict.json")
-    vdata = _write_bytes(verdict_path,
-                         json.dumps(verdict, sort_keys=True, indent=2) + "\n")
-    result.outputs.append((verdict_path, vdata))
-    return result
+    return CommandResult({"": (header, rows), ".verdict.json": verdict})
 
 
 def _cmd_gap_scan(cfg: RunConfig, pmap) -> CommandResult:
@@ -451,13 +426,9 @@ def _cmd_gap_scan(cfg: RunConfig, pmap) -> CommandResult:
             rows.append([float(E), *eigenvalue_gaps(float(E), cfg.model, basis)])
         except OutOfBandError:
             skipped += 1
-    warnings = []
-    if skipped:
-        warnings.append(
-            f"skipped {skipped} of {len(cfg.e_values)} grid points outside "
-            "the band-intersection window"
-        )
-    return _csv_result(cfg, header, rows, warnings)
+    warnings = [f"skipped {skipped} of {len(cfg.e_values)} grid points outside "
+                "the band-intersection window"] if skipped else []
+    return CommandResult({"": (header, rows)}, warnings)
 
 
 def _triangularity_residual(op) -> list:
@@ -481,7 +452,7 @@ def _cmd_ce_spectrum(cfg: RunConfig, pmap) -> CommandResult:
                          sum(J), float(value.real), float(value.imag),
                          float(abs(value)),
                          float(cfg.model.K) ** (-sum(J)), residual])
-    return _csv_result(cfg, header, rows)
+    return CommandResult({"": (header, rows)})
 
 
 def _cmd_crosscheck(cfg: RunConfig, pmap) -> CommandResult:
@@ -519,10 +490,9 @@ def _cmd_crosscheck(cfg: RunConfig, pmap) -> CommandResult:
                        "realization": worst % cfg.samples},
         "pass": ok,
     }
-    data = _write_bytes(cfg.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     message = "" if ok else (f"max deviation {max_dev:.3e} exceeds "
                              f"{CROSSCHECK_TOL:g}")
-    return CommandResult([(cfg.out, data)], {}, [], ok=ok, message=message)
+    return CommandResult({"": report}, ok=ok, message=message)
 
 
 _DISPATCH = {
@@ -535,24 +505,28 @@ _DISPATCH = {
 }
 
 
-def _write_manifest(cfg: RunConfig, result: CommandResult, wall: float) -> Path:
-    outputs = {
-        path.name: {"sha256": hashlib.sha256(data).hexdigest(),
-                    "bytes": len(data)}
-        for path, data in result.outputs
-    }
+def _write_outputs(cfg: RunConfig, result: CommandResult, start: float) -> list:
+    """Write the outputs, then the manifest timed from ``start``; return the paths."""
+    files = {Path(f"{cfg.out}{suffix}"): _render(content)
+             for suffix, content in result.outputs.items()}
+    cfg.out.parent.mkdir(parents=True, exist_ok=True)
+    for path, data in files.items():
+        path.write_bytes(data)
     manifest = {
         "artifact": {"name": "bethestrip", "version": __version__},
         "config": cfg.echo,
         "schema_version": 2,
-        "schema": result.schema,
-        "outputs": outputs,
+        "schema": {f"{cfg.out.name}{suffix}": content[0]
+                   for suffix, content in result.outputs.items()
+                   if not isinstance(content, dict)},
+        "outputs": {path.name: {"sha256": hashlib.sha256(data).hexdigest(),
+                                "bytes": len(data)} for path, data in files.items()},
         "warnings": result.warnings,
-        "wall_clock_seconds": round(wall, 3),
+        "wall_clock_seconds": round(time.perf_counter() - start, 3),
     }
-    path = Path(str(cfg.out) + ".manifest.json")
-    _write_bytes(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    return path
+    path = Path(f"{cfg.out}.manifest.json")
+    path.write_bytes(_render(manifest))
+    return [*files, path]
 
 
 _VALUE_FLAGS = {"--config"} | {f"--{key}" for key in _KEYS}
@@ -592,13 +566,16 @@ def main(argv=None) -> int:
     except BetheStripError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
-    wall = time.perf_counter() - start
-    manifest_path = _write_manifest(cfg, result, wall)
+    try:
+        paths = _write_outputs(cfg, result, start)
+    except OSError as exc:
+        print(f"config error: out: cannot write {exc.filename}: {exc.strerror}",
+              file=sys.stderr)
+        return 2
     for warning in result.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    for path, _ in result.outputs:
+    for path in paths:
         print(f"wrote {path}")
-    print(f"wrote {manifest_path}")
     if not result.ok:
         print(f"verification failed: {result.message}", file=sys.stderr)
         return 4

@@ -585,6 +585,16 @@ class TestConfigPlumbing:
         assert main(args + ["--config", str(bad)]) == 2
         assert main(args + ["--config", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_duplicate_file_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "dup.cfg"
+        cfg.write_text("K=3\n# the width\nm=1\nK=2\n")
+        rc = main(["free-profile", "--E-grid", "0:0:1", "--config", str(cfg),
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+        assert (f"{cfg}:4: duplicate key 'K' (first on line 1)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x.csv").exists()
+
     def test_non_utf8_config_file(self, tmp_path, capsys):
         bad = tmp_path / "latin1.cfg"
         bad.write_bytes(b"K=2\n# caf\xe9\n")
@@ -628,6 +638,25 @@ class TestConfigPlumbing:
         assert rc == 2
         assert f"{out}{side} is a directory" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub, args", [
+        ("free-profile", []),
+        ("ac-indicator", ["--eta-schedule", "0.2,0.1,0.05", "--pool", "16",
+                          "--sweeps", "1", "--burnin", "1", "--samples", "2"]),
+        ("crosscheck", ["--depth", "1", "--samples", "2"]),
+    ])
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, sub, args):
+        # a regular file where the output directory should be: nothing can be
+        # written below it, whatever the permissions of the user
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = main([sub, "--E-grid", "0:0:1", *args,
+                   "--out", str(blocker / "x.out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"config error: out: cannot write {blocker}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert blocker.read_text() == ""
 
     def test_width_from_diagonal_and_mismatch(self, tmp_path):
         out = tmp_path / "fp.csv"

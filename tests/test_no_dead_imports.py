@@ -190,3 +190,41 @@ def test_detects_kernel_bypasses():
               "G = resolvent(A, S, V, lam=lam, z=z)\nG = resolvent(A, S, **kw)\n")
     assert kernel_bypasses(source, "recursion.py") == [2, 3, 5, 7]
     assert kernel_bypasses(source, "linalg.py") == [3, 5, 7]
+
+
+# The CLI's subcommands return data; main and its one writer touch the files.
+CLI_WRITER = "_write_outputs"
+FILESYSTEM_CALLS = {"open", "print", "mkdir", "write_bytes", "write_text"}
+
+
+def filesystem_calls_outside(source: str) -> list[tuple[str, int]]:
+    """(enclosing top-level name, line) of every call of FILESYSTEM_CALLS outside
+    main and CLI_WRITER, and of every call of CLI_WRITER outside main, so no
+    subcommand reaches the files through a helper or the writer itself."""
+    found = []
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            if ((name in FILESYSTEM_CALLS and owner not in {"main", CLI_WRITER})
+                    or (name == CLI_WRITER and owner != "main")):
+                found.append((owner, call.lineno))
+    return found
+
+
+def test_only_main_writes_cli_output():
+    assert filesystem_calls_outside((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_detects_cli_output_outside_main():
+    source = ("def main():\n    print(_write_outputs(p))\n"
+              "def _write_outputs(p):\n    p.mkdir()\n    p.write_bytes(b'')\n"
+              "def _cmd_a(cfg):\n    return _helper(cfg.out)\n"
+              "def _helper(path):\n    path.write_text('x')\n"
+              "def _cmd_b(cfg):\n    with open(cfg.out, 'w'):\n        pass\n"
+              "def _cmd_c(cfg, result):\n    return _write_outputs(cfg, result, 0)\n"
+              "if __name__ == '__main__':\n    print(main())\n")
+    assert filesystem_calls_outside(source) == [
+        ("_helper", 9), ("_cmd_b", 11), ("_cmd_c", 14), ("<module>", 16)]
