@@ -87,9 +87,9 @@ _KEYS = {
                          read_by=("free-profile", *_POOL_SUBS, "crosscheck")),
     "pool": _Key("INT", "population size", "1000", 16, _POOL_SUBS),
     "sweeps": _Key("INT", "relaxation sweeps per eta level after the first",
-                   "50", 1, _POOL_SUBS),
-    "burnin": _Key("INT", "sweeps at the first eta level", "100", 0,
-                   _POOL_SUBS),
+                   str(recursion.RELAX_SWEEPS), 1, _POOL_SUBS),
+    "burnin": _Key("INT", "sweeps at the first eta level",
+                   str(recursion.BURN_IN), 0, _POOL_SUBS),
     "samples": _Key("INT",
                     "root draws per measured sweep; realizations for crosscheck",
                     {"crosscheck": "20", "*": "500"}, 1,
@@ -287,6 +287,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"{key}: {counts[key]} needs {entries} entries, cap {MAX_ENTRIES}")
 
     out = Path(str(required("out")))
+    base = out.parent  # the write creates the missing directories below base
+    while not os.path.exists(base) and base != base.parent:
+        base = base.parent
+    if not os.path.isdir(base):
+        raise ConfigError(f"out: cannot write {base}: not a directory")
     for suffix in ("", ".manifest.json") + ((".verdict.json",) if sub == "ac-indicator" else ()):
         if Path(f"{out}{suffix}").is_dir():
             raise ConfigError(f"out: {out}{suffix} is a directory")

@@ -30,6 +30,11 @@ DEFAULT_BATCHES = 20
 CHUNKS = 8
 # Generations averaged per measurement, the default of every measuring call.
 MEASURE_SWEEPS = 20
+# Generations before measuring: from the free warm start, where the pool mean
+# settles within about 25 even at a band edge, and after each later eta step,
+# where a decade step at lam = 0.1 still drifts after 20.
+BURN_IN = 30
+RELAX_SWEEPS = 50
 
 
 def sample_tree(sp: SpectralPoint, model, depth, seed, realization=0):
@@ -246,8 +251,8 @@ def measure_stationary(pool, model, context, sweeps=MEASURE_SWEEPS,
 
 
 def eta_continuation(model, E, eta_schedule, pool_size=10_000, seed=0,
-                     burn_in=100, relax_sweeps=50, measure_sweeps=MEASURE_SWEEPS,
-                     draws_per_sweep=500, pmap=map):
+                     burn_in=BURN_IN, relax_sweeps=RELAX_SWEEPS,
+                     measure_sweeps=MEASURE_SWEEPS, draws_per_sweep=500, pmap=map):
     """Decreasing-eta continuation of the population at fixed energy.
 
     Re-equilibrates the warm-started pool at each eta and measures over

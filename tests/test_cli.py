@@ -181,6 +181,21 @@ class TestDosScan:
                 free_dos(SpectralPoint(E, eta), model), abs=1e-9)
             assert float(row[3]) < 1e-12   # deterministic draws at lambda=0
 
+    def test_sweep_defaults_are_the_library_defaults(self, tmp_path):
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        args = ["dos-scan", "--m", "1", "--lambda", "0.1", "--E-grid", "0.5:0.5:1",
+                "--eta-schedule", "0.1,0.05", "--pool", "32", "--samples", "8"]
+        assert main(args + ["--out", str(default)]) == 0
+        assert main(args + ["--burnin", "30", "--sweeps", "50",
+                            "--out", str(explicit)]) == 0
+        echo = manifest_of(default)["config"]
+        assert (echo["burnin"], echo["sweeps"]) == \
+            (recursion.BURN_IN, recursion.RELAX_SWEEPS)
+        library = inspect.signature(recursion.eta_continuation).parameters
+        assert (library["burn_in"].default, library["relax_sweeps"].default) == \
+            (recursion.BURN_IN, recursion.RELAX_SWEEPS)
+        assert default.read_bytes() == explicit.read_bytes()
+
     def test_byte_determinism_across_runs_and_workers(self, tmp_path):
         outs = [tmp_path / f"d{i}.csv" for i in range(3)]
         main(self.ARGS + ["--workers", "1", "--out", str(outs[0])])
@@ -645,18 +660,38 @@ class TestConfigPlumbing:
                           "--sweeps", "1", "--burnin", "1", "--samples", "2"]),
         ("crosscheck", ["--depth", "1", "--samples", "2"]),
     ])
-    def test_unwritable_out_is_config_error(self, tmp_path, capsys, sub, args):
-        # a regular file where the output directory should be: nothing can be
-        # written below it, whatever the permissions of the user
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                            sub, args):
+        def never(*_, **__):
+            raise AssertionError("a solver ran")
+
+        for solver in ("forward_roots", "eta_continuation", "sample_tree_given",
+                       "root_green_block"):
+            monkeypatch.setattr(cli, solver, never)
+        # a regular file where an output directory should be, at the parent or
+        # further up: nothing can be written below it, whatever the permissions
         blocker = tmp_path / "file"
         blocker.write_text("")
-        rc = main([sub, "--E-grid", "0:0:1", *args,
-                   "--out", str(blocker / "x.out")])
+        for rel in ("x.out", "sub/dir/x.out"):
+            rc = main([sub, "--E-grid", "0:0:1", *args,
+                       "--out", str(blocker / rel)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith(f"config error: out: cannot write {blocker}: ")
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert blocker.read_text() == ""
+
+    def test_write_error_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # an error only the write itself finds (permissions, a full disk)
+        def refuse(path, data):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "write_bytes", refuse)
+        out = tmp_path / "x.csv"
+        rc = main(["free-profile", "--E-grid", "0:0:1", "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"config error: out: cannot write {blocker}: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert blocker.read_text() == ""
+        assert err == f"config error: out: cannot write {out}: Permission denied\n"
 
     def test_width_from_diagonal_and_mismatch(self, tmp_path):
         out = tmp_path / "fp.csv"

@@ -397,3 +397,55 @@ class TestContinuation:
         G = root_draws(pool, mod, keyed_rng(3, 2, 7), 64)
         assert G.shape == (64, 2, 2)
         assert min(min_imag_eigenvalue(g) for g in G) > 0
+
+
+class TestBurnIn:
+    """The default burn-in against a five times longer one, from the free start.
+
+    Each config runs SEEDS keyed pools, each measured after ``recursion.BURN_IN``
+    sweeps and again, on the same trajectory, after LONG_BURN_IN.  Over 100
+    sweeps apart, the two measurements are independent and, without bias,
+    equal in law, so the error of their difference is the seed spread of both
+    arms pooled (2 SEEDS - 2 degrees of freedom).  The pool mean settles in
+    1-11 sweeps at lam = 0.1-10 and in about 25 at a band edge (the uniform
+    m = 1 config).  Over base seeds 2000-2119 of ``gap_in_sigmas`` 12 failed at
+    3 sigma, the tails of t at 14 degrees of freedom, with no config biased on
+    average; a burn-in of 0 failed at all 20 tried, at goe-lam2 and
+    uniform-edge.
+    """
+
+    LONG_BURN_IN = 150  # a fixed count: a shorter default is compared with it
+    SEEDS = 8
+    POOL = 1_500
+    SWEEPS = 5
+    DRAWS = 200
+    BENCH_A = (-0.5, 0.5)
+    CONFIGS = {  # label -> (model, E, first eta)
+        "bench-E0.4": (make_model(a=BENCH_A, lam=0.1), 0.4, 0.01),
+        "bench-E1.6": (make_model(a=BENCH_A, lam=0.1), 1.6, 0.01),
+        "goe-lam2": (make_model(a=BENCH_A, lam=2.0), 0.0, 0.01),
+        "goe-lam10": (make_model(a=BENCH_A, lam=10.0), 0.0, 0.1),
+        "uniform-edge": (make_model(lam=0.3, ensemble=DiagonalIID("uniform")),
+                         1.3, 0.01),
+    }
+
+    def gap_in_sigmas(self, label, base_seed=1000):
+        """(long - short) / sigma of the dos and of E Tr|G|^2 at a config."""
+        model, E, eta = self.CONFIGS[label]
+        arms = []  # (seed, arm, observable)
+        for s in range(self.SEEDS):
+            seed = child_seed(base_seed, list(self.CONFIGS).index(label), s)
+            pool = population_run(
+                population_init(SpectralPoint(E, eta), model, self.POOL, seed),
+                model, recursion.BURN_IN)
+            pool, short = measure_stationary(pool, model, 0, self.SWEEPS, self.DRAWS)
+            pool = population_run(pool, model, self.LONG_BURN_IN - pool.sweeps_done)
+            _, long = measure_stationary(pool, model, 0, self.SWEEPS, self.DRAWS)
+            arms.append([[ms.dos.mean, ms.trace_abs_sq.mean] for ms in (short, long)])
+        arms = np.array(arms)
+        gap = arms[:, 1].mean(axis=0) - arms[:, 0].mean(axis=0)
+        return gap / np.sqrt(arms.var(axis=0, ddof=1).sum(axis=0) / self.SEEDS)
+
+    @pytest.mark.parametrize("label", CONFIGS)
+    def test_default_burn_in_matches_a_longer_one(self, label):
+        assert np.all(np.abs(self.gap_in_sigmas(label)) <= 3.0)
