@@ -3,8 +3,9 @@
 Green's matrices on the strip are complex *symmetric* (not Hermitian).  Every
 recursion path hands :func:`resolvent` A, the neighbor sum, V, lam and z; it
 composes M itself and inverts it over ``(..., m, m)`` stacks with one error
-policy: by LAPACK, or in closed form at m = 1 (1 / M) and m = 2 (on M's packed
-entries).  Beside it: the Herglotz indicator min eig Im M, the upper-half-plane
+policy: in closed form at m = 1 (1 / M) and m = 2 (on M's packed entries), and
+at m >= 3 by Gauss-Jordan elimination without pivoting, batched over the
+stack.  Beside it: the Herglotz indicator min eig Im M, the upper-half-plane
 root branch and the PSD check.
 """
 
@@ -47,7 +48,8 @@ def sym_part(M):
 
 
 def _check_pivots(p):
-    """Raise before dividing unless every pivot (det at m = 2, M at m = 1) is usable.
+    """Raise before dividing unless every pivot is usable: M at m = 1, det at
+    m = 2, each elimination step's diagonal entry at m >= 3.
 
     A non-finite entry makes its pivot non-finite, so one test covers both.
     """
@@ -65,12 +67,19 @@ def resolvent(A, neighbor_sum, V, lam, z):
     potentials that broadcast to its shape, and ``z`` one value or one per
     member.  A singular member, a non-finite entry or an overflow raises
     :class:`SingularMatrixError` with no RuntimeWarning, a non-square A
-    ValueError.  For eta > 0 and Herglotz neighbors Im(-M) >= eta, so
-    ||M^-1|| <= 1/eta and no pivot floor is needed.  At m = 2 the closed form
-    [[d, -b], [-b, a]] / (ad - b^2) runs on the packed entries a, b (upper), d
-    of M; at m = 1 the reciprocal 1 / M.  Both check the pivot before dividing;
-    an ad - b^2 or a quotient that overflows raises from the floating-point
-    status.
+    ValueError.  At m = 2 the closed form [[d, -b], [-b, a]] / (ad - b^2) runs
+    on the packed entries a, b (upper), d of M; at m = 1 the reciprocal 1 / M.
+
+    At m >= 3 Gauss-Jordan elimination without pivoting runs on the whole
+    stack at once.  For eta > 0 and Herglotz neighbors Im(-M) >= eta I, and
+    every Schur complement S keeps that bound (v* S v = x* M x for
+    x = (-M11^-1 M12 v, v)), so every pivot has |p| >= eta (Golub & Van Loan,
+    Matrix Computations, section 4.2).  At eta = 0 no pivot is bounded: a
+    nonsingular M whose leading minor vanishes, such as
+    [[0, 1, 0], [1, 0, 0], [0, 0, 1]], raises SingularMatrixError instead of
+    returning its inverse; at a generic real z the result matches LAPACK to
+    rounding.  Every path checks each pivot before dividing; a determinant,
+    product or quotient that overflows raises from the floating-point status.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"resolvent expects an (m, m) block A, got {A.shape}")
@@ -84,7 +93,8 @@ def resolvent(A, neighbor_sum, V, lam, z):
 def _resolvent(A, neighbor_sum, V, lam, z):
     B = lam * V
     B += A
-    if len(A) == 2:
+    m = len(A)
+    if m == 2:
         x, s = B.reshape(-1, 4), neighbor_sum.reshape(-1, 4)
         # one buffer per stack member: V and z may be shared by the whole stack
         a = np.subtract(x[:, 0], z, out=np.empty(len(s), complex))
@@ -101,17 +111,25 @@ def _resolvent(A, neighbor_sum, V, lam, z):
         b = b / det
         G[:, 1] = G[:, 2] = -0.5 * (b + b)  # sym_part's form: -b can flip a zero's sign
         return G.reshape(neighbor_sum.shape)
-    M = (B - np.multiply.outer(z, np.eye(len(A)))) - 0.25 * neighbor_sum
-    if len(A) == 1:
+    M = (B - np.multiply.outer(z, np.eye(m))) - 0.25 * neighbor_sum
+    if m == 1:
         _check_pivots(M)
         return 1.0 / M
-    try:
-        G = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"singular matrix in the recursion: {exc}") from exc
-    if not np.isfinite(G).all():
-        raise SingularMatrixError("the recursion produced non-finite entries")
-    return sym_part(G)
+    # Gauss-Jordan in place on the (m, m, n) layout, one contiguous (n,) column
+    # per entry, so each step is a few whole-stack array operations
+    M = np.moveaxis(M.reshape(-1, m, m), 0, -1).copy()
+    for k in range(m):
+        _check_pivots(M[k, k])
+        r = 1.0 / M[k, k]
+        f = M[:, k].copy()
+        M[:, k] = 0.0
+        M[k, k] = 1.0
+        M[k] *= r
+        M[:k] -= f[:k, None] * M[k]
+        M[k + 1:] -= f[k + 1:, None] * M[k]
+    M += M.swapaxes(0, 1).copy()  # copied first: numpy's overlap handling is slower
+    M *= 0.5
+    return np.moveaxis(M, -1, 0).reshape(neighbor_sum.shape)
 
 
 def sqrt_upper(w):

@@ -341,6 +341,28 @@ class TestContinuation:
             assert np.complex128(rep.z).tobytes() == np.complex128(z).tobytes()
             assert rep.herglotz == (low > HERGLOTZ_SLACK)
 
+    @settings(max_examples=100)
+    @given(K=st.integers(2, 4), m=st.integers(3, 6),
+           lam=st.sampled_from([0.0]) | st.floats(0.0, 2.0),
+           E=st.floats(-4.0, 4.0),
+           edge=st.none() | st.tuples(st.sampled_from([1.0, -1.0]), st.integers(0, 5)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_boundary_residual_matches_plain_inverse(self, K, m, lam, E, edge, seed):
+        # at eta = 0 no pivot of the m >= 3 elimination is bounded away from
+        # zero; the boundary report's residual, band edges included, matches
+        # one through LAPACK's pivoted inverse
+        rng = np.random.default_rng(seed)
+        a = tuple(np.sort(rng.uniform(-1.0, 1.0, m)))
+        mod = make_model(K=K, a=a, lam=lam,
+                         ensemble=PointMass(random_symmetric(m, rng)))
+        if edge is not None:  # a band edge +-sqrt K + a_k of the free strip
+            E = edge[0] * np.sqrt(K) + a[edge[1] % m]
+        last = continuation_to_boundary(mod, E)[-1]
+        assert last.z == complex(E, 0.0)
+        G = last.solution
+        ref = np.abs(raw_residual(mod, complex(E, 0.0), G)).max()
+        assert abs(last.residual - ref) <= 1e-12 * np.abs(G).max()
+
     def test_eta_schedule_pinned(self):
         # the benchmark's continuation check zips its reports with this list
         want = tuple(0.5 ** k for k in range(27)) + (0.0,)

@@ -13,7 +13,8 @@ deviation, recomputed here, leads the runner-up by PINNED_LEAD.
 GOLDEN_RUNS adds two m = 3 linearization configs, ``ce-spectrum-m3`` and
 ``gap-scan-m3``: every criterion-9 config has m <= 2.  It adds two dos-scan
 configs, ``dos-scan-m2`` and ``dos-scan-m3``, for the population kernel's
-2x2 and LAPACK branches: the criterion-9 pool configs run m = 1.
+2x2 closed form and its m >= 3 Gauss-Jordan elimination: the criterion-9 pool
+configs run m = 1.
 
 ``continuation.out`` pins the deterministic solver, which no subcommand runs:
 ``fixedpoint.continuation_to_boundary`` on CONTINUATION_RUNS, with each

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -95,16 +96,25 @@ class TestResolvent:
             err = np.max(np.abs(got - ref), axis=(1, 2))
             assert np.all(err <= 1e-13 * np.max(np.abs(ref), axis=(1, 2)))
 
-    def test_2x2_errors_raise_without_warning(self):
-        # a zero pivot, a NaN and an inf entry at widths 1 and 2, alone and
-        # as one member of a stack; then finite entries whose pivot or
-        # inverse overflows (LAPACK gives 1e-200 on the diagonal of the first,
-        # and 1e310 is past the largest double)
-        bad_inputs = ([[0.0]], [[np.nan]], [[np.inf]],
+    def test_errors_raise_without_warning(self):
+        # a zero pivot, a NaN and an inf entry at widths 1, 2 and 3, alone and
+        # as one member of a stack; then finite entries whose pivot, product or
+        # inverse overflows (LAPACK gives 1e-200 on the diagonal of the 2x2,
+        # and 1e310 is past the largest double); last a NaN or an infinite
+        # entry at each position of a 3x3: the elimination checks only its
+        # pivots, so each must reach a later pivot or raise from the status
+        bad_inputs = [[[0.0]], [[np.nan]], [[np.inf]],
                       [[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]],
                       [[np.inf, 0.0], [0.0, 1.0]],
+                      [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
                       [[1e200, 0.0], [0.0, 1e200]], [[1e-310]],
-                      [[1e-310, 0.0], [0.0, 1.0]])
+                      [[1e-310, 0.0], [0.0, 1.0]],
+                      [[1.0, 1e200, 0.0], [1e200, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                      np.diag([1e-310, 1.0, 1.0])]
+        for value, i, j in itertools.product((np.nan, np.inf, -np.inf),
+                                             range(3), range(3)):
+            bad_inputs.append(np.eye(3) + 0.25 * np.ones((3, 3)))
+            bad_inputs[-1][i, j] = value
         for bad in bad_inputs:
             bad = np.array(bad)
             for M in (bad, np.array([np.eye(len(bad)), bad])):
@@ -112,6 +122,37 @@ class TestResolvent:
                     warnings.simplefilter("error")
                     with pytest.raises(SingularMatrixError):
                         kernel(M)
+
+    def test_vanishing_leading_minor_raises(self):
+        # no pivoting: a nonsingular M with a zero leading entry has no usable
+        # first pivot, so it raises instead of returning its inverse
+        M = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        assert np.linalg.det(M) == -1.0
+        for stack in (M, np.array([np.eye(3), M])):
+            with pytest.raises(SingularMatrixError, match="singular"):
+                kernel(stack)
+
+    @settings(max_examples=200)
+    @given(m=st.integers(3, 6), K=st.integers(2, 4), eta=st.floats(1e-6, 1.0),
+           E=st.floats(-3.0, 3.0), lam=st.floats(0.0, 10.0), goe=st.booleans(),
+           per_member=st.booleans(), n=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_gauss_jordan_matches_lapack_property(self, m, K, eta, E, lam, goe,
+                                                  per_member, n, seed):
+        # the m >= 3 elimination without pivoting against LAPACK's pivoted
+        # inverse, at small eta and strong coupling, one z or one per member
+        rng = np.random.default_rng(seed)
+        A = np.diag(rng.uniform(-1.0, 1.0, m))
+        V = np.array([random_symmetric(m, rng) if goe
+                      else np.diag(rng.standard_normal(m)) for _ in range(n)])
+        nsum = sum(np.array([random_herglotz(m, rng, eta=0.0) for _ in range(n)])
+                   for _ in range(K))
+        z = E + 1j * eta + (rng.uniform(-1.0, 1.0, n) if per_member else 0.0)
+        G = resolvent(A, nsum, V, lam, z)
+        ref = sym_part(np.linalg.inv(composed(A, nsum, V, lam, z)))
+        err = np.max(np.abs(G - ref), axis=(1, 2))
+        assert np.all(err <= 1e-12 * np.max(np.abs(ref), axis=(1, 2)))
+        assert np.array_equal(G, G.swapaxes(-1, -2))
 
     @settings(max_examples=200)
     @given(m=st.integers(1, 4), K=st.integers(2, 4), eta=st.floats(1e-2, 1.0),
