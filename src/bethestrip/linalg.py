@@ -3,10 +3,10 @@
 Green's matrices on the strip are complex *symmetric* (not Hermitian).  Every
 recursion path hands :func:`resolvent` A, the neighbor sum, V, lam and z; it
 composes M itself and inverts it over ``(..., m, m)`` stacks with one error
-policy: in closed form at m = 1 (1 / M) and m = 2 (on M's packed entries), and
-at m >= 3 by Gauss-Jordan elimination without pivoting, batched over the
-stack.  Beside it: the Herglotz indicator min eig Im M, the upper-half-plane
-root branch and the PSD check.
+policy: in closed form at m = 2, else by Gauss-Jordan elimination batched over
+the stack, with LAPACK's pivoted LU for the members whose pivots are small.
+Beside it: the Herglotz indicator min eig Im M, the upper-half-plane root
+branch and the PSD check.
 """
 
 from dataclasses import dataclass
@@ -17,6 +17,10 @@ from .errors import SingularMatrixError
 
 # Slack below zero allowed for min eig Im G on the dissipative branch.
 HERGLOTZ_SLACK = 1e-10
+
+# Threshold pivoting (Duff, Erisman & Reid, Direct Methods for Sparse Matrices):
+# a pivot at most this share of its column's largest entry left sends its member to LAPACK.
+PIVOT_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -47,18 +51,6 @@ def sym_part(M):
     return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
-def _check_pivots(p):
-    """Raise before dividing unless every pivot is usable: M at m = 1, det at
-    m = 2, each elimination step's diagonal entry at m >= 3.
-
-    A non-finite entry makes its pivot non-finite, so one test covers both.
-    """
-    if not np.isfinite(p).all():
-        raise SingularMatrixError("non-finite entry or pivot in the recursion")
-    if np.count_nonzero(p) < p.size:
-        raise SingularMatrixError("singular matrix in the recursion")
-
-
 def resolvent(A, neighbor_sum, V, lam, z):
     """sym_part(inv(M)) over (..., m, m) stacks, M = (A + lam V) - z - neighbor_sum / 4.
 
@@ -68,18 +60,15 @@ def resolvent(A, neighbor_sum, V, lam, z):
     member.  A singular member, a non-finite entry or an overflow raises
     :class:`SingularMatrixError` with no RuntimeWarning, a non-square A
     ValueError.  At m = 2 the closed form [[d, -b], [-b, a]] / (ad - b^2) runs
-    on the packed entries a, b (upper), d of M; at m = 1 the reciprocal 1 / M.
+    on the packed entries a, b (upper), d of M.
 
-    At m >= 3 Gauss-Jordan elimination without pivoting runs on the whole
-    stack at once.  For eta > 0 and Herglotz neighbors Im(-M) >= eta I, and
-    every Schur complement S keeps that bound (v* S v = x* M x for
-    x = (-M11^-1 M12 v, v)), so every pivot has |p| >= eta (Golub & Van Loan,
-    Matrix Computations, section 4.2).  At eta = 0 no pivot is bounded: a
-    nonsingular M whose leading minor vanishes, such as
-    [[0, 1, 0], [1, 0, 0], [0, 0, 1]], raises SingularMatrixError instead of
-    returning its inverse; at a generic real z the result matches LAPACK to
-    rounding.  Every path checks each pivot before dividing; a determinant,
-    product or quotient that overflows raises from the floating-point status.
+    Other widths run Gauss-Jordan elimination without pivoting on the whole
+    stack at once (1 / M at m = 1).  For eta > 0 and Herglotz neighbors each
+    pivot has |p| >= eta, as Im(-M) >= eta I holds for every Schur complement
+    (Golub & Van Loan, section 4.2), but a pivot that small beside its column
+    costs digits, and at eta = 0 one can vanish.  A member with a pivot at most
+    PIVOT_THRESHOLD times its column's largest entry left, or not finite, is
+    inverted again by LAPACK, per member, so stacks and single calls agree.
     """
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"resolvent expects an (m, m) block A, got {A.shape}")
@@ -104,32 +93,48 @@ def _resolvent(A, neighbor_sum, V, lam, z):
         b = x[:, 1] - 0.25 * s[:, 1]
         det = a * d
         det -= b * b
-        _check_pivots(det)
+        if not np.isfinite(det).all():  # checked before dividing
+            raise SingularMatrixError("non-finite entry or pivot in the recursion")
+        if np.count_nonzero(det) < det.size:
+            raise SingularMatrixError("singular matrix in the recursion")
         G = np.empty(det.shape + (4,), dtype=complex)
         np.divide(d, det, out=G[:, 0])
         np.divide(a, det, out=G[:, 3])
         b = b / det
         G[:, 1] = G[:, 2] = -0.5 * (b + b)  # sym_part's form: -b can flip a zero's sign
         return G.reshape(neighbor_sum.shape)
-    M = (B - np.multiply.outer(z, np.eye(m))) - 0.25 * neighbor_sum
-    if m == 1:
-        _check_pivots(M)
-        return 1.0 / M
-    # Gauss-Jordan in place on the (m, m, n) layout, one contiguous (n,) column
-    # per entry, so each step is a few whole-stack array operations
-    M = np.moveaxis(M.reshape(-1, m, m), 0, -1).copy()
+    # Gauss-Jordan on M built in the (m, m, n) layout: each step is a few (n,) rows
+    S = neighbor_sum.reshape(-1, m, m)
+    Bn = np.broadcast_to(B, neighbor_sum.shape).reshape(S.shape)
+    W = Bn.transpose(1, 2, 0).astype(complex, order="C")
+    for i in range(m):
+        W[i, i] -= z
+    W -= 0.25 * S.transpose(1, 2, 0)
+    fallback = np.zeros(len(S), dtype=bool)
     for k in range(m):
-        _check_pivots(M[k, k])
-        r = 1.0 / M[k, k]
-        f = M[:, k].copy()
-        M[:, k] = 0.0
-        M[k, k] = 1.0
-        M[k] *= r
-        M[:k] -= f[:k, None] * M[k]
-        M[k + 1:] -= f[k + 1:, None] * M[k]
-    M += M.swapaxes(0, 1).copy()  # copied first: numpy's overlap handling is slower
-    M *= 0.5
-    return np.moveaxis(M, -1, 0).reshape(neighbor_sum.shape)
+        col = np.abs(W[k:, k])
+        small = ~(col[0] > PIVOT_THRESHOLD * col.max(axis=0))  # NaN or inf: True
+        if small.any():  # these go on as the identity and are inverted again below
+            fallback |= small
+            W[..., small] = np.eye(m)[..., None]
+        f = W[:, k].copy()
+        W[:, k] = 0.0
+        W[k, k] = 1.0
+        W[k] *= 1.0 / f[k]
+        W[:k] -= f[:k, None] * W[k]
+        W[k + 1:] -= f[k + 1:, None] * W[k]
+    G = W.transpose(2, 0, 1) + W.transpose(2, 1, 0)  # sym_part's sum, then its half
+    G *= 0.5
+    if fallback.any():
+        i = np.flatnonzero(fallback)
+        M = Bn[i] - np.multiply.outer(np.broadcast_to(z, len(S))[i], np.eye(m)) - 0.25 * S[i]
+        try:
+            G[i] = sym_part(np.linalg.inv(M))
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrixError(f"singular matrix in the recursion: {exc}") from exc
+        if not (np.isfinite(M).all() and np.isfinite(G).all()):
+            raise SingularMatrixError("non-finite entry in the recursion")
+    return G.reshape(neighbor_sum.shape)
 
 
 def sqrt_upper(w):

@@ -347,21 +347,43 @@ class TestContinuation:
            E=st.floats(-4.0, 4.0),
            edge=st.none() | st.tuples(st.sampled_from([1.0, -1.0]), st.integers(0, 5)),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_boundary_residual_matches_plain_inverse(self, K, m, lam, E, edge, seed):
-        # at eta = 0 no pivot of the m >= 3 elimination is bounded away from
-        # zero; the boundary report's residual, band edges included, matches
-        # one through LAPACK's pivoted inverse
+    def test_residuals_match_plain_inverse(self, K, m, lam, E, edge, seed):
+        # every level's residual, the eta = 0 boundary and band edges included,
+        # matches one through LAPACK's pivoted inverse
         rng = np.random.default_rng(seed)
         a = tuple(np.sort(rng.uniform(-1.0, 1.0, m)))
         mod = make_model(K=K, a=a, lam=lam,
                          ensemble=PointMass(random_symmetric(m, rng)))
         if edge is not None:  # a band edge +-sqrt K + a_k of the free strip
             E = edge[0] * np.sqrt(K) + a[edge[1] % m]
-        last = continuation_to_boundary(mod, E)[-1]
-        assert last.z == complex(E, 0.0)
-        G = last.solution
-        ref = np.abs(raw_residual(mod, complex(E, 0.0), G)).max()
-        assert abs(last.residual - ref) <= 1e-12 * np.abs(G).max()
+        reports = continuation_to_boundary(mod, E)
+        assert reports[-1].z == complex(E, 0.0)
+        for rep in reports:
+            ref = np.abs(raw_residual(mod, rep.z, rep.solution)).max()
+            assert abs(rep.residual - ref) <= 1e-12 * np.abs(rep.solution).max()
+
+    @pytest.mark.parametrize("a", [(0.0, 0.0, 0.0), (0.0, 0.0, 10.0)],
+                             ids=["in-band", "gap"])
+    def test_ladder_vanishing_pivot_residuals(self, a):
+        # a symmetric ladder, B = lam [[0, 1], [1, 0]] (+) a_3: at E = 0 the
+        # eigenvalues +-lam enter row 0 of Q with weight 1/2 and g(-lam) =
+        # -g(lam), so G[0, 0] ~ 0 and the first pivot -z - (K/4) G[0, 0] is
+        # about -eta, 0 at the boundary; with a_3 = 10, E = 0 lies in a gap.
+        # Every level's residual matches LAPACK's (elimination without the
+        # fallback was 1e-8 off at eta ~ 1e-8), and the batched levels equal
+        # per-level map calls byte for byte
+        mod = make_model(K=2, a=a, lam=2.0,
+                         ensemble=PointMass([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0],
+                                             [0.0, 0.0, 0.0]]))
+        reports = continuation_to_boundary(mod, 0.0)
+        assert abs(reports[-1].solution[0, 0]) < 1e-15
+        for eta, rep in zip(fp.ETA_SCHEDULE, reports):
+            G = rep.solution
+            ref = np.abs(raw_residual(mod, rep.z, G)).max()
+            assert abs(rep.residual - ref) <= 1e-13 * np.abs(G).max()
+            mapped = FixedPointProblem(mod, SpectralPoint(0.0, eta)).forward_map(G)
+            assert (np.float64(rep.residual).tobytes()
+                    == np.float64(np.abs(G - mapped).max()).tobytes())
 
     def test_eta_schedule_pinned(self):
         # the benchmark's continuation check zips its reports with this list

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from bethestrip.errors import SingularMatrixError
 from bethestrip.linalg import (
     HERGLOTZ_SLACK,
+    PIVOT_THRESHOLD,
     SpectralPoint,
     _imag_floor,
     min_imag_eigenvalue,
@@ -98,19 +99,17 @@ class TestResolvent:
 
     def test_errors_raise_without_warning(self):
         # a zero pivot, a NaN and an inf entry at widths 1, 2 and 3, alone and
-        # as one member of a stack; then finite entries whose pivot, product or
-        # inverse overflows (LAPACK gives 1e-200 on the diagonal of the 2x2,
-        # and 1e310 is past the largest double); last a NaN or an infinite
-        # entry at each position of a 3x3: the elimination checks only its
-        # pivots, so each must reach a later pivot or raise from the status
+        # as one member of a stack; then finite entries whose pivot or inverse
+        # overflows (LAPACK gives 1e-200 on the diagonal of the 2x2, and 1e310
+        # is past the largest double); last a NaN or an infinite entry at each
+        # position of a 3x3: the elimination looks only at each step's column,
+        # so each must reach one, or raise from the floating-point status
         bad_inputs = [[[0.0]], [[np.nan]], [[np.inf]],
                       [[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]],
                       [[np.inf, 0.0], [0.0, 1.0]],
                       [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],
                       [[1e200, 0.0], [0.0, 1e200]], [[1e-310]],
-                      [[1e-310, 0.0], [0.0, 1.0]],
-                      [[1.0, 1e200, 0.0], [1e200, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                      np.diag([1e-310, 1.0, 1.0])]
+                      [[1e-310, 0.0], [0.0, 1.0]], np.diag([1e-310, 1.0, 1.0])]
         for value, i, j in itertools.product((np.nan, np.inf, -np.inf),
                                              range(3), range(3)):
             bad_inputs.append(np.eye(3) + 0.25 * np.ones((3, 3)))
@@ -123,14 +122,24 @@ class TestResolvent:
                     with pytest.raises(SingularMatrixError):
                         kernel(M)
 
-    def test_vanishing_leading_minor_raises(self):
-        # no pivoting: a nonsingular M with a zero leading entry has no usable
-        # first pivot, so it raises instead of returning its inverse
-        M = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.linalg.det(M) == -1.0
-        for stack in (M, np.array([np.eye(3), M])):
-            with pytest.raises(SingularMatrixError, match="singular"):
-                kernel(stack)
+    def test_small_pivots_take_the_pivoted_inverse(self):
+        # a vanishing leading minor, a pivot below PIVOT_THRESHOLD of its column
+        # and a matrix whose elimination without pivoting would overflow: each
+        # is LAPACK's inverse byte for byte, alone or beside a member that is
+        # eliminated, and that member keeps the bytes of its single call
+        vanishing = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        small = vanishing + 0.5 * PIVOT_THRESHOLD * np.eye(3)
+        huge = np.array([[1.0, 1e200, 0.0], [1e200, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        plain = np.eye(3) + 0.25 * np.ones((3, 3))
+        zero = np.zeros((3, 3))
+        for M in (vanishing, small, huge):
+            ref = sym_part(np.linalg.inv(composed(zero, zero, M, 1.0, 0j)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert kernel(M).tobytes() == ref.tobytes()
+                stack = kernel(np.array([plain, M]))
+            assert stack[1].tobytes() == ref.tobytes()
+            assert stack[0].tobytes() == kernel(plain).tobytes()
 
     @settings(max_examples=200)
     @given(m=st.integers(3, 6), K=st.integers(2, 4), eta=st.floats(1e-6, 1.0),
@@ -139,8 +148,8 @@ class TestResolvent:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_gauss_jordan_matches_lapack_property(self, m, K, eta, E, lam, goe,
                                                   per_member, n, seed):
-        # the m >= 3 elimination without pivoting against LAPACK's pivoted
-        # inverse, at small eta and strong coupling, one z or one per member
+        # the m >= 3 elimination against LAPACK's pivoted inverse, at small
+        # eta and strong coupling, one z or one per member
         rng = np.random.default_rng(seed)
         A = np.diag(rng.uniform(-1.0, 1.0, m))
         V = np.array([random_symmetric(m, rng) if goe
