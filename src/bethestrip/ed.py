@@ -6,11 +6,12 @@ strip operator on a depth-L truncated tree as a sparse matrix, factorize
 Nothing here shares code with the leaf-to-root elimination in
 :mod:`bethestrip.recursion`; agreement between the two is a real check.
 
-The operator is in the site-major layout dof = site * m + orbital, on a CSC
-pattern built once per tree.  Stored zeros (off-diagonals of diagonal or lam = 0
-blocks) are dropped before LU, as SuperLU orders and pivots by the stored pattern.
-Columns are ordered by minimum degree on A^T + A, the ordering meant for
-structurally symmetric matrices such as this one, and faster here than COLAMD.
+The operator is in the site-major layout dof = site * m + orbital, on one CSC
+pattern per call without the entries zero in every realization, since SuperLU
+orders and fills by the stored pattern.  Columns are ordered by minimum degree
+on A^T + A (the operator is structurally symmetric).  Pivots are by threshold
+0.1 (Duff, Erisman & Reid): a diagonal of at least 0.1 of its column is kept,
+as nearly all are at eta > 0, where every Schur complement S has -Im S >= eta I.
 """
 
 from dataclasses import dataclass, field
@@ -78,7 +79,7 @@ def draw_site_potentials(model, tree, seed, realization=0):
 
 
 def _operators(tree, model, potentials, z=0.0):
-    """(H - z) as CSC, stored zeros dropped, per realization in ``potentials``."""
+    """(H - z) as CSC per realization, on one pattern that omits entries zero in all."""
     import scipy.sparse  # here, so that importing the package skips scipy.sparse
     n, m = tree.n_sites, model.m
     if m * n > MAX_DOF:
@@ -89,15 +90,15 @@ def _operators(tree, model, potentials, z=0.0):
     p, c = (m * tree.edges()[:, :, None] + orb).transpose(1, 0, 2)  # (n-1, m)
     rows = np.concatenate([r.ravel(), p.ravel(), c.ravel()])
     cols = np.concatenate([k.ravel(), c.ravel(), p.ravel()])
+    zI = z * np.eye(m)
+    AV = model.a_matrix + model.lam * potentials.reshape(-1, n, m, m)
+    zero = np.all(AV == zI.real, axis=0) & (zI.imag == 0)  # zero in all realizations
     order = np.lexsort((rows, cols))  # blocks, then edges, to CSC order
+    order = order[np.append(~zero, np.ones(2 * p.size, dtype=bool))[order]]
     indices, indptr = rows[order], np.searchsorted(cols[order], np.arange(n * m + 1))
-    for V in potentials.reshape(-1, n, m, m):
-        blocks = (model.a_matrix + model.lam * V) - z * np.eye(m)
-        data = np.concatenate([blocks.ravel(), np.full(2 * p.size, 0.5)])[order]
-        # copy: eliminate_zeros works in place, and the pattern is shared
-        H = scipy.sparse.csc_matrix((data, indices, indptr), (n * m, n * m), copy=True)
-        H.eliminate_zeros()  # a stored zero would change SuperLU's pattern
-        yield H
+    for AVr in AV:
+        data = np.concatenate([(AVr - zI).ravel(), np.full(2 * p.size, 0.5)])[order]
+        yield scipy.sparse.csc_matrix((data, indices, indptr), (n * m, n * m))
 
 
 def assemble_operator(tree, model, potentials):
@@ -112,9 +113,9 @@ def root_green_block(sp: SpectralPoint, model, tree, potentials):
     """The m x m root Green's block, one LU for all m columns, per realization."""
     from scipy.sparse.linalg import splu
     m = model.m
-    rhs = np.zeros((tree.n_sites * m, m), dtype=complex)
-    rhs[np.arange(m), np.arange(m)] = 1.0
-    roots = [splu(H, permc_spec="MMD_AT_PLUS_A").solve(rhs)[:m].copy()
+    rhs = np.eye(tree.n_sites * m, m, dtype=complex)
+    roots = [splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+             .solve(rhs)[:m].copy()
              for H in _operators(tree, model, potentials, sp.z)]
     return np.reshape(roots, potentials.shape[:-3] + (m, m))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bethestrip import ed
 from bethestrip.ed import (
@@ -21,7 +23,7 @@ def make_model(K=2, a=(0.0,), lam=0.0, ensemble=None):
     return BetheStripModel(K=K, a=a, lam=lam, ensemble=ensemble or GOE())
 
 
-A_OF_M = {1: (0.2,), 2: (-0.3, 0.7), 3: (-0.4, 0.1, 0.6)}
+A_OF_M = {1: (0.2,), 2: (-0.3, 0.7), 3: (-0.4, 0.1, 0.6), 4: (-0.4, 0.1, 0.6, 0.9)}
 # every ensemble, built for a strip of width m
 ENSEMBLES = {
     "goe": lambda m: GOE(),
@@ -259,7 +261,7 @@ class TestGreenSolves:
                                            (0.6, "point")])
     def test_stacked_realizations_match_dense_inverse(self, m, depth, lam, kind):
         # one CSC pattern for all realizations; at lam = 0 and for the diagonal
-        # ensembles the zero off-diagonal block entries are dropped per operator
+        # ensembles the zero off-diagonal block entries are left out of it
         mod = make_model(K=2, a=A_OF_M[m], lam=lam, ensemble=ENSEMBLES[kind](m))
         t = build_tree(2, depth, m)
         V = np.stack([draw_site_potentials(mod, t, seed=6, realization=r)
@@ -271,6 +273,108 @@ class TestGreenSolves:
             want = dense_root_block(sp, t, mod, Vr)
             np.testing.assert_allclose(blk, want, rtol=0,
                                        atol=1e-12 * np.max(np.abs(want)))
+
+    @settings(max_examples=150)
+    @given(K=st.integers(2, 3), m=st.integers(1, 4), depth=st.integers(0, 3),
+           kind=st.sampled_from(list(ENSEMBLES)), lam=st.floats(0.0, 3.0),
+           log_eta=st.floats(-8.0, 0.0), E=st.floats(-3.0, 3.0),
+           R=st.integers(1, 3), seed=st.integers(0, 2**31))
+    def test_threshold_pivoting_is_accurate(self, K, m, depth, kind, lam,
+                                            log_eta, E, R, seed):
+        # both solves are backward stable, so each is within c eps cond(H - z)
+        # of the exact block, relative to its size; c stayed under 2 over 2,700
+        # random draws of these ranges (worst error 8e-13 at cond 3e5), and 64
+        # leaves room for the growth a 0.1-threshold pivot allows
+        mod = make_model(K=K, a=A_OF_M[m], lam=lam, ensemble=ENSEMBLES[kind](m))
+        t = build_tree(K, depth, m)
+        V = np.stack([draw_site_potentials(mod, t, seed, realization=r)
+                      for r in range(R)])
+        sp = SpectralPoint(E, 10.0**log_eta)
+        got = root_green_block(sp, mod, t, V)
+        for blk, Vr in zip(got, V):
+            want = dense_root_block(sp, t, mod, Vr)
+            H = dense_operator(t, mod, Vr) - sp.z * np.eye(t.n_sites * m)
+            tol = 64 * np.finfo(float).eps * np.linalg.cond(H) * np.max(np.abs(want))
+            assert np.max(np.abs(blk - want)) <= tol
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("eta", [1e-8, 1e-4])
+    def test_small_diagonal_pivot_is_refused(self, depth, eta):
+        # at E = 0 every diagonal entry of H - z is -i eta and each block's
+        # off-diagonal is 1, yet cond(H - z) <= 14; a threshold of 0 keeps the
+        # diagonal pivots and loses up to 1e-9 relative here
+        mod = make_model(a=(0.0, 0.0), lam=1.0,
+                         ensemble=PointMass([[0.0, 1.0], [1.0, 0.0]]))
+        t = build_tree(2, depth, 2)
+        V = draw_site_potentials(mod, t, seed=0)
+        sp = SpectralPoint(0.0, eta)
+        want = dense_root_block(sp, t, mod, V)
+        np.testing.assert_allclose(root_green_block(sp, mod, t, V), want, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(want)))
+
+
+class TestSharedPattern:
+    def test_zero_in_one_realization_is_stored(self):
+        # an exact 0.0 off-diagonal potential in realization 1 alone stays in
+        # the shared pattern; a single call of that realization leaves it out
+        mod = make_model(K=2, a=A_OF_M[3], lam=0.8)
+        t = build_tree(2, 3, 3)
+        V = np.stack([draw_site_potentials(mod, t, seed=6, realization=r)
+                      for r in range(4)])
+        V[1, 5, 0, 2] = V[1, 5, 2, 0] = 0.0
+        sp = SpectralPoint(0.3, 0.05)
+        nnz = {H.nnz for H in ed._operators(t, mod, V, sp.z)}
+        assert nnz == {t.n_sites * 9 + 2 * (t.n_sites - 1) * 3}
+        assert next(ed._operators(t, mod, V[1], sp.z)).nnz == min(nnz) - 2
+        got = root_green_block(sp, mod, t, V)
+        for blk, Vr in zip(got, V):
+            want = dense_root_block(sp, t, mod, Vr)
+            np.testing.assert_allclose(blk, want, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(want)))
+            np.testing.assert_allclose(blk, root_green_block(sp, mod, t, Vr),
+                                       rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("lam, kind", [(0.6, "diag:uniform"),
+                                           (0.6, "diag:gauss"),
+                                           (3.0, "diag:bernoulli"),
+                                           (0.0, "goe")])
+    def test_zero_in_every_realization_is_left_out(self, lam, kind):
+        mod = make_model(K=2, a=A_OF_M[3], lam=lam, ensemble=ENSEMBLES[kind](3))
+        t = build_tree(2, 3, 3)
+        V = np.stack([draw_site_potentials(mod, t, seed=6, realization=r)
+                      for r in range(4)])
+        for H in ed._operators(t, mod, V, SpectralPoint(0.3, 0.05).z):
+            dropped = H.copy()
+            dropped.eliminate_zeros()
+            assert H.nnz == dropped.nnz == t.n_sites * 3 + 2 * (t.n_sites - 1) * 3
+
+    def test_diagonal_equal_to_energy_is_stored(self):
+        # at lam = 0 and E = a every diagonal entry of H - z is -i eta, not zero
+        mod = make_model(a=A_OF_M[1], lam=0.0)
+        t = build_tree(2, 2)
+        V = np.zeros((3, t.n_sites, 1, 1))
+        sp = SpectralPoint(A_OF_M[1][0], 0.05)
+        want = dense_root_block(sp, t, mod, V[0])
+        np.testing.assert_allclose(root_green_block(sp, mod, t, V), [want] * 3,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_one_lexsort_whatever_the_stack(self, monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+
+        def counting_lexsort(*args, **kwargs):
+            calls.append(args)
+            return lexsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        mod = make_model(a=A_OF_M[3], lam=0.7)
+        t = build_tree(2, 3, 3)
+        for R in (1, 4, 20):
+            calls.clear()
+            V = np.stack([draw_site_potentials(mod, t, seed=8, realization=r)
+                          for r in range(R)])
+            assert len(list(ed._operators(t, mod, V, 0.3 + 0.05j))) == R
+            assert len(calls) == 1, R
 
 
 class TestDosHistogram:
