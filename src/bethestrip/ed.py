@@ -7,11 +7,13 @@ Nothing here shares code with the leaf-to-root elimination in
 :mod:`bethestrip.recursion`; agreement between the two is a real check.
 
 The operator is in the site-major layout dof = site * m + orbital, on one CSC
-pattern per call without the entries zero in every realization, since SuperLU
-orders and fills by the stored pattern.  Columns are ordered by minimum degree
-on A^T + A (the operator is structurally symmetric).  Pivots are by threshold
-0.1 (Duff, Erisman & Reid): a diagonal of at least 0.1 of its column is kept,
-as nearly all are at eta > 0, where every Schur complement S has -Im S >= eta I.
+pattern per call without the entries zero in every realization.  The solves
+reverse the sites (block slot n - 1 - s, root last) and factorize in that
+natural order: a tree eliminated leaves first fills no new block (Parter 1961;
+Rose 1970), so no minimum-degree pass runs; supernodes and panels are one
+column, as blocks are m x m.  Pivots are by threshold 0.1 (Duff, Erisman &
+Reid): a diagonal of at least 0.1 of its column is kept, as nearly all are at
+eta > 0, where every Schur complement S has -Im S >= eta I.
 """
 
 from dataclasses import dataclass, field
@@ -25,6 +27,7 @@ from .rng import TAG_REALIZATION, keyed_rng
 # hard cap on m * |sites| for sparse solves, and on the dense eigenproblem
 MAX_DOF = 200_000
 MAX_DENSE_DOF = 5_000
+_SPLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1, relax=1, panel_size=1)
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,17 @@ def draw_site_potentials(model, tree, seed, realization=0):
     return model.ensemble.sample_batch(model.m, rng, tree.n_sites)
 
 
-def _operators(tree, model, potentials, z=0.0):
+def _operators(tree, model, potentials, z=0.0, root_last=False):
     """(H - z) as CSC per realization, on one pattern that omits entries zero in all."""
     import scipy.sparse  # here, so that importing the package skips scipy.sparse
     n, m = tree.n_sites, model.m
     if m * n > MAX_DOF:
         raise SizeOverflowError(f"{m * n} degrees of freedom exceed {MAX_DOF}")
     orb = np.arange(m)
-    base = m * np.arange(n)[:, None, None]
+    slot = n - 1 - np.arange(n) if root_last else np.arange(n)  # site s's block
+    base = m * slot[:, None, None]
     r, k = np.broadcast_arrays(base + orb[:, None], base + orb)  # (n, m, m)
-    p, c = (m * tree.edges()[:, :, None] + orb).transpose(1, 0, 2)  # (n-1, m)
+    p, c = (m * slot[tree.edges()][:, :, None] + orb).transpose(1, 0, 2)  # (n-1, m)
     rows = np.concatenate([r.ravel(), p.ravel(), c.ravel()])
     cols = np.concatenate([k.ravel(), c.ravel(), p.ravel()])
     zI = z * np.eye(m)
@@ -102,21 +106,17 @@ def _operators(tree, model, potentials, z=0.0):
 
 
 def assemble_operator(tree, model, potentials):
-    """Sparse real symmetric strip operator on the truncated tree, as CSC.
-
-    Diagonal blocks A + lam V(x); hopping blocks I_m / 2 on tree edges.
-    """
+    """Site-major CSC strip operator: blocks A + lam V(x), I_m / 2 on tree edges."""
     return next(_operators(tree, model, potentials))
 
 
 def root_green_block(sp: SpectralPoint, model, tree, potentials):
     """The m x m root Green's block, one LU for all m columns, per realization."""
     from scipy.sparse.linalg import splu
-    m = model.m
-    rhs = np.eye(tree.n_sites * m, m, dtype=complex)
-    roots = [splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
-             .solve(rhs)[:m].copy()
-             for H in _operators(tree, model, potentials, sp.z)]
+    m, N = model.m, tree.n_sites * model.m
+    rhs = np.eye(N, m, m - N, dtype=complex)  # the root's columns, the last m
+    roots = [splu(H, **_SPLU_OPTIONS).solve(rhs)[-m:].copy()
+             for H in _operators(tree, model, potentials, sp.z, root_last=True)]
     return np.reshape(roots, potentials.shape[:-3] + (m, m))
 
 

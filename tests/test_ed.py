@@ -283,8 +283,9 @@ class TestGreenSolves:
                                             log_eta, E, R, seed):
         # both solves are backward stable, so each is within c eps cond(H - z)
         # of the exact block, relative to its size; c stayed under 2 over 2,700
-        # random draws of these ranges (worst error 8e-13 at cond 3e5), and 64
-        # leaves room for the growth a 0.1-threshold pivot allows
+        # random draws of these ranges (worst error 8e-13 at cond 3e5), and at
+        # 2.0 over 2,400 more in leaves-first order; 64 leaves room for the
+        # growth a 0.1-threshold pivot allows
         mod = make_model(K=K, a=A_OF_M[m], lam=lam, ensemble=ENSEMBLES[kind](m))
         t = build_tree(K, depth, m)
         V = np.stack([draw_site_potentials(mod, t, seed, realization=r)
@@ -375,6 +376,47 @@ class TestSharedPattern:
                           for r in range(R)])
             assert len(list(ed._operators(t, mod, V, 0.3 + 0.05j))) == R
             assert len(calls) == 1, R
+
+
+class TestLeavesFirstOrder:
+    @pytest.mark.parametrize("K, depth, m", [(2, 3, 3), (3, 2, 2), (2, 0, 1)])
+    def test_root_last_is_the_reversed_site_order(self, K, depth, m):
+        mod = make_model(K=K, a=A_OF_M[m], lam=0.7)
+        t = build_tree(K, depth, m)
+        V = draw_site_potentials(mod, t, seed=4)
+        dof = (m * (t.n_sites - 1 - np.arange(t.n_sites))[:, None]
+               + np.arange(m)).ravel()  # site-major dof d sits at slot dof[d]
+        H = next(ed._operators(t, mod, V, 0.3 + 0.05j)).toarray()
+        Hr = next(ed._operators(t, mod, V, 0.3 + 0.05j, root_last=True)).toarray()
+        assert np.array_equal(Hr[np.ix_(dof, dof)], H)
+
+    @pytest.mark.parametrize("K, depth, m, lam, kind", [
+        (2, 3, 3, 0.5, "goe"), (2, 0, 3, 0.5, "goe"), (2, 3, 3, 0.0, "goe"),
+        (2, 3, 3, 0.6, "diag:uniform"), (3, 3, 2, 0.5, "goe")])
+    def test_oracle_fills_as_minimum_degree(self, monkeypatch, K, depth, m, lam,
+                                            kind):
+        # every factorization root_green_block makes keeps the fill that
+        # minimum degree on A^T + A finds on the site-major operator; natural
+        # order on the site-major operator fills 4-13x more here, and at the
+        # bench model (depth 6) 37x more, in about 100x the time
+        import scipy.sparse.linalg
+        splu, fills = scipy.sparse.linalg.splu, []
+
+        def recording_splu(H, **options):
+            lu = splu(H, **options)
+            fills.append(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
+        mod = make_model(K=K, a=A_OF_M[m], lam=lam, ensemble=ENSEMBLES[kind](m))
+        t = build_tree(K, depth, m)
+        V = np.stack([draw_site_potentials(mod, t, seed=4, realization=r)
+                      for r in range(3)])
+        sp = SpectralPoint(0.3, 0.05)
+        root_green_block(sp, mod, t, V)
+        want = [splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+                for H in ed._operators(t, mod, V, sp.z)]
+        assert fills == [lu.L.nnz + lu.U.nnz for lu in want]
 
 
 class TestDosHistogram:
