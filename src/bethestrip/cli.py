@@ -134,7 +134,7 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 
 def _read_config_file(path: str) -> dict:
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values = {}  # key -> (value, line number)

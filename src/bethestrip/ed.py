@@ -6,14 +6,13 @@ strip operator on a depth-L truncated tree as a sparse matrix, factorize
 Nothing here shares code with the leaf-to-root elimination in
 :mod:`bethestrip.recursion`; agreement between the two is a real check.
 
-The operator is in the site-major layout dof = site * m + orbital, on one CSC
+The operator puts site s in block slot n - 1 - s, root last, on one CSC
 pattern per call without the entries zero in every realization.  The solves
-reverse the sites (block slot n - 1 - s, root last) and factorize in that
-natural order: a tree eliminated leaves first fills no new block (Parter 1961;
-Rose 1970), so no minimum-degree pass runs; supernodes and panels are one
-column, as blocks are m x m.  Pivots are by threshold 0.1 (Duff, Erisman &
-Reid): a diagonal of at least 0.1 of its column is kept, as nearly all are at
-eta > 0, where every Schur complement S has -Im S >= eta I.
+factorize in that natural order: a tree eliminated leaves first fills no new
+block (Parter 1961; Rose 1970), so no minimum-degree pass runs; supernodes and
+panels are one column, as blocks are m x m.  Pivots are by threshold 0.1
+(Duff, Erisman & Reid): a diagonal of at least 0.1 of its column is kept, as
+nearly all are at eta > 0, where every Schur complement S has -Im S >= eta I.
 """
 
 from dataclasses import dataclass, field
@@ -81,14 +80,13 @@ def draw_site_potentials(model, tree, seed, realization=0):
     return model.ensemble.sample_batch(model.m, rng, tree.n_sites)
 
 
-def _operators(tree, model, potentials, z=0.0, root_last=False):
-    """(H - z) as CSC per realization, on one pattern that omits entries zero in all."""
+def _operators(tree, model, potentials, z=0.0):
+    """(H - z) as CSC per realization, root block last, on one pattern without
+    the entries zero in all."""
     import scipy.sparse  # here, so that importing the package skips scipy.sparse
     n, m = tree.n_sites, model.m
-    if m * n > MAX_DOF:
-        raise SizeOverflowError(f"{m * n} degrees of freedom exceed {MAX_DOF}")
     orb = np.arange(m)
-    slot = n - 1 - np.arange(n) if root_last else np.arange(n)  # site s's block
+    slot = n - 1 - np.arange(n)  # site s's block
     base = m * slot[:, None, None]
     r, k = np.broadcast_arrays(base + orb[:, None], base + orb)  # (n, m, m)
     p, c = (m * slot[tree.edges()][:, :, None] + orb).transpose(1, 0, 2)  # (n-1, m)
@@ -105,18 +103,15 @@ def _operators(tree, model, potentials, z=0.0, root_last=False):
         yield scipy.sparse.csc_matrix((data, indices, indptr), (n * m, n * m))
 
 
-def assemble_operator(tree, model, potentials):
-    """Site-major CSC strip operator: blocks A + lam V(x), I_m / 2 on tree edges."""
-    return next(_operators(tree, model, potentials))
-
-
 def root_green_block(sp: SpectralPoint, model, tree, potentials):
     """The m x m root Green's block, one LU for all m columns, per realization."""
     from scipy.sparse.linalg import splu
     m, N = model.m, tree.n_sites * model.m
+    if N > MAX_DOF:
+        raise SizeOverflowError(f"{N} degrees of freedom exceed {MAX_DOF}")
     rhs = np.eye(N, m, m - N, dtype=complex)  # the root's columns, the last m
     roots = [splu(H, **_SPLU_OPTIONS).solve(rhs)[-m:].copy()
-             for H in _operators(tree, model, potentials, sp.z, root_last=True)]
+             for H in _operators(tree, model, potentials, sp.z)]
     return np.reshape(roots, potentials.shape[:-3] + (m, m))
 
 
@@ -134,10 +129,10 @@ def dos_histogram(tree, model, E_grid, eta, realizations, seed):
         raise SizeOverflowError(f"{dof} dof too large for the dense eigensolver")
     E_grid = np.asarray(E_grid, dtype=float)
     per_real = np.empty((realizations, len(E_grid)))
-    for r in range(realizations):
-        potentials = draw_site_potentials(model, tree, seed, realization=r)
-        H = assemble_operator(tree, model, potentials).toarray()
-        evals = np.linalg.eigvalsh(H)
+    potentials = np.stack([draw_site_potentials(model, tree, seed, realization=r)
+                           for r in range(realizations)])
+    for r, H in enumerate(_operators(tree, model, potentials)):
+        evals = np.linalg.eigvalsh(H.toarray())
         kern = eta / np.pi / ((E_grid[:, None] - evals[None, :]) ** 2 + eta**2)
         per_real[r] = kern.sum(axis=1) / dof
     mean = per_real.mean(axis=0)

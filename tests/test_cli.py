@@ -618,6 +618,17 @@ class TestConfigPlumbing:
         assert rc == 2
         assert str(bad) in capsys.readouterr().err
 
+    def test_byte_order_mark_config_file(self, tmp_path):
+        # a UTF-8 file saved with a byte-order mark reads as the same keys
+        text = b"K=2\nm=1\nE-grid=0:0:1\n"
+        outputs = []
+        for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            cfg, out = tmp_path / f"{name}.cfg", tmp_path / f"{name}.csv"
+            cfg.write_bytes(data)
+            assert main(["free-profile", "--config", str(cfg), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_point_ensemble_path_is_directory(self, tmp_path, capsys):
         folder = tmp_path / "v0"
         folder.mkdir()
@@ -725,6 +736,32 @@ class TestConfigPlumbing:
         rc = main([sub, *(t for k, v in flags.items() for t in (f"--{k}", v))])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+    @pytest.mark.parametrize("sub, key, value, message", [
+        ("free-profile", "config", "bad.cfg", "bad.cfg:2: expected key=value, got 'm 1'"),
+        ("dos-scan", "pool", "1e4", "pool: expected an integer, got '1e4'"),
+        ("dos-scan", "lambda", "x", "lambda: expected a number, got 'x'"),
+        ("dos-scan", "lambda", "inf", "lambda: must be finite, got 'inf'"),
+        ("free-profile", "E-grid", "0:1:1", "E-grid: a single-point grid needs lo = hi"),
+        ("dos-scan", "eta-schedule", ",", "eta-schedule: empty list"),
+        ("free-profile", "eta-schedule", "-0.1", "eta-schedule: levels must be >= 0"),
+        ("dos-scan", "ensemble", "point:", "point: requires an inline matrix or a path"),
+    ], ids=["config-line-without-equals", "pool-not-integer", "lambda-not-number",
+            "lambda-inf", "grid-one-point-lo-below-hi", "eta-schedule-empty",
+            "free-profile-eta-negative", "point-without-payload"])
+    def test_malformed_value_named_before_work(self, sub, key, value, message,
+                                               tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the subcommand started")
+
+        monkeypatch.setitem(cli._DISPATCH, sub, never)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_text("K=2\nm 1\n")
+        flags = {"E-grid": "0:0:1", "eta-schedule": "0.1", "out": "x.csv", key: value}
+        rc = main([sub, *(t for k, v in flags.items() for t in (f"--{k}", v))])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert list(tmp_path.glob("x.csv*")) == []
 
     def test_sizes_at_the_caps_accepted(self, tmp_path):
         argv = ["dos-scan", "--m", "2", "--E-grid", f"0:1:{cli.MAX_GRID}",

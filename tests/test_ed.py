@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from bethestrip import ed
 from bethestrip.ed import (
     MAX_DOF,
-    assemble_operator,
     build_tree,
     dos_histogram,
     draw_site_potentials,
@@ -47,6 +46,20 @@ def dense_operator(tree, model, potentials):
             H[parent * m + o, child * m + o] = 0.5
             H[child * m + o, parent * m + o] = 0.5
     return H
+
+
+def root_last(tree, m):
+    """Oracle dof of each site-major dof: site s's block sits in slot n - 1 - s.
+
+    The map is its own inverse, so H[np.ix_(d, d)] swaps the two layouts."""
+    slot = tree.n_sites - 1 - np.arange(tree.n_sites)
+    return (m * slot[:, None] + np.arange(m)).ravel()
+
+
+def site_major_operator(tree, model, potentials):
+    """The oracle's operator for one realization, read in site-major order."""
+    d = root_last(tree, model.m)
+    return next(ed._operators(tree, model, potentials)).toarray()[np.ix_(d, d)]
 
 
 class TestTree:
@@ -177,7 +190,7 @@ class TestAssembly:
                          ensemble=DiagonalIID("bernoulli"))
         t = build_tree(2, 1)
         V = draw_site_potentials(mod, t, seed=1)
-        H = assemble_operator(t, mod, V).toarray()
+        H = site_major_operator(t, mod, V)
         np.testing.assert_allclose(H, H.T, atol=0)
         m = mod.m
         for site in range(t.n_sites):
@@ -195,8 +208,9 @@ class TestAssembly:
         mod = make_model(K=K, a=A_OF_M[m], lam=0.9)
         t = build_tree(K, depth, m)
         V = draw_site_potentials(mod, t, seed=5)
-        H = assemble_operator(t, mod, V)
-        np.testing.assert_array_equal(H.toarray(), dense_operator(t, mod, V))
+        H = next(ed._operators(t, mod, V))
+        d = root_last(t, m)
+        np.testing.assert_array_equal(H.toarray(), dense_operator(t, mod, V)[np.ix_(d, d)])
         # GOE blocks are full, so every block entry and both hopping
         # directions of every edge are stored
         n = t.n_sites
@@ -206,7 +220,7 @@ class TestAssembly:
         # lam=0, L=1, K=2, m=1: the operator is half the star-graph adjacency,
         # eigenvalues +- sqrt(3)/2 and a double zero
         t = build_tree(2, 1)
-        H = assemble_operator(t, make_model(), np.zeros((4, 1, 1))).toarray()
+        H = site_major_operator(t, make_model(), np.zeros((4, 1, 1)))
         evals = np.sort(np.linalg.eigvalsh(H))
         np.testing.assert_allclose(
             evals, [-np.sqrt(3) / 2, 0.0, 0.0, np.sqrt(3) / 2], atol=1e-12
@@ -298,6 +312,17 @@ class TestGreenSolves:
             tol = 64 * np.finfo(float).eps * np.linalg.cond(H) * np.max(np.abs(want))
             assert np.max(np.abs(blk - want)) <= tol
 
+    def test_model_wider_than_its_tree_refused(self):
+        # a tree built at m = 1 passes the build cap, but a width-16 model on
+        # it has 393,184 dof; they are refused before any array is allocated,
+        # and the zero-stride potentials hold no memory either
+        t = build_tree(2, 13)
+        mod = make_model(a=tuple(np.linspace(-0.5, 0.5, 16)))
+        V = np.broadcast_to(np.zeros((16, 16)), (t.n_sites, 16, 16))
+        with pytest.raises(SizeOverflowError,
+                           match=f"393184 degrees of freedom exceed {MAX_DOF}"):
+            root_green_block(SpectralPoint(0.3, 0.05), mod, t, V)
+
     @pytest.mark.parametrize("depth", [0, 1])
     @pytest.mark.parametrize("eta", [1e-8, 1e-4])
     def test_small_diagonal_pivot_is_refused(self, depth, eta):
@@ -384,11 +409,12 @@ class TestLeavesFirstOrder:
         mod = make_model(K=K, a=A_OF_M[m], lam=0.7)
         t = build_tree(K, depth, m)
         V = draw_site_potentials(mod, t, seed=4)
-        dof = (m * (t.n_sites - 1 - np.arange(t.n_sites))[:, None]
-               + np.arange(m)).ravel()  # site-major dof d sits at slot dof[d]
-        H = next(ed._operators(t, mod, V, 0.3 + 0.05j)).toarray()
-        Hr = next(ed._operators(t, mod, V, 0.3 + 0.05j, root_last=True)).toarray()
-        assert np.array_equal(Hr[np.ix_(dof, dof)], H)
+        z = 0.3 + 0.05j
+        H = dense_operator(t, mod, V) - z * np.eye(t.n_sites * m)
+        d = root_last(t, m)  # site-major dof i sits at slot d[i]
+        assert np.array_equal(next(ed._operators(t, mod, V, z)).toarray(),
+                              H[np.ix_(d, d)])
+        assert d[:m].tolist() == list(range(t.n_sites * m - m, t.n_sites * m))
 
     @pytest.mark.parametrize("K, depth, m, lam, kind", [
         (2, 3, 3, 0.5, "goe"), (2, 0, 3, 0.5, "goe"), (2, 3, 3, 0.0, "goe"),
@@ -398,7 +424,8 @@ class TestLeavesFirstOrder:
         # every factorization root_green_block makes keeps the fill that
         # minimum degree on A^T + A finds on the site-major operator; natural
         # order on the site-major operator fills 4-13x more here, and at the
-        # bench model (depth 6) 37x more, in about 100x the time
+        # bench model (depth 6) 37x more, in about 100x the time.  The oracle
+        # is read back in site-major order through the root-last map
         import scipy.sparse.linalg
         splu, fills = scipy.sparse.linalg.splu, []
 
@@ -414,7 +441,9 @@ class TestLeavesFirstOrder:
                       for r in range(3)])
         sp = SpectralPoint(0.3, 0.05)
         root_green_block(sp, mod, t, V)
-        want = [splu(H, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1)
+        d = root_last(t, m)
+        want = [splu(H[d][:, d].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1)
                 for H in ed._operators(t, mod, V, sp.z)]
         assert fills == [lu.L.nnz + lu.U.nnz for lu in want]
 
@@ -438,6 +467,26 @@ class TestDosHistogram:
         mod = make_model(lam=0.5)
         mean, se = dos_histogram(t, mod, [0.0, 1.0], 0.2, realizations=5, seed=1)
         assert np.all(mean > 0)
+        assert np.all(se > 0)
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("lam, kind", [(0.6, "goe"), (1.5, "diag:uniform")])
+    def test_mean_is_the_resolvent_trace(self, lam, kind, m, depth):
+        # the Cauchy kernel is (1/pi) Im 1/(e - z) at z = E + i eta, so each
+        # realization's density is (1/(N pi)) Im Tr (H - z)^-1
+        mod = make_model(a=A_OF_M[m], lam=lam, ensemble=ENSEMBLES[kind](m))
+        t = build_tree(2, depth, m)
+        grid, eta, R, N = np.linspace(-2.5, 2.5, 11), 0.1, 4, t.n_sites * m
+        mean, se = dos_histogram(t, mod, grid, eta, R, seed=3)
+        V = np.stack([draw_site_potentials(mod, t, seed=3, realization=r)
+                      for r in range(R)])
+        per_real = [[np.trace(np.linalg.inv(H.toarray() - (E + 1j * eta) * np.eye(N))).imag
+                     for E in grid] for H in ed._operators(t, mod, V)]
+        per_real = np.array(per_real) / (N * np.pi)
+        np.testing.assert_allclose(mean, per_real.mean(axis=0), rtol=1e-10, atol=0)
+        np.testing.assert_allclose(se, per_real.std(axis=0, ddof=1) / np.sqrt(R),
+                                   rtol=0, atol=1e-10 * np.max(mean))
         assert np.all(se > 0)
 
     def test_eta_required(self):

@@ -573,6 +573,8 @@ class TestWalkProductScaling:
         assert one.entries.shape == (1, 10, 10)
         np.testing.assert_array_equal(one.entries[0],
                                       build_ce_matrix(0.2, mod, 2).entries)
+        with pytest.raises(ValueError, match=r"scalar or 1-D, got shape \(1, 2\)"):
+            build_ce_matrix([[0.2, -0.4]], mod, 0)
 
     @pytest.mark.parametrize("planted, pattern", [
         ((0, 2, 0), r"degree filtration violated: J=\(0, 1, 0\) -> J=\(0, 2, 0\)"),

@@ -37,6 +37,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             make_model(a=tuple(np.linspace(0, 1, 17)))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(a=(np.nan,)), "a must be finite"),
+        (dict(a=(0.0, np.inf)), "a must be finite"),
+        (dict(lam=np.nan), "lam must be finite"),
+        (dict(lam=-np.inf), "lam must be finite"),
+    ], ids=["a-nan", "a-inf", "lam-nan", "lam-minus-inf"])
+    def test_rejects_non_finite(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make_model(**kwargs)
+
     def test_rejects_mismatched_pointmass(self):
         with pytest.raises(ValueError):
             make_model(a=(0.0, 1.0), ensemble=PointMass(np.eye(3)))

@@ -228,3 +228,48 @@ def test_detects_cli_output_outside_main():
               "if __name__ == '__main__':\n    print(main())\n")
     assert filesystem_calls_outside(source) == [
         ("_helper", 9), ("_cmd_b", 11), ("_cmd_c", 14), ("<module>", 16)]
+
+
+# The sparse-LU oracle is a check on the recursion only while the two share no
+# code: ed.py may import from the package these modules and names, "*" for any.
+ORACLE_IMPORTS = {"errors": {"*"}, "rng": {"*"}, "linalg": {"SpectralPoint"}}
+
+
+def oracle_leaks(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every package import outside ORACLE_IMPORTS, and of
+    every place the source names ``resolvent``."""
+    def allowed(module, name):
+        return bool({"*", name} & ORACLE_IMPORTS.get(module, set()))
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("bethestrip")):
+            package = (node.module or "").removeprefix("bethestrip").lstrip(".")
+            for a in node.names:  # "from . import x" imports module x whole
+                module, name = (package, a.name) if package else (a.name, "*")
+                if not allowed(module, name):
+                    found.append((node.lineno, f"{package}.{a.name}".lstrip(".")))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names
+                      if a.name.split(".")[0] == "bethestrip"
+                      and not allowed(a.name.partition(".")[2], "*")]
+        if "resolvent" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append((node.lineno, "resolvent"))
+    return sorted(found)
+
+
+def test_oracle_shares_no_code_with_the_recursion():
+    assert oracle_leaks((PACKAGE / "ed.py").read_text()) == []
+
+
+def test_detects_oracle_leaks():
+    source = ("from .errors import SizeOverflowError\nfrom .rng import keyed_rng\n"
+              "from .linalg import SpectralPoint, sym_part\nfrom . import recursion, rng\n"
+              "import bethestrip.free\nimport numpy as np\n"
+              "from bethestrip.linalg import SpectralPoint\n"
+              "G = linalg.resolvent(A, S, V, lam, z)\nresolvent = None\n"
+              '"""resolvent in a docstring"""\n')
+    assert oracle_leaks(source) == [(3, "linalg.sym_part"), (4, "recursion"),
+                                    (5, "bethestrip.free"), (8, "resolvent"),
+                                    (9, "resolvent")]

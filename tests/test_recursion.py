@@ -224,6 +224,16 @@ class TestEstimators:
         assert est.mean == 0
         assert est.std_error > 0
 
+    @pytest.mark.parametrize("shape", [(7,), (7, 2, 2)], ids=["scalar", "matrix"])
+    def test_batch_stats_one_batch_has_infinite_error(self, shape):
+        # one batch mean has no spread to estimate: its error is inf, not NaN
+        vals = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        est = batch_stats(vals, batches=1)
+        np.testing.assert_array_equal(est.mean, vals.mean(axis=0))
+        assert np.shape(est.std_error) == shape[1:]
+        assert np.all(np.isposinf(est.std_error))
+        assert est.count == 7
+
     def test_free_estimates_are_exact(self):
         mod = make_model(K=2, a=(-0.5, 0.5), lam=0.0)
         sp = SpectralPoint(0.3, 0.05)
@@ -243,7 +253,8 @@ class TestEstimators:
         mod = make_model()
         pool = population_init(SpectralPoint(0.0, 0.5), mod, 10, seed=0)
         for bad, why in ((np.array([[-1.0]]), "positive semidefinite"),
-                         (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric")):
+                         (np.array([[1.0, 0.5], [0.0, 1.0]]), "symmetric"),
+                         (np.ones((2, 3)), "square")):
             with pytest.raises(ValueError, match=why):
                 fixed_point_residual(pool, mod, keyed_rng(0, 2, 5), [bad], 20)
 
@@ -371,8 +382,11 @@ class TestContinuation:
             context=0, sweeps=0)),
         ("K", lambda mod: ed.build_tree(1, 2)),
         ("K", lambda mod: ed.tree_site_count(1, 2)),
+        ("two etas", lambda mod: ac_indicator(eta_continuation(
+            mod, 0.0, (0.1,), pool_size=16, burn_in=1, relax_sweeps=1,
+            measure_sweeps=2, draws_per_sweep=4))),
     ], ids=["dos_histogram", "eta_continuation", "measure_stationary",
-            "build_tree", "tree_site_count"])
+            "build_tree", "tree_site_count", "ac_indicator"])
     def test_empty_counts_raise_naming_argument(self, name, call):
         # unchecked, an empty count gives NaN means, a bare numpy error or a
         # ZeroDivisionError
