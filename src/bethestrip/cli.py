@@ -99,8 +99,8 @@ _KEYS = {
     "degree": _Key("INT", "basis truncation degree", "2", 0,
                    ("gap-scan", "ce-spectrum")),
     "seed": _Key("INT", "master seed", "0", 0),
-    "workers": _Key("INT", "thread count (default: $BETHE_STRIP_THREADS or 1)",
-                    lo=1, hi=recursion.CHUNKS),  # a sweep has CHUNKS tasks
+    "workers": _Key("INT", "thread count", "1", 1,
+                    hi=recursion.CHUNKS),  # a sweep has CHUNKS tasks
     "out": _Key("PATH", "primary output path (required)"),
 }
 
@@ -231,8 +231,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             default = default.get(sub, default.get("*"))
         flag = getattr(args, key)
         raw[key] = flag if flag is not None else file_values.get(key, default)
-    if raw["workers"] is None:
-        raw["workers"] = os.environ.get("BETHE_STRIP_THREADS") or "1"
 
     def count(key):
         return _parse_int(key, raw[key], _KEYS[key].lo, _KEYS[key].hi)
@@ -256,6 +254,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         a = np.broadcast_to(0.0, max(count("m"), 0) if m_raw is not None else 1)
 
     lam = _parse_float("lambda", raw["lambda"])
+    if lam and sub in ("free-profile", "gap-scan", "ce-spectrum"):
+        raise ConfigError(f"lambda: {sub} computes at zero coupling, got {lam!r}")
     # the model and its ensemble own every model rule; their errors are config errors
     try:
         model = BetheStripModel(K=K, a=a, lam=lam,

@@ -33,7 +33,6 @@ _SPLU_OPTIONS = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1, relax=1, panel
 class TruncatedTree:
     """Rooted tree with K+1 branches at the root and K thereafter."""
 
-    K: int
     depth: int
     parents: np.ndarray = field(repr=False)  # parents[0] == -1
     depth_of: np.ndarray = field(repr=False)
@@ -66,7 +65,7 @@ def build_tree(K, depth, m=1) -> TruncatedTree:
     fanout = np.full(n - sizes[-1], K)
     fanout[:1] = K + 1
     parents = np.concatenate([[-1], np.repeat(np.arange(n - sizes[-1]), fanout)])
-    return TruncatedTree(K=K, depth=depth, parents=parents, depth_of=depth_of)
+    return TruncatedTree(depth=depth, parents=parents, depth_of=depth_of)
 
 
 def draw_site_potentials(model, tree, seed, realization=0):

@@ -24,7 +24,6 @@ from .free import free_forward_green
 from .linalg import SpectralPoint, require_psd, resolvent
 from .rng import TAG_MEASURE, TAG_SWEEP, keyed_rng
 
-DEFAULT_BATCHES = 20
 # Chunks per sweep: the layout is part of the stream contract (each chunk draws
 # from its own stream), and a sweep is CHUNKS tasks, so more threads never run.
 CHUNKS = 8
@@ -91,7 +90,8 @@ def population_init(sp: SpectralPoint, model, size, seed) -> PopulationPool:
     if size < 2:
         raise ValueError("population size must be >= 2")
     g0 = free_forward_green(sp, model)
-    samples = np.broadcast_to(g0, (size, model.m, model.m)).astype(complex).copy()
+    # order="C": astype keeps the broadcast's strides, and sweeps inherit them
+    samples = np.broadcast_to(g0, (size, model.m, model.m)).astype(complex, order="C")
     return PopulationPool(samples=samples, point=sp, seed=int(seed))
 
 
@@ -138,17 +138,12 @@ class MomentEstimate:
 
     mean: object  # complex scalar or (m, m) array
     std_error: object  # matching real scalar or array
-    count: int
 
 
-def batch_stats(values, batches=DEFAULT_BATCHES) -> MomentEstimate:
-    """Batch-means estimate along axis 0; complex parts combine in quadrature."""
-    values = np.asarray(values)
-    n = len(values)
-    batches = max(min(batches, n), 1)
-    size = n // batches
-    trimmed = values[: batches * size]
-    means = trimmed.reshape((batches, size) + values.shape[1:]).mean(axis=1)
+def batch_stats(blocks) -> MomentEstimate:
+    """Batch-means estimate from (batches, draws, ...) blocks; complex parts in quadrature."""
+    means = np.asarray(blocks).mean(axis=1)
+    batches = len(means)
     grand = means.mean(axis=0)
     if batches > 1:
         var = means.real.var(axis=0, ddof=1)
@@ -157,7 +152,7 @@ def batch_stats(values, batches=DEFAULT_BATCHES) -> MomentEstimate:
         se = np.sqrt(var / batches)
     else:
         se = np.full(np.shape(grand), np.inf) if np.shape(grand) else np.inf
-    return MomentEstimate(mean=grand, std_error=se, count=batches * size)
+    return MomentEstimate(mean=grand, std_error=se)
 
 
 def _char_values(samples, M):
@@ -188,23 +183,23 @@ def fixed_point_residual(pool, model, rng, test_matrices, count) -> FixedPointRe
 
     A single generation's empirical law sits a random offset away from
     stationarity (resampling genealogy), which within-generation error bars
-    cannot see.  So the complex differences are averaged over DEFAULT_BATCHES
-    consecutive generations of ``count // DEFAULT_BATCHES`` draws each: the
+    cannot see.  So the complex differences are averaged over MEASURE_SWEEPS
+    consecutive generations of ``count // MEASURE_SWEEPS`` draws each: the
     slowly rotating offset cancels and the spread across generations gives
     an honest error.
     """
     for T in test_matrices:
         require_psd(T)
-    per_gen = max(count // DEFAULT_BATCHES, 1)
-    diffs = np.empty((DEFAULT_BATCHES, len(test_matrices)), dtype=complex)
-    for g in range(DEFAULT_BATCHES):
+    per_gen = max(count // MEASURE_SWEEPS, 1)
+    diffs = np.empty((MEASURE_SWEEPS, len(test_matrices)), dtype=complex)
+    for g in range(MEASURE_SWEEPS):
         if g:
             pool = population_sweep(pool, model)
         pushed = _pool_draws(pool, model, rng, per_gen, model.K)
         for t, T in enumerate(test_matrices):
-            diffs[g, t] = (batch_stats(_char_values(pool.samples, T)).mean
-                           - batch_stats(_char_values(pushed, T)).mean)
-    est = batch_stats(diffs)
+            diffs[g, t] = (_char_values(pool.samples, T).mean()
+                           - _char_values(pushed, T).mean())
+    est = batch_stats(diffs[:, None])
     deltas = np.abs(np.asarray(est.mean))
     errors = np.asarray(est.std_error, dtype=float)
     k = int(np.argmax(deltas))
@@ -227,7 +222,8 @@ def measure_stationary(pool, model, context, sweeps=MEASURE_SWEEPS,
     """Advance `sweeps` generations, measuring root draws after each.
 
     One batch per generation in the batch-means errors, so slow sweep-scale
-    wobble shows up in the quoted uncertainty instead of hiding as bias.
+    wobble shows up in the quoted uncertainty instead of hiding as bias; one
+    generation has no error estimate (an infinite error).
     Returns (advanced pool, StationaryMeasurement).
     """
     if sweeps < 1 or draws_per_sweep < 1:
@@ -237,15 +233,14 @@ def measure_stationary(pool, model, context, sweeps=MEASURE_SWEEPS,
         pool = population_sweep(pool, model, pmap)
         rng = keyed_rng(pool.seed, TAG_MEASURE, int(context), pool.sweeps_done)
         G_blocks.append(root_draws(pool, model, rng, draws_per_sweep))
-    G = np.concatenate(G_blocks, axis=0)
-    batches = sweeps if sweeps > 1 else DEFAULT_BATCHES
-    tr = (G.real**2 + G.imag**2).sum(axis=(1, 2))  # Tr(conj(G) G), G symmetric
-    dos_vals = np.trace(G, axis1=1, axis2=2).imag / (model.m * np.pi)
+    G = np.stack(G_blocks)  # (sweeps, draws, m, m)
+    tr = (G.real**2 + G.imag**2).sum(axis=(2, 3))  # Tr(conj(G) G), G symmetric
+    dos_vals = np.trace(G, axis1=2, axis2=3).imag / (model.m * np.pi)
     meas = StationaryMeasurement(
         eta=pool.point.eta,
-        green=batch_stats(G, batches),
-        trace_abs_sq=batch_stats(tr, batches),
-        dos=batch_stats(dos_vals, batches),
+        green=batch_stats(G),
+        trace_abs_sq=batch_stats(tr),
+        dos=batch_stats(dos_vals),
     )
     return pool, meas
 

@@ -783,22 +783,35 @@ class TestConfigPlumbing:
         with pytest.raises(cli.ConfigError, match="samples: "):
             cli._resolve_config(cli._build_parser(argv).parse_args(argv))
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BETHE_STRIP_THREADS", "2")
-        out = tmp_path / "fp.csv"
-        main(["free-profile", "--E-grid", "0:0:1", "--eta-schedule", "0",
-              "--out", str(out)])
-        assert manifest_of(out)["config"]["workers"] == 2
-
     def test_negative_flag_values_parse(self, tmp_path):
         out = tmp_path / "fp.csv"
         rc = main(["free-profile", "--K", "2", "--m", "1",
-                   "--lambda", "-0.3", "--E-grid", "-0.5:-0.5:1",
+                   "--E-grid", "-0.5:-0.5:1",
                    "--eta-schedule", "0", "--out", str(out)])
         assert rc == 0
-        cfg = manifest_of(out)["config"]
-        assert cfg["lambda"] == -0.3
-        assert cfg["E-grid"] == "-0.5:-0.5:1"
+        assert manifest_of(out)["config"]["E-grid"] == "-0.5:-0.5:1"
+        argv = ["dos-scan", "--lambda", "-0.3", "--E-grid", "0:0:1",
+                "--eta-schedule", "0.1", "--out", str(tmp_path / "dos.csv")]
+        cfg = cli._resolve_config(cli._build_parser(argv).parse_args(argv))
+        assert cfg.echo["lambda"] == -0.3
+
+    @pytest.mark.parametrize("sub", ["free-profile", "gap-scan", "ce-spectrum"])
+    def test_zero_coupling_subcommands_refuse_lambda(self, sub, tmp_path, capsys,
+                                                     monkeypatch):
+        # they compute at lambda = 0: another value would be echoed, not used
+        args = [sub, "--K", "2", "--A", "diag:-0.3,0.3", "--E-grid", "-0.5:0.5:3"]
+        out = tmp_path / "x.out"
+        with monkeypatch.context() as mp:
+            def never(*_, **__):
+                raise AssertionError("the subcommand started")
+
+            mp.setitem(cli._DISPATCH, sub, never)
+            assert main([*args, "--lambda", "0.3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: lambda: {sub} computes at zero coupling, got 0.3\n")
+        assert list(tmp_path.glob("x.out*")) == []
+        assert main([*args, "--lambda", "0", "--out", str(out)]) == 0
+        assert manifest_of(out)["config"]["lambda"] == 0.0
 
     def test_point_mass_ensemble_spec(self, tmp_path):
         out = tmp_path / "dos.csv"

@@ -2,6 +2,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from bethestrip import ed, recursion
@@ -22,7 +24,7 @@ from bethestrip.recursion import (
     sample_tree,
     sample_tree_given,
 )
-from bethestrip.rng import child_seed, keyed_rng
+from bethestrip.rng import TAG_MEASURE, child_seed, keyed_rng
 from conftest import random_herglotz, random_psd
 from test_ed import A_OF_M, ENSEMBLES
 
@@ -122,6 +124,9 @@ class TestPopulation:
         G = pool.samples
         assert np.array_equal(G, G.swapaxes(-1, -2))
         assert min_imag_eigenvalue(G) >= -HERGLOTZ_SLACK
+        # sweeps allocate with empty_like, so the initial layout is kept for good
+        assert G.flags.c_contiguous
+        assert population_sweep(pool, mod).samples.flags.c_contiguous
         with pytest.raises(ValueError):
             population_init(SpectralPoint(0.0, 0.1), mod, 1, seed=0)
 
@@ -209,45 +214,89 @@ class TestPopulation:
         assert got.tobytes() == ref.tobytes()
 
 
+def manual_batch_stats(blocks):
+    """Per-batch means by a loop, then the grand mean and its batch-means error."""
+    means = [sum(batch) / len(batch) for batch in blocks]
+    grand = sum(means) / len(means)
+    sq = sum(np.abs(b - grand) ** 2 for b in means)  # real and imaginary parts
+    return grand, np.sqrt(sq / (len(means) * (len(means) - 1)))
+
+
 class TestEstimators:
     def test_batch_stats_against_manual(self):
-        vals = np.arange(100, dtype=float)
-        est = batch_stats(vals, batches=20)
-        assert est.mean == pytest.approx(vals.mean())
-        manual = vals.reshape(20, 5).mean(axis=1)
-        assert est.std_error == pytest.approx(manual.std(ddof=1) / np.sqrt(20))
-        assert est.count == 100
+        rng = np.random.default_rng(5)
+        for tail, cplx in (((), False), ((), True), ((2, 2), True)):  # real, complex, (m, m)
+            blocks = rng.normal(size=(6, 9) + tail)
+            if cplx:
+                blocks = blocks + 1j * rng.normal(size=blocks.shape)
+            est = batch_stats(blocks)
+            mean, se = manual_batch_stats(blocks)
+            np.testing.assert_allclose(est.mean, mean, rtol=1e-13)
+            np.testing.assert_allclose(est.std_error, se, rtol=1e-13)
+            assert np.shape(est.std_error) == tail and np.isrealobj(est.std_error)
 
     def test_batch_stats_complex_combines_parts(self):
-        vals = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j] * 10)
-        est = batch_stats(vals, batches=4)
+        # batch means 1 + 1j and -1 - 1j: each part has variance 2
+        blocks = np.array([[1 + 1j, 1 + 1j], [-1 - 1j, -1 - 1j]])
+        est = batch_stats(blocks)
         assert est.mean == 0
-        assert est.std_error > 0
+        assert est.std_error == pytest.approx(np.sqrt((2 + 2) / 2))
 
-    @pytest.mark.parametrize("shape", [(7,), (7, 2, 2)], ids=["scalar", "matrix"])
+    @pytest.mark.parametrize("shape", [(1, 7), (1, 7, 2, 2)], ids=["scalar", "matrix"])
     def test_batch_stats_one_batch_has_infinite_error(self, shape):
         # one batch mean has no spread to estimate: its error is inf, not NaN
-        vals = np.arange(np.prod(shape), dtype=float).reshape(shape)
-        est = batch_stats(vals, batches=1)
-        np.testing.assert_array_equal(est.mean, vals.mean(axis=0))
-        assert np.shape(est.std_error) == shape[1:]
+        blocks = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        est = batch_stats(blocks)
+        np.testing.assert_array_equal(est.mean, blocks[0].mean(axis=0))
+        assert np.shape(est.std_error) == shape[2:]
         assert np.all(np.isposinf(est.std_error))
-        assert est.count == 7
+
+    @settings(max_examples=60)
+    @given(batches=st.integers(1, 6), draws=st.integers(1, 6),
+           tail=st.sampled_from([(), (1, 1), (2, 2), (3, 3)]), cplx=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_stats_is_the_flat_array_cut_in_batches(self, batches, draws, tail,
+                                                          cplx, seed):
+        rng = np.random.default_rng(seed)
+        flat = rng.normal(size=(batches * draws,) + tail)
+        if cplx:
+            flat = flat + 1j * rng.normal(size=flat.shape)
+        est = batch_stats(flat.reshape((batches, draws) + tail))
+        parts = np.split(flat, batches)
+        mean = np.mean([part.mean(axis=0) for part in parts], axis=0)
+        np.testing.assert_allclose(est.mean, mean, rtol=1e-12, atol=1e-15)
+        if batches == 1:
+            assert np.all(np.isposinf(est.std_error))
+        else:
+            np.testing.assert_allclose(est.std_error, manual_batch_stats(parts)[1],
+                                       rtol=1e-12, atol=1e-15)
 
     def test_free_estimates_are_exact(self):
         mod = make_model(K=2, a=(-0.5, 0.5), lam=0.0)
         sp = SpectralPoint(0.3, 0.05)
         pool = population_run(population_init(sp, mod, 200, seed=1), mod, 3)
         r = keyed_rng(0, 2, 99)
-        G = root_draws(pool, mod, r, 400)
+        G = root_draws(pool, mod, r, 400).reshape(20, 20, 2, 2)
         eg, eg2 = batch_stats(G), batch_stats(np.conj(G) @ G)
         full = free_full_green(sp, mod)
         np.testing.assert_allclose(eg.mean, full, atol=1e-12)
         np.testing.assert_allclose(eg2.mean, np.conj(full) @ full, atol=1e-12)
-        dos = measure_stationary(pool, mod, 0, sweeps=1,
+        dos = measure_stationary(pool, mod, 0, sweeps=2,
                                  draws_per_sweep=400)[1].dos
         assert dos.mean == pytest.approx(free_dos(sp, mod), abs=1e-12)
         assert dos.std_error < 1e-12
+
+    def test_one_generation_has_infinite_error(self):
+        # one batch per generation: a single generation has no spread to use
+        mod = make_model(lam=0.3)
+        pool = population_init(SpectralPoint(0.1, 0.2), mod, 32, seed=2)
+        meas = measure_stationary(pool, mod, 0, sweeps=1, draws_per_sweep=16)[1]
+        (rec,) = eta_continuation(mod, 0.1, (0.2,), pool_size=32, seed=2, burn_in=2,
+                                  measure_sweeps=1, draws_per_sweep=16)
+        for one in (meas, rec):
+            assert np.isfinite(one.dos.mean) and np.isposinf(one.dos.std_error)
+            assert np.isfinite(one.trace_abs_sq.mean)
+            assert np.isposinf(one.trace_abs_sq.std_error)
 
     def test_rejects_bad_test_matrix(self):
         mod = make_model()
@@ -401,7 +450,16 @@ class TestContinuation:
         assert pool2.sweeps_done == pool.sweeps_done + 5
         assert meas.trace_abs_sq.mean > 0
         assert meas.green.mean.shape == (1, 1)
-        assert meas.dos.count == 200
+        # one batch per generation, of that generation's root draws on its
+        # measurement key
+        gen_dos, p = [], pool
+        for _ in range(5):
+            p = population_sweep(p, mod)
+            G = root_draws(p, mod, keyed_rng(p.seed, TAG_MEASURE, 0, p.sweeps_done), 40)
+            gen_dos.append(G[:, 0, 0].imag.mean() / np.pi)
+        assert meas.dos.mean == pytest.approx(np.mean(gen_dos), rel=1e-12)
+        assert meas.dos.std_error == pytest.approx(np.std(gen_dos, ddof=1) / np.sqrt(5),
+                                                   rel=1e-12)
 
     def test_root_draws_shape_and_herglotz(self):
         mod = make_model(K=3, a=(-0.2, 0.2), lam=0.2)
