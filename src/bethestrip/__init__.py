@@ -9,7 +9,7 @@ The names below are the documented surface (README and ``demos/``); every
 other function is imported from its module, e.g. ``bethestrip.recursion``.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     BetheStripError,
@@ -23,7 +23,6 @@ from .errors import (
 )
 from .linalg import SpectralPoint
 from .model import GOE, BetheStripModel, PointMass, band_intersection
-from .rng import child_seed
 from .free import a_e_matrix, free_dos, free_forward_green, free_full_green
 from .recursion import (ac_indicator, eta_continuation, sample_tree,
                         sample_tree_given)
@@ -50,8 +49,6 @@ __all__ = [
     "BetheStripModel",
     "PointMass",
     "band_intersection",
-    # rng
-    "child_seed",
     # free
     "a_e_matrix",
     "free_dos",

@@ -36,7 +36,6 @@ from .linalg import SpectralPoint
 from .linearization import build_ce_matrix, eigenvalue_gaps, enumerate_indices
 from .model import BetheStripModel, band_intersection, parse_ensemble_spec
 from .recursion import eta_continuation, ac_indicator, sample_tree_given
-from .rng import child_seed
 
 CROSSCHECK_TOL = 1e-8
 # Size caps, checked before any work.  An E-grid point is a CSV row held until
@@ -381,11 +380,11 @@ def _cmd_free_profile(cfg: RunConfig, pmap) -> CommandResult:
 
 
 def _continuation_records(cfg: RunConfig, pmap):
-    """One eta-continuation per grid energy, each on its own child seed."""
-    for i, E in enumerate(cfg.e_values):
+    """One eta-continuation per grid energy, all on the run's seed."""
+    for E in cfg.e_values:
         records = eta_continuation(
             cfg.model, float(E), cfg.etas,
-            pool_size=cfg.pool, seed=child_seed(cfg.seed, i),
+            pool_size=cfg.pool, seed=cfg.seed,
             burn_in=cfg.burnin, relax_sweeps=cfg.sweeps,
             draws_per_sweep=cfg.samples, pmap=pmap,
         )
@@ -465,13 +464,12 @@ def _cmd_crosscheck(cfg: RunConfig, pmap) -> CommandResult:
     eta = cfg.etas[0]
     tree = build_tree(model.K, cfg.depth, model.m)
     batch = max(1, 2**20 // (tree.n_sites * model.m**2))  # realizations a task
-    tasks = [(i, E, lo) for i, E in enumerate(cfg.e_values)
-             for lo in range(0, cfg.samples, batch)]
+    tasks = [(E, lo) for E in cfg.e_values for lo in range(0, cfg.samples, batch)]
 
     def deviations(task):
-        i, E, lo = task
-        sp, seed = SpectralPoint(float(E), eta), child_seed(cfg.seed, i)
-        V = np.stack([draw_site_potentials(model, tree, seed, t)
+        E, lo = task
+        sp = SpectralPoint(float(E), eta)
+        V = np.stack([draw_site_potentials(model, tree, cfg.seed, t)
                       for t in range(lo, min(lo + batch, cfg.samples))])
         gap = sample_tree_given(sp, model, tree, V) - root_green_block(sp, model, tree, V)
         return np.abs(gap).max(axis=(1, 2))
@@ -520,7 +518,7 @@ def _write_outputs(cfg: RunConfig, result: CommandResult, start: float) -> list:
     manifest = {
         "artifact": {"name": "bethestrip", "version": __version__},
         "config": cfg.echo,
-        "schema_version": 2,
+        "schema_version": 3,
         "schema": {f"{cfg.out.name}{suffix}": content[0]
                    for suffix, content in result.outputs.items()
                    if not isinstance(content, dict)},

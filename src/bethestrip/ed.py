@@ -54,11 +54,11 @@ def tree_site_count(K, depth) -> int:
 
 def build_tree(K, depth, m=1) -> TruncatedTree:
     """Breadth-first truncated tree; raises SizeOverflowError beyond MAX_DOF."""
-    n = tree_site_count(K, depth)
+    # over 2^d sites at depth d: past the cap's bit length, K^depth is not formed
+    n = tree_site_count(K, min(depth, MAX_DOF.bit_length()))
     if m * n > MAX_DOF:
-        raise SizeOverflowError(
-            f"m * |sites| = {m * n} exceeds the {MAX_DOF} direct-solve cap"
-        )
+        raise SizeOverflowError(f"a depth-{depth} tree of width {m} exceeds the "
+                                f"{MAX_DOF}-dof direct-solve cap")
     # level d >= 1 holds (K+1) K^(d-1) sites; the root has K+1 children, the rest K
     sizes = [1] + [(K + 1) * K ** (d - 1) for d in range(1, depth + 1)]
     depth_of = np.repeat(np.arange(depth + 1, dtype=np.int64), sizes)

@@ -93,13 +93,11 @@ def _exponents(basis, m: int) -> np.ndarray:
 
 def _basis_size(m: int, max_degree: int, cap: int, name: str) -> int:
     """|{J : |J| <= max_degree}|, counted, not enumerated; above cap raises."""
-    p = len(upper_slots(m))
-    size = math.comb(p + max_degree, p)
+    p = len(upper_slots(m))  # a degree >= cap is over it too: size >= max_degree + 1
+    size = math.comb(p + min(max_degree, cap), p)
     if size > cap:
-        raise TruncationOverflowError(
-            f"basis of {size} monomials exceeds {name}={cap}; "
-            "reduce max_degree or m"
-        )
+        raise TruncationOverflowError(f"the degree-{max_degree} basis at m = {m} "
+                                      f"exceeds {name}={cap}; reduce max_degree or m")
     return size
 
 

@@ -12,7 +12,7 @@ import math
 import time
 
 import numpy as np
-from conftest import random_herglotz, random_psd
+from conftest import random_herglotz, random_psd, spawned_seed
 
 from bethestrip.cli import main as cli_main
 from bethestrip.ed import build_tree, draw_site_potentials, root_green_block
@@ -28,7 +28,7 @@ from bethestrip.recursion import (ac_indicator, eta_continuation,
                                   fixed_point_residual, measure_stationary,
                                   population_init, population_run,
                                   sample_tree_given)
-from bethestrip.rng import child_seed, keyed_rng
+from bethestrip.rng import keyed_rng
 
 GOE2 = GOE()
 
@@ -149,7 +149,7 @@ def test_criterion_4_oracle_equivalence(capsys):
                                     ensemble=GOE2)
             for depth in range(1, 6):
                 tree = build_tree(K, depth, m)
-                seed = child_seed(41, K, m, depth)
+                seed = spawned_seed(41, K, m, depth)
                 for realization in range(20):
                     pots = draw_site_potentials(model, tree, seed,
                                                 realization=realization)
@@ -200,7 +200,7 @@ def test_criterion_6_dos_consistency(capsys):
     free_dev = 0.0
     for i, E in enumerate(np.linspace(-3.0, 3.0, 101)):
         sp = SpectralPoint(float(E), 1e-6)
-        pool = population_init(sp, model0, 64, child_seed(61, i))
+        pool = population_init(sp, model0, 64, spawned_seed(61, i))
         est = measure_stationary(pool, model0, i, sweeps=2,
                                  draws_per_sweep=64)[1].dos
         free_dev = max(free_dev,
@@ -213,7 +213,7 @@ def test_criterion_6_dos_consistency(capsys):
     dos_vals = []
     for i, E in enumerate(grid):
         record = eta_continuation(model, float(E), (eta,), pool_size=10_000,
-                                  seed=child_seed(62, i), burn_in=40,
+                                  seed=spawned_seed(62, i), burn_in=40,
                                   measure_sweeps=10, draws_per_sweep=2000)[0]
         dos_vals.append(float(record.dos.mean))
     dos_vals = np.asarray(dos_vals)

@@ -127,8 +127,8 @@ class TestManifest:
         main(["free-profile", "--K", "2", "--m", "1", "--E-grid", "-1:1:3",
               "--eta-schedule", "0", "--seed", "9", "--out", str(out)])
         man = manifest_of(out)
-        assert man["artifact"] == {"name": "bethestrip", "version": "0.3.0"}
-        assert man["schema_version"] == 2
+        assert man["artifact"] == {"name": "bethestrip", "version": "0.4.0"}
+        assert man["schema_version"] == 3
         assert man["outputs"][out.name]["sha256"] == sha(out)
         assert man["outputs"][out.name]["bytes"] == len(out.read_bytes())
         assert man["wall_clock_seconds"] >= 0.0
@@ -139,15 +139,15 @@ class TestManifest:
         assert cfg["ensemble"] == "goe"
 
     def test_versions_agree(self, tmp_path):
-        # stream version 2 is package 0.3.0 and manifest schema 2, in every place
+        # stream version 3 is package 0.4.0 and manifest schema 3, in every place
         out = tmp_path / "fp.csv"
         main(["free-profile", "--E-grid", "0:0:1", "--eta-schedule", "0",
               "--out", str(out)])
         man = manifest_of(out)
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
         assert f'\nversion = "{man["artifact"]["version"]}"\n' in pyproject
-        assert man["artifact"]["version"] == bethestrip.__version__ == "0.3.0"
-        assert man["schema_version"] == 2
+        assert man["artifact"]["version"] == bethestrip.__version__ == "0.4.0"
+        assert man["schema_version"] == 3
 
 
 class TestDosScan:
@@ -448,6 +448,72 @@ class TestGapScanCap:
         assert rc == 3
         assert "exceeds MAX_INDICES" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAstronomicalSizes:
+    @pytest.mark.parametrize("argv, message", [
+        (["crosscheck", "--K", "2", "--m", "1", "--depth", "1000000000"],
+         "exceeds the 200000-dof direct-solve cap"),
+        (["gap-scan", "--K", "2", "--m", "16", "--degree", "1" + "0" * 40],
+         "exceeds MAX_INDICES=200000"),
+        (["ce-spectrum", "--K", "2", "--m", "16", "--degree", "1" + "0" * 40],
+         "exceeds MAX_BASIS=500"),
+    ], ids=["crosscheck-depth", "gap-scan-degree", "ce-spectrum-degree"])
+    def test_refused_by_the_cap_before_big_integers(self, argv, message, tmp_path,
+                                                     capsys):
+        start = time.perf_counter()
+        rc = main(argv + ["--E-grid", "0:0:1", "--out", str(tmp_path / "x")])
+        assert time.perf_counter() - start < 1.0
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: ") and message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestGridIndependence:
+    """A row reads the run's streams: it depends on (config, seed, E, eta), not
+    on the rest of the grid."""
+
+    POOL_ARGS = ["--K", "2", "--A", "diag:-0.5,0.5", "--lambda", "0.5",
+                 "--eta-schedule", "0.2,0.1,0.05", "--pool", "64", "--sweeps", "4",
+                 "--burnin", "8", "--samples", "40", "--seed", "7"]
+
+    @pytest.mark.parametrize("sub", ["dos-scan", "ac-indicator"])
+    def test_pool_rows_at_zero(self, sub, tmp_path):
+        outs = {grid: tmp_path / f"{grid.replace(':', '_')}.csv"
+                for grid in ("-1:1:3", "0:0:1")}
+        for grid, out in outs.items():
+            assert main([sub, *self.POOL_ARGS, f"--E-grid={grid}",
+                         "--out", str(out)]) == 0
+        wide, single = (out.read_text().splitlines() for out in outs.values())
+        assert single[1:] and [row for row in wide if row.startswith("0.0,")] == single[1:]
+        if sub == "ac-indicator":
+            wide, single = (json.loads(Path(f"{out}.verdict.json").read_text())["results"]
+                            for out in outs.values())
+            assert [r for r in wide if r["E"] == 0.0] == single
+
+    def test_crosscheck_deviations_at_zero(self, tmp_path):
+        def deviations_at_zero(grid):
+            argv = ["crosscheck", "--K", "2", "--A", "diag:-0.5,0.0,0.4",
+                    "--lambda", "0.5", "--depth", "3", "--samples", "8",
+                    "--seed", "7", f"--E-grid={grid}", "--out", str(tmp_path / "x")]
+            cfg = cli._resolve_config(cli._build_parser(argv).parse_args(argv))
+            found = []
+
+            def recording_map(fn, tasks):
+                for task in tasks:  # (..., E, first realization)
+                    devs = fn(task)
+                    if task[-2] == 0.0:
+                        found.append(devs)
+                    yield devs
+
+            assert cli._DISPATCH["crosscheck"](cfg, recording_map).ok
+            return np.concatenate(found)
+
+        wide, single = deviations_at_zero("-1:1:3"), deviations_at_zero("0:0:1")
+        assert len(single) == 8
+        np.testing.assert_array_equal(wide, single)
 
 
 class TestCrosscheck:
@@ -883,7 +949,7 @@ class TestConfigPlumbing:
         assert main(["--help"]) == 0
         assert "free-profile" in capsys.readouterr().out
         assert main(["--version"]) == 0
-        assert "0.3.0" in capsys.readouterr().out
+        assert "0.4.0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("module", ["bethestrip", "bethestrip.cli"])
     def test_python_m_entry_point(self, module):

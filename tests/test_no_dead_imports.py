@@ -192,6 +192,41 @@ def test_detects_kernel_bypasses():
     assert kernel_bypasses(source, "linalg.py") == [3, 5, 7]
 
 
+
+# One stream derivation: only rng.py reaches numpy.random, through keyed_rng.
+STREAM_MODULE = "rng.py"
+
+
+def random_module_uses(source: str) -> list[int]:
+    """Lines that name ``np.random`` or ``numpy.random``, or import from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "random"
+                and getattr(node.value, "id", None) in {"np", "numpy"}):
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            if any(f"{prefix}{a.name}".split(".")[:2] == ["numpy", "random"]
+                   for a in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_rng_names_numpy_random():
+    found = {path.name: random_module_uses(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop(STREAM_MODULE)
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_detects_numpy_random_uses():
+    source = ("import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+              "from numpy.random import default_rng\nrng = np.random.default_rng(0)\n"
+              "x = numpy.random.Philox\ny = rng.random(3)\nz = np.linalg.random\n"
+              '"""np.random in a docstring"""\n')
+    assert random_module_uses(source) == [2, 3, 4, 5, 6]
+
+
 # The CLI's subcommands return data; main and its one writer touch the files.
 CLI_WRITER = "_write_outputs"
 FILESYSTEM_CALLS = {"open", "print", "mkdir", "write_bytes", "write_text"}

@@ -24,8 +24,8 @@ from bethestrip.recursion import (
     sample_tree,
     sample_tree_given,
 )
-from bethestrip.rng import TAG_MEASURE, child_seed, keyed_rng
-from conftest import random_herglotz, random_psd
+from bethestrip.rng import TAG_MEASURE, keyed_rng
+from conftest import random_herglotz, random_psd, spawned_seed
 from test_ed import A_OF_M, ENSEMBLES
 
 
@@ -321,7 +321,7 @@ class TestEstimators:
         sp = SpectralPoint(0.1, 0.1)
         positive = 0
         for r in range(pools):
-            pool = population_init(sp, mod, 256, child_seed(seed, r))
+            pool = population_init(sp, mod, 256, spawned_seed(seed, r))
             G = population_run(pool, mod, 20).samples
             d = G[:, 0, 0].mean() - G[:, 1, 1].mean()
             positive += int(d.real + d.imag > 0)
@@ -506,7 +506,7 @@ class TestBurnIn:
         model, E, eta = self.CONFIGS[label]
         arms = []  # (seed, arm, observable)
         for s in range(self.SEEDS):
-            seed = child_seed(base_seed, list(self.CONFIGS).index(label), s)
+            seed = spawned_seed(base_seed, list(self.CONFIGS).index(label), s)
             pool = population_run(
                 population_init(SpectralPoint(E, eta), model, self.POOL, seed),
                 model, recursion.BURN_IN)

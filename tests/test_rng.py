@@ -1,9 +1,9 @@
-"""The stream contract of ``bethestrip.rng.keyed_rng`` (stream version 2)."""
+"""The stream contract of ``bethestrip.rng.keyed_rng``, unchanged since stream version 2."""
 
 import numpy as np
 import pytest
 
-from bethestrip.rng import child_seed, keyed_rng
+from bethestrip.rng import keyed_rng
 
 
 def raw(rng, n=8):
@@ -43,21 +43,3 @@ class TestKeyedStreams:
         assert raw(keyed_rng(13, 1, 0, 0), 4).tolist() == [
             12945478933868363012, 14856470068897859855,
             7845401438755053333, 177329347437187908]
-
-
-class TestChildSeed:
-    def test_pinned_values(self):
-        # the grid-point sub-seeds of every scan depend on these
-        assert child_seed(5, 0, 1) == 68689400818766659852950557622155580173
-        assert child_seed(5, 2**32 - 1) == 97574069597909191690794333904478404931
-
-    @pytest.mark.parametrize("key, clash", [((2**32,), (0, 1)), ((2**33,), (0, 2))])
-    def test_wide_components_raise_instead_of_colliding(self, key, clash):
-        # SeedSequence would split 2**32 into the words (0, 1)
-        child_seed(5, *clash)
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            child_seed(5, *key)
-
-    def test_negative_component_raises(self):
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            child_seed(5, -1)
