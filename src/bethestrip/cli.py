@@ -445,10 +445,9 @@ def _triangularity_residual(op) -> list:
 def _cmd_ce_spectrum(cfg: RunConfig, pmap) -> CommandResult:
     header = ["E", "J", "degree", "lambda_re", "lambda_im", "modulus",
               "k_power", "tri_residual"]
-    energies = [float(E) for E in cfg.e_values]
-    op = build_ce_matrix(energies, cfg.model, cfg.degree)
+    op = build_ce_matrix(cfg.e_values, cfg.model, cfg.degree)  # E-grid values are floats
     rows = []
-    for E, entries, residual in zip(energies, op.entries,
+    for E, entries, residual in zip(cfg.e_values, op.entries,
                                     _triangularity_residual(op)):
         for i, J in enumerate(op.basis):
             value = complex(entries[i, i])

@@ -26,26 +26,24 @@ ETA_SCHEDULE = tuple(0.5 ** k for k in range(27)) + (0.0,)
 
 @lru_cache(maxsize=16)
 def _onsite(model: BetheStripModel) -> tuple[np.ndarray, ...]:
-    """A, V0 (zeros at lam = 0) and the eigendecomposition (b, Q) of B = A + lam*V0,
-    read-only, once per model."""
+    """V0 (zeros at lam = 0) and the eigendecomposition (b, Q) of A + lam*V0, read-only."""
     if model.lam != 0.0 and not isinstance(model.ensemble, PointMass):
         raise UnsupportedEnsembleError(
             "deterministic fixed-point solver requires a point-mass "
             "potential or lam = 0; got "
             f"{model.ensemble.spec_string()} with lam={model.lam}"
         )
-    A = model.a_matrix
-    V0 = model.ensemble.matrix if model.lam else np.zeros_like(A)
-    b, Q = np.linalg.eigh(A + model.lam * V0)
-    for x in (A, V0, b, Q):
+    V0 = model.ensemble.matrix if model.lam else np.zeros_like(model.a_matrix)
+    b, Q = np.linalg.eigh(model.a_matrix + model.lam * V0)
+    for x in (V0, b, Q):
         x.flags.writeable = False
-    return A, V0, b, Q
+    return V0, b, Q
 
 
 def _forward_map(model: BetheStripModel, z, G: np.ndarray) -> np.ndarray:
     """G -> [A + lam*V0 - z - (K/4) G]^{-1}, z one value or one per member of G."""
-    A, V0, _, _ = _onsite(model)
-    return resolvent(A, model.K * G, V0, model.lam, z)
+    V0, _, _ = _onsite(model)
+    return resolvent(model.a_matrix, model.K * G, V0, model.lam, z)
 
 
 @dataclass(frozen=True)
@@ -93,7 +91,7 @@ class SolveReport:
 def _solve(model: BetheStripModel, z: np.ndarray) -> list[SolveReport]:
     """One report per entry of the 1-d array z: G = Q diag(g(b)) Q^T as one
     stack, its residuals from one map call, its margins from one eigvalsh."""
-    _, _, b, Q = _onsite(model)
+    _, b, Q = _onsite(model)
     G = (Q * forward_roots(z, b, model.K)[:, None, :]) @ Q.T
     residual = np.abs(G - _forward_map(model, z, G)).max(axis=(1, 2))
     return [SolveReport(g, r, w, low) for g, r, w, low in

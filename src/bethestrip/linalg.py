@@ -81,16 +81,20 @@ def resolvent(A, neighbor_sum, V, lam, z):
 
 def _resolvent(A, neighbor_sum, V, lam, z):
     B = lam * V
-    B += A
     m = len(A)
     if m == 2:
-        x, s = B.reshape(-1, 4), neighbor_sum.reshape(-1, 4)
+        q = 0.25 * neighbor_sum.reshape(-1, 4)  # one product for all four entries
+        # A + lam V: one add for a V shared by the stack, else on the entries read
+        x = (B + A).reshape(1, 4) if B.size == 4 else B.reshape(-1, 4)
+        xa, xb, xd = x[:, 0], x[:, 1], x[:, 3]
+        if B.size != 4:  # not an (n, 2, 2) broadcast of A
+            xa, xb, xd = xa + A[0, 0], xb + A[0, 1], xd + A[1, 1]
         # one buffer per stack member: V and z may be shared by the whole stack
-        a = np.subtract(x[:, 0], z, out=np.empty(len(s), complex))
-        a -= 0.25 * s[:, 0]
-        d = np.subtract(x[:, 3], z, out=np.empty(len(s), complex))
-        d -= 0.25 * s[:, 3]
-        b = x[:, 1] - 0.25 * s[:, 1]
+        a = np.subtract(xa, z, out=np.empty(len(q), complex))
+        a -= q[:, 0]
+        d = np.subtract(xd, z, out=np.empty(len(q), complex))
+        d -= q[:, 3]
+        b = xb - q[:, 1]
         det = a * d
         det -= b * b
         if not np.isfinite(det).all():  # checked before dividing
@@ -104,6 +108,7 @@ def _resolvent(A, neighbor_sum, V, lam, z):
         G[:, 1] = G[:, 2] = -0.5 * (b + b)  # sym_part's form: -b can flip a zero's sign
         return G.reshape(neighbor_sum.shape)
     # Gauss-Jordan on M built in the (m, m, n) layout: each step is a few (n,) rows
+    B += A
     S = neighbor_sum.reshape(-1, m, m)
     Bn = np.broadcast_to(B, neighbor_sum.shape).reshape(S.shape)
     W = Bn.transpose(1, 2, 0).astype(complex, order="C")

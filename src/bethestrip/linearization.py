@@ -49,11 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EigenvalueLawError,
-    OutOfBandError,
-    TruncationOverflowError,
-)
+from .errors import EigenvalueLawError, OutOfBandError, TruncationOverflowError
 from .free import forward_roots
 from .model import BetheStripModel, band_intersection
 

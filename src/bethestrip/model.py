@@ -8,11 +8,13 @@ random symmetric m x m potential V.  Ensembles know how to sample themselves
 
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_WIDTH = 16  # supported strip widths; dense m x m algebra throughout
+SQRT_HALF = float(np.sqrt(0.5))  # the GOE's off-diagonal scale
 
 
 @dataclass(frozen=True)
@@ -68,17 +70,13 @@ class PointMass(DisorderEnsemble):
     def matrix(self):
         return np.array(self.V0, dtype=float)
 
-    @property
-    def m(self):
-        return len(self.V0)
-
     def sample_batch(self, m, rng, n):
         self._check_m(m)
         return np.broadcast_to(self.matrix, (n, m, m)).copy()
 
     def _check_m(self, m):
-        if m != self.m:
-            raise ValueError(f"point matrix has shape ({self.m}, {self.m}), "
+        if m != len(self.V0):
+            raise ValueError(f"point matrix has shape {np.shape(self.V0)}, "
                              f"model needs ({m}, {m})")
 
     def spec_string(self):
@@ -133,10 +131,14 @@ class GOE(DisorderEnsemble):
 
     def sample_batch(self, m, rng, n):
         Z = rng.standard_normal((n, m * (m + 1) // 2))
-        V = np.empty((n, m, m))
+        V = np.empty((n, m * m))  # flat: each normal goes straight to its slots
         for p, (i, j) in enumerate((i, j) for i in range(m) for j in range(i, m)):
-            V[:, i, j] = V[:, j, i] = Z[:, p] if i == j else np.sqrt(0.5) * Z[:, p]
-        return V
+            if i == j:
+                V[:, i * m + j] = Z[:, p]
+            else:
+                np.multiply(Z[:, p], SQRT_HALF, out=V[:, i * m + j])
+                V[:, j * m + i] = V[:, i * m + j]
+        return V.reshape(n, m, m)
 
     def spec_string(self):
         return "goe"
@@ -150,10 +152,11 @@ class BetheStripModel:
     a: tuple
     lam: float
     ensemble: DisorderEnsemble = field(default_factory=lambda: GOE())
+    a_matrix: np.ndarray = field(init=False, repr=False, compare=False)  # diag(a)
 
     def __post_init__(self):
-        if int(self.K) != self.K or self.K < 2:
-            raise ValueError("K must be an integer >= 2")
+        if not 2 <= self.K <= sys.float_info.max or int(self.K) != self.K:
+            raise ValueError(f"K must be an integer in [2, {sys.float_info.max:g}]")
         object.__setattr__(self, "K", int(self.K))
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         if not 1 <= len(a) <= MAX_WIDTH:
@@ -163,6 +166,9 @@ class BetheStripModel:
         if (np.diff(a) < 0).any():
             raise ValueError("a must be sorted ascending")
         object.__setattr__(self, "a", tuple(a.tolist()))
+        A = np.diag(a)  # read-only, built once per model
+        A.flags.writeable = False
+        object.__setattr__(self, "a_matrix", A)
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
         object.__setattr__(self, "lam", float(self.lam))
@@ -174,12 +180,8 @@ class BetheStripModel:
         return len(self.a)
 
     @property
-    def a_matrix(self):
-        return np.diag(self.a)
-
-    @property
     def sqrt_k(self) -> float:
-        return float(np.sqrt(self.K))
+        return float(np.sqrt(float(self.K)))
 
 
 def band_intersection(model) -> RealInterval:

@@ -109,15 +109,15 @@ def _pool_draws(pool, model, rng, count, neighbors):
 def population_sweep(pool: PopulationPool, model, pmap=map) -> PopulationPool:
     """One resampling generation; pmap may run its chunks (disjoint slices) at once."""
     out = np.empty_like(pool.samples)
-    edges = np.linspace(0, pool.size, CHUNKS + 1).astype(int)
-    slices = [slice(int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo]
+    edges = [pool.size * c // CHUNKS for c in range(CHUNKS + 1)]
+    bounds = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]  # c counts these
 
-    def work(c_sl):
-        c, sl = c_sl
+    def work(c_bounds):
+        c, (lo, hi) = c_bounds
         rng = keyed_rng(pool.seed, TAG_SWEEP, pool.sweeps_done, c)
-        out[sl] = _pool_draws(pool, model, rng, sl.stop - sl.start, model.K)
+        out[lo:hi] = _pool_draws(pool, model, rng, hi - lo, model.K)
 
-    list(pmap(work, enumerate(slices)))
+    list(pmap(work, enumerate(bounds)))
     return replace(pool, samples=out, sweeps_done=pool.sweeps_done + 1)
 
 

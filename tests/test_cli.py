@@ -451,6 +451,19 @@ class TestGapScanCap:
 
 
 class TestAstronomicalSizes:
+    @pytest.mark.parametrize("argv", [
+        ["free-profile"], ["dos-scan", "--eta-schedule", "0.1"], ["gap-scan"],
+    ], ids=["free-profile", "dos-scan", "gap-scan"])
+    def test_branching_number_beyond_floats_is_config_error(self, argv, tmp_path,
+                                                            capsys):
+        rc = main(argv + ["--K", "1" + "0" * 400, "--m", "1", "--E-grid", "0:0:1",
+                          "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: K must be an integer in [2, ")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv, message", [
         (["crosscheck", "--K", "2", "--m", "1", "--depth", "1000000000"],
          "exceeds the 200000-dof direct-solve cap"),

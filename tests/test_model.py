@@ -5,6 +5,7 @@ import pytest
 
 from bethestrip.model import (
     GOE,
+    MAX_WIDTH,
     BetheStripModel,
     DiagonalIID,
     PointMass,
@@ -42,10 +43,22 @@ class TestModelValidation:
         (dict(a=(0.0, np.inf)), "a must be finite"),
         (dict(lam=np.nan), "lam must be finite"),
         (dict(lam=-np.inf), "lam must be finite"),
-    ], ids=["a-nan", "a-inf", "lam-nan", "lam-minus-inf"])
+        (dict(K=10**400), "K must be an integer in"),
+        (dict(K=np.inf), "K must be an integer in"),
+        (dict(K=np.nan), "K must be an integer in"),
+    ], ids=["a-nan", "a-inf", "lam-nan", "lam-minus-inf", "K-beyond-floats", "K-inf",
+            "K-nan"])
     def test_rejects_non_finite(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             make_model(**kwargs)
+
+    def test_largest_float_branching_number_is_kept(self):
+        K = int(np.finfo(float).max)
+        assert make_model(K=K).K == K and np.isfinite(make_model(K=K).sqrt_k)
+
+    def test_a_matrix_is_built_once_read_only(self):
+        mod = make_model(a=(-0.5, 0.5))
+        assert mod.a_matrix is mod.a_matrix and not mod.a_matrix.flags.writeable
 
     def test_rejects_mismatched_pointmass(self):
         with pytest.raises(ValueError):
@@ -104,7 +117,7 @@ class TestEnsembleSampling:
         assert var_diag == pytest.approx(1.0, rel=0.05)
         assert var_off == pytest.approx(0.5, rel=0.05)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, MAX_WIDTH])
     def test_goe_is_packed_normals(self, m):
         # each draw is m(m+1)/2 of the stream's normals, read row-major over
         # the upper triangle, off-diagonal ones times sqrt(1/2), byte for byte
